@@ -417,6 +417,8 @@ def cmd_weyl_amenability(args, doc: dict, spec_hash: str | None) -> str:
     if not texts:
         raise InvalidSpec("weyl-amenability needs --elements or experiment.elements")
     eps = _as_fraction(_pick(args.epsilon, exp, "epsilon", "1"))
+    if eps <= 0:
+        raise InvalidSpec(f"epsilon must be positive, got {eps}")
     F = [weyl.parse_element(t) for t in texts]
     wit = weyl.amenability_witness(F, eps)
     extra = {

@@ -54,7 +54,8 @@ _KINDS = (
 def _parse_weight(rule: str) -> Callable[[int], float]:
     """Turn a weight-rule string into an index -> float evaluator.
 
-    Vocabulary: "log", "sqrt", "linear", "inverse", "const:<c>", "pow:<a>".
+    Vocabulary: "log", "sqrt", "linear", "inverse", "const:<c>", "pow:<a>",
+    where c and a are finite floats.
     Indices are Python ints and may exceed float range; evaluators fall back
     to exact integer arithmetic where that keeps the value finite and raise
     WeightUndefined otherwise.
@@ -79,11 +80,16 @@ def _parse_weight(rule: str) -> Callable[[int], float]:
     if rule == "inverse":
         # int/int division is correctly rounded even for huge denominators
         return lambda n: 1 / n
-    if rule.startswith("const:"):
-        c = float(rule.split(":", 1)[1])
-        return lambda n: c
-    if rule.startswith("pow:"):
-        a = float(rule.split(":", 1)[1])
+    if rule.startswith(("const:", "pow:")):
+        kind, arg = rule.split(":", 1)
+        try:
+            a = float(arg)
+        except ValueError:
+            raise InvalidSpec(f"weight rule {rule!r} needs a number after {kind}:") from None
+        if not math.isfinite(a):
+            raise InvalidSpec(f"weight rule {rule!r} needs a finite number after {kind}:")
+        if kind == "const":
+            return lambda n: a
         def _pow(n: int) -> float:
             try:
                 return float(n) ** a

@@ -2,17 +2,20 @@
 
 Elements are kept in normal form (every p to the left of every q) with
 Gaussian-rational coefficients, so all identities here are certificates, not
-floating-point estimates.  Reordering uses exhaustive worklist rewriting of
-the relation qp -> pq + i, memoized per (q-power, p-power) pair.
+floating-point estimates.  Products run on one Gaussian-integer kernel
+(operands scaled by the lcm of their denominators) with the closed-form
+normal ordering q^l p^k = sum_j j! C(l,j) C(k,j) i^j p^(k-j) q^(l-j) of
+Blasiak, Penson & Solomon, Phys. Lett. A 309 (2003).
 
 The growth diagnostics compare dim(a V_n + V_n) against dim V_n for the
 total-degree filtration V_n = span{p^k q^l : k + l <= n}; dimensions are
-exact ranks over the Gaussian rationals.  A Hermite-basis representation
-bridges to the numerical side of the package.
+exact ranks by fraction-free elimination over the Gaussian integers.  A
+Hermite-basis representation bridges to the numerical side of the package.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -87,48 +90,42 @@ _ZERO = GaussianRational()
 _ONE = GaussianRational(Fraction(1))
 _I = GaussianRational(Fraction(0), Fraction(1))
 
+GaussInt = tuple[int, int]           # (re, im) <-> re + im i
+IntTerms = dict[Monomial, GaussInt]
 
-def _rewrite_word(word: tuple[str, ...]) -> dict[Monomial, GaussianRational]:
-    """Normal form of a word over {p, q} via exhaustive qp -> pq + i rewriting."""
-    pending: dict[tuple[str, ...], GaussianRational] = {word: _ONE}
-    done: dict[Monomial, GaussianRational] = {}
-    while pending:
-        w, c = pending.popitem()
-        pos = next((t for t in range(len(w) - 1) if w[t] == "q" and w[t + 1] == "p"), None)
-        if pos is None:
-            key = (w.count("p"), w.count("q"))
-            tot = done.get(key, _ZERO) + c
-            if tot:
-                done[key] = tot
-            else:
-                done.pop(key, None)
-            continue
-        swapped = w[:pos] + ("p", "q") + w[pos + 2:]
-        cur = pending.get(swapped, _ZERO) + c
-        if cur:
-            pending[swapped] = cur
-        else:
-            pending.pop(swapped, None)
-        dropped = w[:pos] + w[pos + 2:]
-        cur = pending.get(dropped, _ZERO) + c * _I
-        if cur:
-            pending[dropped] = cur
-        else:
-            pending.pop(dropped, None)
-    return done
+_I_POWERS: tuple[GaussInt, ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-_REORDER_CACHE: dict[tuple[int, int], dict[Monomial, GaussianRational]] = {}
+@functools.cache
+def _reorder(l: int, k: int) -> tuple[tuple[Monomial, GaussInt], ...]:
+    """Normal form of q^l p^k as ((k', l'), coefficient) pairs, closed form."""
+    out = []
+    for j in range(min(l, k) + 1):
+        c = math.factorial(j) * math.comb(l, j) * math.comb(k, j)
+        re, im = _I_POWERS[j % 4]
+        out.append(((k - j, l - j), (c * re, c * im)))
+    return tuple(out)
 
 
-def _reorder(l: int, k: int) -> dict[Monomial, GaussianRational]:
-    """Normal form of q^l p^k as {(k', l'): coefficient}."""
-    key = (l, k)
-    out = _REORDER_CACHE.get(key)
-    if out is None:
-        out = _rewrite_word(("q",) * l + ("p",) * k)
-        _REORDER_CACHE[key] = out
-    return out
+def _integral(terms: Mapping[Monomial, GaussianRational]) -> tuple[IntTerms, int]:
+    """(integer terms, d) with terms / d equal to the given terms."""
+    d = math.lcm(*(f.denominator for c in terms.values() for f in (c.re, c.im)))
+    return {m: (c.re.numerator * (d // c.re.denominator),
+                c.im.numerator * (d // c.im.denominator))
+            for m, c in terms.items()}, d
+
+
+def _product(xs: IntTerms, ys: IntTerms) -> IntTerms:
+    """Normal-ordered product of Gaussian-integer terms."""
+    acc: IntTerms = {}
+    for (k1, l1), (a, b) in xs.items():
+        for (k2, l2), (c, d) in ys.items():
+            re, im = a * c - b * d, a * d + b * c
+            for (dk, dl), (g, h) in _reorder(l1, k2):
+                m = (k1 + dk, dl + l2)
+                r, s = acc.get(m, (0, 0))
+                acc[m] = (r + re * g - im * h, s + re * h + im * g)
+    return {m: c for m, c in acc.items() if c != (0, 0)}
 
 
 class WeylElement:
@@ -194,10 +191,7 @@ class WeylElement:
         return WeylElement(acc)
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, _ZERO) - c
-        return WeylElement(acc)
+        return self + -other
 
     def __neg__(self) -> "WeylElement":
         return WeylElement({m: -c for m, c in self.terms.items()})
@@ -214,19 +208,12 @@ class WeylElement:
 
 
 def multiply(x: WeylElement, y: WeylElement) -> WeylElement:
-    """Product in normal form; the only work is reordering q^l1 p^k2 blocks."""
-    acc: dict[Monomial, GaussianRational] = {}
-    for (k1, l1), c1 in x.terms.items():
-        for (k2, l2), c2 in y.terms.items():
-            c = c1 * c2
-            if l1 == 0 or k2 == 0:
-                m = (k1 + k2, l1 + l2)
-                acc[m] = acc.get(m, _ZERO) + c
-                continue
-            for (a, b), g in _reorder(l1, k2).items():
-                m = (k1 + a, b + l2)
-                acc[m] = acc.get(m, _ZERO) + c * g
-    return WeylElement(acc)
+    """Product in normal form, computed on Gaussian integers."""
+    xs, dx = _integral(x.terms)
+    ys, dy = _integral(y.terms)
+    d = dx * dy
+    return WeylElement({m: GaussianRational(Fraction(re, d), Fraction(im, d))
+                        for m, (re, im) in _product(xs, ys).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +256,6 @@ def parse_element(text: str) -> WeylElement:
         return tok
 
     def parse_factor() -> WeylElement:
-        nonlocal t
         tok = peek()
         if tok is None:
             raise InvalidSpec("dangling operator in element expression")
@@ -285,16 +271,13 @@ def parse_element(text: str) -> WeylElement:
                     raise InvalidSpec("^ must be followed by a nonnegative integer")
                 take()
                 power = int(exp)
-            base = (1, 0) if tok == "p" else (0, 1)
-            return WeylElement({(base[0] * power, base[1] * power): _ONE})
-        if "/" in tok:
-            try:
-                return WeylElement({(0, 0): GaussianRational(Fraction(tok))})
-            except ZeroDivisionError:
-                raise InvalidSpec(f"zero denominator in coefficient {tok!r}") from None
-        if tok.isdigit():
-            return WeylElement({(0, 0): GaussianRational(Fraction(int(tok)))})
-        raise InvalidSpec(f"unexpected token {tok!r} in element expression")
+            return WeylElement({(power, 0) if tok == "p" else (0, power): _ONE})
+        if not tok[0].isdigit():
+            raise InvalidSpec(f"unexpected token {tok!r} in element expression")
+        try:
+            return WeylElement({(0, 0): GaussianRational(Fraction(tok))})
+        except ZeroDivisionError:
+            raise InvalidSpec(f"zero denominator in coefficient {tok!r}") from None
 
     def parse_term() -> WeylElement:
         out = parse_factor()
@@ -326,15 +309,7 @@ def to_text(x: WeylElement) -> str:
             ([f"p^{k}" if k > 1 else "p"] if k else [])
             + ([f"q^{l}" if l > 1 else "q"] if l else []))
         cs = str(c)
-        if mono:
-            if cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{cs}*{mono}")
-        else:
-            parts.append(cs)
+        parts.append({"1": mono, "-1": f"-{mono}"}.get(cs, f"{cs}*{mono}") if mono else cs)
     out = parts[0]
     for piece in parts[1:]:
         out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
@@ -371,50 +346,69 @@ class MonomialSubspace:
         return MonomialSubspace(self.monomials, self.extras + tuple(elements))
 
     def dimension(self) -> int:
-        base = len(self.monomials)
-        rows = []
-        for x in self.extras:
-            row = {m: c for m, c in x.terms.items() if m not in self.monomials}
-            if row:
-                rows.append(row)
-        return base + _exact_rank(rows)
+        rows = (_integral({m: c for m, c in x.terms.items() if m not in self.monomials})[0]
+                for x in self.extras)
+        return len(self.monomials) + _exact_rank(rows)
 
 
-def _exact_rank(rows: list[dict[Monomial, GaussianRational]]) -> int:
-    """Rank over the Gaussian rationals by elimination on sparse rows."""
-    pivots: dict[Monomial, dict[Monomial, GaussianRational]] = {}
+def _exact_rank(rows: Iterable[IntTerms]) -> int:
+    """Rank over the Gaussian rationals of sparse Gaussian-integer rows.
+
+    Fraction-free elimination: a row whose leading monomial already has a
+    pivot becomes lead(piv)*row - lead(row)*piv, then is divided by the gcd
+    of its integer parts, which keeps the coefficients small.
+    """
+    pivots: dict[Monomial, IntTerms] = {}
     for row in rows:
-        row = dict(row)
         while row:
             lead = min(row, key=lambda m: (m[0] + m[1], m[0], m[1]))
             piv = pivots.get(lead)
             if piv is None:
-                inv = row[lead]
-                pivots[lead] = {m: c / inv for m, c in row.items()}
+                pivots[lead] = row
                 break
-            f = row[lead]
-            for m, c in piv.items():
-                cur = row.get(m, _ZERO) - f * c
-                if cur:
-                    row[m] = cur
-                else:
-                    row.pop(m, None)
+            (a, b), (c, d) = piv[lead], row[lead]
+            acc = {m: (a * r - b * s, a * s + b * r) for m, (r, s) in row.items()}
+            for m, (r, s) in piv.items():
+                u, v = acc.get(m, (0, 0))
+                acc[m] = (u - c * r + d * s, v - c * s - d * r)
+            g = math.gcd(*(x for v in acc.values() for x in v))
+            row = {m: (r // g, s // g) for m, (r, s) in acc.items() if r or s}
     return len(pivots)
+
+
+class _Growth:
+    """dim(a V_n + V_n) level by level, with a scaled to integers.
+
+    Level n needs a*m only for m in the top deg(a) degrees (the rest map
+    into V_n); those products are kept for reuse at level n + 1 and no
+    older ones, so memory stays flat.
+    """
+
+    def __init__(self, a: WeylElement):
+        self.terms = _integral(a.terms)[0]
+        self.deg = a.degree() or 0
+        self.products: dict[Monomial, IntTerms] = {}
+
+    def ratio(self, n: int) -> Fraction:
+        if self.deg == 0:
+            return Fraction(1)
+        dim_vn = (n + 1) * (n + 2) // 2
+        kept: dict[Monomial, IntTerms] = {}
+        rows = []
+        for d in range(n - self.deg + 1, n + 1):
+            for k in range(d, -1, -1):
+                m = (k, d - k)
+                kept[m] = prod = self.products.get(m) or _product(self.terms, {m: (1, 0)})
+                rows.append({t: c for t, c in prod.items() if t[0] + t[1] > n})
+        self.products = kept
+        return Fraction(dim_vn + _exact_rank(rows), dim_vn)
 
 
 def foelner_ratio(a: WeylElement, n: int) -> Fraction:
     """dim(a V_n + V_n) / dim V_n as an exact rational."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    dim_vn = (n + 1) * (n + 2) // 2
-    deg_a = a.degree()
-    if deg_a is None or deg_a == 0:
-        return Fraction(1)
-    # products with monomials of degree <= n - deg_a stay inside V_n
-    high = [m for m in degree_monomials(n) if m[0] + m[1] > n - deg_a]
-    products = [multiply(a, WeylElement({m: _ONE})) for m in high]
-    dim = MonomialSubspace.total_degree(n).extended(products).dimension()
-    return Fraction(dim, dim_vn)
+    return _Growth(a).ratio(n)
 
 
 @dataclass(frozen=True)
@@ -442,8 +436,9 @@ def amenability_witness(F: Sequence[WeylElement], epsilon) -> AmenabilityWitness
     delta = max((a.degree() or 0) for a in F)
     cap = math.ceil((delta + 2) / (math.sqrt(1 + float(eps)) - 1))
     target = 1 + eps
+    growth = [_Growth(a) for a in F]
     for n in range(cap + 1):
-        rats = tuple(foelner_ratio(a, n) for a in F)
+        rats = tuple(g.ratio(n) for g in growth)
         if all(r <= target for r in rats):
             return AmenabilityWitness(n=n, cap=cap, epsilon=eps, ratios=rats)
     raise FoelnerError("no witness level up to the degree-bound cap; "

@@ -177,6 +177,33 @@ def test_weyl_amenability_table(tmp_path, capsys):
     assert meta.get("witness-n") == "38"
 
 
+@pytest.mark.parametrize("source", ["flag", "spec"])
+def test_weyl_amenability_rejects_nonpositive_epsilon(tmp_path, capsys, source):
+    if source == "flag":
+        argv = ["weyl-amenability", "--elements", "p", "--epsilon", "0"]
+    else:
+        spec = tmp_path / "eps.json"
+        spec.write_text(json.dumps({"experiment": {"elements": ["p"], "epsilon": "0"}}))
+        argv = ["weyl-amenability", spec]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "epsilon must be positive" in err
+
+
+@pytest.mark.parametrize("weight", ["const:nan", "const:inf", "pow:nan", "pow:-inf",
+                                    "const:abc", "pow:"])
+def test_bad_weight_rule_exits_2(tmp_path, capsys, weight):
+    doc = json.loads((REPO / "specs" / "shift_sqrt_norms.json").read_text())
+    doc["operator"]["weight"] = weight
+    spec = tmp_path / "weight.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run(["norms", spec], capsys)
+    assert code == 2
+    assert out == ""
+    assert "weight rule" in err
+
+
 def test_weyl_represent_feeds_berg(tmp_path, capsys):
     spec = tmp_path / "rep.json"
     spec.write_text(json.dumps({"experiment": {"element": "q^2", "window": 16}}))

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -169,11 +170,162 @@ def test_witness_with_product():
     assert w.ratios == (Fraction(21, 20), Fraction(21, 20), Fraction(857, 780))
 
 
+def test_witness_with_product_tight():
+    w = weyl.amenability_witness([P, Q, P * Q], Fraction(1, 20))
+    assert w.n == 78
+    assert w.cap == 162
+    assert w.ratios == (Fraction(41, 40), Fraction(41, 40), Fraction(3317, 3160))
+
+
 def test_witness_validation():
     with pytest.raises(ValueError):
         weyl.amenability_witness([], Fraction(1, 2))
     with pytest.raises(ValueError):
         weyl.amenability_witness([P], Fraction(0))
+
+
+# ---------------------------------------------------------------- oracles
+# The exact core computes on Gaussian integers with a closed-form normal
+# ordering and fraction-free rank; these references do the same work the
+# slow way, by word rewriting and elimination over Fraction pairs.
+
+ZERO_C = GaussianRational()
+I_C = GaussianRational(Fraction(0), Fraction(1))
+
+
+def _inversions(word):
+    """Number of (q, p) pairs with the q to the left of the p."""
+    qs = count = 0
+    for x in word:
+        if x == "q":
+            qs += 1
+        else:
+            count += qs
+    return count
+
+
+@functools.cache
+def _rewrite_word(word):
+    """Normal form of a word over {p, q} via exhaustive qp -> pq + i rewriting.
+
+    Both rewrites lower the inversion count, so taking words in decreasing
+    order of it visits each word once, after all its contributions arrived.
+    """
+    buckets = [{} for _ in range(_inversions(word) + 1)]
+    buckets[-1][word] = GaussianRational.of(1)
+    done = {}
+    for bucket in reversed(buckets):
+        for w, c in bucket.items():
+            if not c:
+                continue
+            pos = next((t for t in range(len(w) - 1) if w[t] == "q" and w[t + 1] == "p"), None)
+            if pos is None:
+                key = (w.count("p"), w.count("q"))
+                done[key] = done.get(key, ZERO_C) + c
+                continue
+            for child, f in ((w[:pos] + ("p", "q") + w[pos + 2:], c),
+                             (w[:pos] + w[pos + 2:], c * I_C)):
+                below = buckets[_inversions(child)]
+                below[child] = below.get(child, ZERO_C) + f
+    return {m: c for m, c in done.items() if c}
+
+
+def _fraction_rank(rows):
+    """Rank over the Gaussian rationals by elimination on sparse Fraction rows."""
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row, key=lambda m: (m[0] + m[1], m[0], m[1]))
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = row[lead]
+                pivots[lead] = {m: c / inv for m, c in row.items()}
+                break
+            f = row[lead]
+            for m, c in piv.items():
+                cur = row.get(m, ZERO_C) - f * c
+                if cur:
+                    row[m] = cur
+                else:
+                    row.pop(m, None)
+    return len(pivots)
+
+
+def _ref_multiply(x, y):
+    acc = {}
+    for (k1, l1), c1 in x.terms.items():
+        for (k2, l2), c2 in y.terms.items():
+            for (a, b), g in _rewrite_word(("q",) * l1 + ("p",) * k2).items():
+                m = (k1 + a, b + l2)
+                acc[m] = acc.get(m, ZERO_C) + c1 * c2 * g
+    return WeylElement(acc)
+
+
+def _ref_ratio(a, n):
+    deg = a.degree()
+    rows = []
+    for m in weyl.degree_monomials(n):
+        if m[0] + m[1] > n - deg:
+            prod = _ref_multiply(a, mono(*m))
+            rows.append({t: c for t, c in prod.terms.items() if t[0] + t[1] > n})
+    dim_vn = (n + 1) * (n + 2) // 2
+    return Fraction(dim_vn + _fraction_rank(rows), dim_vn)
+
+
+def test_closed_form_reorder_matches_rewriter():
+    for l in range(8):
+        for k in range(8):
+            got = {m: GaussianRational(Fraction(re), Fraction(im))
+                   for m, (re, im) in weyl._reorder(l, k)}
+            assert got == _rewrite_word(("q",) * l + ("p",) * k), (l, k)
+
+
+def _random_rational(rng):
+    return GaussianRational(Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 7))),
+                            Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 7))))
+
+
+def test_rank_matches_fraction_oracle():
+    rng = np.random.default_rng(25)
+    monos = weyl.degree_monomials(3)
+    deficient = 0
+    for _ in range(60):
+        rows = []
+        for _ in range(int(rng.integers(1, 7))):
+            picks = rng.choice(len(monos), size=int(rng.integers(1, 5)), replace=False)
+            rows.append(WeylElement({monos[i]: _random_rational(rng) for i in picks}).terms)
+        for _ in range(int(rng.integers(0, 3))):
+            # a combination of two rows makes the set dependent
+            i, j = rng.integers(0, len(rows), size=2)
+            ci, cj = _random_rational(rng), _random_rational(rng)
+            combo = (WeylElement(rows[i]).scaled(ci) + WeylElement(rows[j]).scaled(cj)).terms
+            rows.append(combo)
+        want = _fraction_rank(rows)
+        deficient += want < len(rows)
+        assert weyl._exact_rank([weyl._integral(r)[0] for r in rows]) == want
+        extras = tuple(WeylElement(r) for r in rows)
+        assert weyl.MonomialSubspace(frozenset(), extras).dimension() == want
+        kept = frozenset(monos[:4])
+        projected = [{m: c for m, c in r.items() if m not in kept} for r in rows]
+        assert weyl.MonomialSubspace(kept, extras).dimension() == 4 + _fraction_rank(projected)
+    assert deficient >= 10
+
+
+def test_ratio_matches_fraction_reference():
+    cases = {
+        "p": P,
+        "p*q": _ref_multiply(P, Q),
+        "q^3*p^3": _ref_multiply(mono(0, 3), mono(3, 0)),
+        "1/2*p^2*q + i*q^3": mono(2, 1, Fraction(1, 2)) + mono(0, 3, 1j),
+    }
+    for text, a in cases.items():
+        assert weyl.parse_element(text) == a
+        growth = weyl._Growth(a)           # reuses products across levels
+        for n in range(13):
+            want = _ref_ratio(a, n)
+            assert weyl.foelner_ratio(a, n) == want, (text, n)
+            assert growth.ratio(n) == want, (text, n)
 
 
 # ---------------------------------------------------------------- windows
