@@ -14,9 +14,9 @@ from .errors import (
     NotQuasidiagonalAlongFamily,
     NumericalFailure,
     RankStall,
+    ResourceLimit,
     SelectorOutOfRange,
     TooFewSamples,
-    UnboundedSupport,
     WeightUndefined,
     WindowTooSmall,
 )

@@ -21,12 +21,11 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from . import ops
+from . import norms, ops
 from .errors import (
     NonOrthogonalRanges,
     NotHermitian,
     NotNormal,
-    NumericalFailure,
     RankStall,
 )
 
@@ -86,17 +85,6 @@ def _as_array(A: ops.Window | np.ndarray) -> np.ndarray:
     return a
 
 
-def _opnorm(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    if np.all(a.imag == 0):
-        a = a.real
-    try:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-
-
 def random_hermitian(dim: int, seed: int, spectrum_radius: float = 1.0) -> np.ndarray:
     """Seeded complex Hermitian matrix rescaled so max |eigenvalue| = radius."""
     if dim < 1:
@@ -118,12 +106,9 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
     the projections exhaust the window.  Raises NotHermitian for asymmetric
     input and RankStall if a full cycle adds no rank before exhaustion.
     """
-    a = _as_array(A)
+    a = ops.hermitian_part(_as_array(A), _HERMITIAN_TOL, NotHermitian,
+                           "window is not Hermitian within 1e-12")
     N = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.conj().T))) > _HERMITIAN_TOL * scale:
-        raise NotHermitian("window is not Hermitian within 1e-12")
-    a = (a + a.conj().T) / 2
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     order = [int(t) for t in basis_order]
@@ -192,7 +177,7 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
 
         projections.append(ops.Window(N, P.copy()))
         block_ranks.append(q)
-        comm_norms.append(_opnorm(a @ P - P @ a))
+        comm_norms.append(norms.seminorm(a @ P - P @ a, "u"))
         step_bases.append(Z)
 
         # shrink the unexplored complement by the new directions
@@ -204,7 +189,7 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
         projections=tuple(projections),
         block_ranks=tuple(block_ranks),
         commutator_norms=tuple(comm_norms),
-        perturbation_norm=_opnorm(K),
+        perturbation_norm=norms.seminorm(K, "u"),
         step_bases=tuple(step_bases),
     )
 
@@ -267,11 +252,8 @@ def normal_to_selfadjoint(Nw: ops.Window | np.ndarray, epsilon: float,
 def spectral_interval_bases(A: ops.Window | np.ndarray,
                             edges: Sequence[float]) -> list[np.ndarray]:
     """Orthonormal eigenbases for eigenvalues in [e_t, e_{t+1}) (last closed)."""
-    a = _as_array(A)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.conj().T))) > _HERMITIAN_TOL * scale:
-        raise NotHermitian("window is not Hermitian within 1e-12")
-    lam, V = np.linalg.eigh((a + a.conj().T) / 2)
+    lam, V = np.linalg.eigh(ops.hermitian_part(_as_array(A), _HERMITIAN_TOL, NotHermitian,
+                                               "window is not Hermitian within 1e-12"))
     es = [float(e) for e in edges]
     if len(es) < 2 or any(b <= a_ for a_, b in zip(es, es[1:])):
         raise ValueError("edges must be strictly increasing with >= 2 entries")

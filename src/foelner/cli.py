@@ -73,43 +73,27 @@ def _cnum_to_json(c: complex):
 
 
 def parse_operator(doc: dict) -> ops.OperatorSpec:
-    kind = doc["kind"]
-    if kind in ("weighted_shift", "adjoint_weighted_shift", "diagonal"):
-        return getattr(ops.OperatorSpec, kind)(doc["weight"])
-    if kind == "dilation_shift":
-        return ops.OperatorSpec.dilation_shift(doc.get("weight", "sqrt"))
-    if kind == "example_A":
-        return ops.OperatorSpec.example_a()
-    if kind == "toeplitz":
-        bands = {int(off): _parse_cnum(v) for off, v in doc["bands"].items()}
-        return ops.OperatorSpec.toeplitz(bands)
-    if kind in ("hermite_q", "hermite_p", "creation", "annihilation"):
-        return getattr(ops.OperatorSpec, kind)()
-    if kind in ("sum", "product"):
-        children = [parse_operator(c) for c in doc["children"]]
-        return getattr(ops.OperatorSpec, kind)(*children)
-    if kind == "scale":
-        return ops.OperatorSpec.scale(_parse_cnum(doc["factor"]),
-                                      parse_operator(doc["child"]))
-    raise InvalidSpec(f"unknown operator kind {kind!r}")
+    """Spec from its JSON object; the keys follow the OperatorSpec fields."""
+    children = [doc["child"]] if "child" in doc else doc.get("children", [])
+    bands = {int(off): _parse_cnum(v) for off, v in doc.get("bands", {}).items()}
+    return ops.OperatorSpec(kind=doc["kind"], weight=doc.get("weight"),
+                            bands=tuple(bands.items()),
+                            factor=_parse_cnum(doc.get("factor", 1.0)),
+                            children=tuple(parse_operator(c) for c in children))
 
 
 def operator_to_json(spec: ops.OperatorSpec) -> dict:
-    kind = spec.kind
-    if kind in ("weighted_shift", "adjoint_weighted_shift", "diagonal",
-                "dilation_shift"):
-        return {"kind": kind, "weight": spec.weight}
-    if kind == "toeplitz":
-        bands = {str(off): _cnum_to_json(val)
-                 for off, val in sorted(spec.bands)}
-        return {"kind": kind, "bands": bands}
-    if kind in ("sum", "product"):
-        return {"kind": kind,
-                "children": [operator_to_json(c) for c in spec.children]}
-    if kind == "scale":
-        return {"kind": kind, "factor": _cnum_to_json(spec.factor),
-                "child": operator_to_json(spec.children[0])}
-    return {"kind": kind}
+    out: dict = {"kind": spec.kind}
+    if spec.weight is not None:
+        out["weight"] = spec.weight
+    if spec.bands:
+        out["bands"] = {str(off): _cnum_to_json(val) for off, val in spec.bands}
+    if spec.kind == "scale":
+        out["factor"] = _cnum_to_json(spec.factor)
+        out["child"] = operator_to_json(spec.children[0])
+    elif spec.children:
+        out["children"] = [operator_to_json(c) for c in spec.children]
+    return out
 
 
 _SPARSE_RULES = {"pow2": lambda n: 2 ** n, "squares": lambda n: n * n}

@@ -18,8 +18,8 @@ class WeightUndefined(FoelnerError):
     """A weight formula could not be evaluated at the requested index."""
 
 
-class UnboundedSupport(FoelnerError):
-    """A column or row support needed for a capture bound is not finite."""
+class ResourceLimit(FoelnerError):
+    """A computation would exceed its fixed work budget."""
 
 
 class WindowTooSmall(FoelnerError):

@@ -100,16 +100,13 @@ def report(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, n: int) -> NormRep
     if fam.kind == "explicit":
         w = ops.commutator_window(spec, fam, n)
         sv = _svdvals(w.entries)
-        u = float(sv[0]) if sv.size else 0.0
-        s1 = float(np.sum(sv))
         s2 = float(np.linalg.norm(w.entries))
     else:
         trips = ops.commutator_triplets(spec, fam, n)
         sv = _triplet_svals(trips)
-        u = float(sv[0]) if sv.size else 0.0
-        s1 = float(np.sum(sv))
         s2 = math.sqrt(sum(abs(v) ** 2 for _, _, v in trips))
-    return NormReport(n=n, rank=fam.rank(n), u=u, s1=s1, s2=s2)
+    u = float(sv[0]) if sv.size else 0.0
+    return NormReport(n=n, rank=fam.rank(n), u=u, s1=float(np.sum(sv)), s2=s2)
 
 
 def report_sequence(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,

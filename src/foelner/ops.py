@@ -6,9 +6,14 @@ are the only 0-based objects and appear only at the API boundary.
 
 An operator is described symbolically by :class:`OperatorSpec`; entries are
 evaluated on demand from per-column / per-row supports, so specs act on
-arbitrarily large (Python int) indices.  Commutators against coordinate
-projections are assembled exactly from those supports: for a coordinate
-projection R with index set K,
+arbitrarily large (Python int) indices.  The operator vocabulary is written
+once, in the term table ``_PRIMITIVES``: each primitive kind is a short tuple
+of elementary terms (a, b, w) meaning e_j -> w(j) e_{a*j + b}, a in {1, 2}.
+Column and row supports, the monotone reach bounds behind capture windows
+and the propagation all follow from the terms; only sums, scalings and
+products are recursive.  Commutators against coordinate projections are
+assembled exactly from those supports: for a coordinate projection R with
+index set K,
 
     [T, R]_(i,j) = T_(i,j) * (1_K(j) - 1_K(i)),
 
@@ -24,31 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidSpec,
-    SelectorOutOfRange,
-    UnboundedSupport,
-    WeightUndefined,
-    WindowTooSmall,
-)
-
-_WEIGHT_NAMES = ("log", "sqrt", "linear", "inverse")
-
-_KINDS = (
-    "weighted_shift",
-    "adjoint_weighted_shift",
-    "diagonal",
-    "dilation_shift",
-    "example_A",
-    "toeplitz",
-    "hermite_q",
-    "hermite_p",
-    "creation",
-    "annihilation",
-    "sum",
-    "scale",
-    "product",
-)
+from .errors import InvalidSpec, SelectorOutOfRange, WeightUndefined, WindowTooSmall
 
 
 def _parse_weight(rule: str) -> Callable[[int], float]:
@@ -80,7 +61,7 @@ def _parse_weight(rule: str) -> Callable[[int], float]:
     if rule == "inverse":
         # int/int division is correctly rounded even for huge denominators
         return lambda n: 1 / n
-    if rule.startswith(("const:", "pow:")):
+    if isinstance(rule, str) and rule.startswith(("const:", "pow:")):
         kind, arg = rule.split(":", 1)
         try:
             a = float(arg)
@@ -101,12 +82,41 @@ def _parse_weight(rule: str) -> Callable[[int], float]:
     raise InvalidSpec(f"unknown weight rule {rule!r}")
 
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# Every primitive kind as elementary terms (a, b, w): column j holds w(j) in
+# row a*j + b.  Rows below 1 and zero values are dropped, so a term may switch
+# itself off (example_A's off-diagonal term is 0 on even columns).  The terms
+# of one kind share a and have distinct b.  Column supports visit the terms in
+# order and row supports in reverse.  These orders (toeplitz: top offset first)
+# fix the order of commutator triplets, and with it the float sum behind s2.
+_PRIMITIVES: dict[str, Callable[["OperatorSpec"], tuple[tuple[int, int, Callable], ...]]] = {
+    "weighted_shift": lambda s: ((1, 1, _parse_weight(s.weight)),),
+    "adjoint_weighted_shift":
+        lambda s: ((1, -1, lambda j, w=_parse_weight(s.weight): w(j - 1)),),
+    "diagonal": lambda s: ((1, 0, _parse_weight(s.weight)),),
+    "dilation_shift": lambda s: ((2, 0, _parse_weight(s.weight or "sqrt")),),
+    "example_A": lambda s: ((1, 0, lambda j: float(j) ** 2),
+                            (1, 1, lambda j: 1 / j if j % 2 else 0)),
+    "toeplitz": lambda s: tuple((1, off, lambda j, v=v: v) for off, v in reversed(s.bands)),
+    "hermite_q": lambda s: ((1, 1, lambda j: math.sqrt(j) * _INV_SQRT2),
+                            (1, -1, lambda j: math.sqrt(j - 1) * _INV_SQRT2)),
+    "hermite_p": lambda s: ((1, 1, lambda j: 1j * math.sqrt(j) * _INV_SQRT2),
+                            (1, -1, lambda j: -1j * math.sqrt(j - 1) * _INV_SQRT2)),
+    "creation": lambda s: ((1, 1, math.sqrt),),
+    "annihilation": lambda s: ((1, -1, lambda j: math.sqrt(j - 1)),),
+}
+
+
 @dataclass(frozen=True)
 class OperatorSpec:
     """Symbolic description of a band-structured operator.
 
-    Use the classmethod constructors; they validate parameters once so that
-    entry evaluation can stay unchecked and fast.
+    Construction validates the kind, weight rule, bands, factor and children
+    once and builds the primitive terms with their reach (a, min b, max b),
+    so entry evaluation can stay unchecked and fast.  Terms and reach are
+    kept on the instance outside the dataclass fields, so equality and
+    hashing see only the fields.
     """
 
     kind: str
@@ -120,25 +130,21 @@ class OperatorSpec:
     @classmethod
     def weighted_shift(cls, weight: str) -> "OperatorSpec":
         """S e_n = w_n e_{n+1}."""
-        _parse_weight(weight)
         return cls(kind="weighted_shift", weight=weight)
 
     @classmethod
     def adjoint_weighted_shift(cls, weight: str) -> "OperatorSpec":
-        """Adjoint of the weighted shift: e_n -> conj(w_{n-1}) e_{n-1}."""
-        _parse_weight(weight)
+        """Adjoint of the weighted shift: e_n -> w_{n-1} e_{n-1}."""
         return cls(kind="adjoint_weighted_shift", weight=weight)
 
     @classmethod
     def diagonal(cls, weight: str) -> "OperatorSpec":
         """D e_n = w_n e_n."""
-        _parse_weight(weight)
         return cls(kind="diagonal", weight=weight)
 
     @classmethod
     def dilation_shift(cls, weight: str = "sqrt") -> "OperatorSpec":
         """S e_n = w_n e_{2n} (weight defaults to sqrt)."""
-        _parse_weight(weight)
         return cls(kind="dilation_shift", weight=weight)
 
     @classmethod
@@ -153,16 +159,7 @@ class OperatorSpec:
     @classmethod
     def toeplitz(cls, bands: dict[int, complex]) -> "OperatorSpec":
         """Banded Toeplitz matrix; keys are offsets d = row - column."""
-        items = []
-        for off, val in bands.items():
-            if not isinstance(off, int):
-                raise InvalidSpec(f"toeplitz offset {off!r} is not an int")
-            v = complex(val)
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise InvalidSpec(f"toeplitz coefficient at offset {off} is not finite")
-            if v != 0:
-                items.append((off, v))
-        return cls(kind="toeplitz", bands=tuple(sorted(items)))
+        return cls(kind="toeplitz", bands=tuple(bands.items()))
 
     @classmethod
     def hermite_q(cls) -> "OperatorSpec":
@@ -186,41 +183,45 @@ class OperatorSpec:
 
     @classmethod
     def sum(cls, *children: "OperatorSpec") -> "OperatorSpec":
-        if not children:
-            raise InvalidSpec("sum needs at least one child")
-        return cls(kind="sum", children=tuple(children))
+        return cls(kind="sum", children=children)
 
     @classmethod
     def scale(cls, factor: complex, child: "OperatorSpec") -> "OperatorSpec":
-        c = complex(factor)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise InvalidSpec("scale factor is not finite")
-        return cls(kind="scale", factor=c, children=(child,))
+        return cls(kind="scale", factor=factor, children=(child,))
 
     @classmethod
     def product(cls, *children: "OperatorSpec") -> "OperatorSpec":
-        if not children:
-            raise InvalidSpec("product needs at least one child")
-        return cls(kind="product", children=tuple(children))
+        return cls(kind="product", children=children)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        build = _PRIMITIVES.get(self.kind)
+        if build is None and self.kind not in ("sum", "scale", "product"):
             raise InvalidSpec(f"unknown operator kind {self.kind!r}")
+        if build is None and not self.children:
+            raise InvalidSpec(f"{self.kind} needs at least one child")
+        bands = []
+        for off, val in dict(self.bands).items():
+            if not isinstance(off, int):
+                raise InvalidSpec(f"band offset {off!r} is not an int")
+            v = complex(val)
+            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+                raise InvalidSpec(f"band coefficient at offset {off} is not finite")
+            if v != 0:
+                bands.append((off, v))
+        c = complex(self.factor)
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise InvalidSpec("scale factor is not finite")
+        object.__setattr__(self, "bands", tuple(sorted(bands)))
+        object.__setattr__(self, "factor", c)
+        terms = build(self) if build else None
+        offsets = [b for _, b, _ in terms or ()]
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_reach",
+                           (terms[0][0], min(offsets), max(offsets)) if offsets else None)
 
-    # -- weight cache ------------------------------------------------------
-
-    @property
-    def _w(self) -> Callable[[int], float]:
-        fn = _WEIGHT_CACHE.get(self.weight)
-        if fn is None:
-            fn = _parse_weight(self.weight)
-            _WEIGHT_CACHE[self.weight] = fn
-        return fn
-
-
-_WEIGHT_CACHE: dict[str, Callable[[int], float]] = {}
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+    def __reduce__(self):
+        # the terms hold closures; pickle the fields and rebuild them
+        return type(self), (self.kind, self.weight, self.bands, self.factor, self.children)
 
 
 # ---------------------------------------------------------------------------
@@ -231,225 +232,118 @@ def col_support(spec: OperatorSpec, j: int) -> dict[int, complex]:
     """Nonzero entries of column j as {row: value}.  Exact, merged, zero-free."""
     if j < 1:
         raise ValueError("indices are 1-based")
-    k = spec.kind
-    if k == "weighted_shift":
-        v = spec._w(j)
-        return {j + 1: v} if v != 0 else {}
-    if k == "adjoint_weighted_shift":
-        if j < 2:
-            return {}
-        v = spec._w(j - 1)
-        return {j - 1: v.conjugate() if isinstance(v, complex) else v} if v != 0 else {}
-    if k == "diagonal":
-        v = spec._w(j)
-        return {j: v} if v != 0 else {}
-    if k == "dilation_shift":
-        v = spec._w(j)
-        return {2 * j: v} if v != 0 else {}
-    if k == "example_A":
-        if j % 2 == 1:
-            return {j: float(j) ** 2, j + 1: 1 / j}
-        return {j: float(j) ** 2}
-    if k == "toeplitz":
-        return {j + off: val for off, val in spec.bands if j + off >= 1}
-    if k == "hermite_q":
-        out: dict[int, complex] = {j + 1: math.sqrt(j) * _INV_SQRT2}
-        if j >= 2:
-            out[j - 1] = math.sqrt(j - 1) * _INV_SQRT2
-        return out
-    if k == "hermite_p":
-        out = {j + 1: 1j * math.sqrt(j) * _INV_SQRT2}
-        if j >= 2:
-            out[j - 1] = -1j * math.sqrt(j - 1) * _INV_SQRT2
-        return out
-    if k == "creation":
-        return {j + 1: math.sqrt(j)}
-    if k == "annihilation":
-        return {j - 1: math.sqrt(j - 1)} if j >= 2 else {}
-    if k == "sum":
-        acc: dict[int, complex] = {}
-        for ch in spec.children:
-            for i, v in col_support(ch, j).items():
-                acc[i] = acc.get(i, 0) + v
-        return {i: v for i, v in acc.items() if v != 0}
-    if k == "scale":
-        if spec.factor == 0:
-            return {}
-        return {i: spec.factor * v for i, v in col_support(spec.children[0], j).items()}
-    if k == "product":
-        vec: dict[int, complex] = {j: 1.0}
-        for ch in reversed(spec.children):
-            nxt: dict[int, complex] = {}
-            for idx, coef in vec.items():
-                for i, v in col_support(ch, idx).items():
-                    nxt[i] = nxt.get(i, 0) + coef * v
-            vec = {i: v for i, v in nxt.items() if v != 0}
-            if not vec:
-                return {}
-        return vec
-    raise InvalidSpec(f"unknown operator kind {k!r}")
+    terms = spec._terms
+    if terms is None:
+        return _composite_support(spec, j, col_support, reversed(spec.children))
+    out: dict[int, complex] = {}
+    for a, b, w in terms:
+        i = a * j + b
+        if i >= 1:
+            v = w(j)
+            if v != 0:
+                out[i] = v
+    return out
 
 
 def row_support(spec: OperatorSpec, i: int) -> dict[int, complex]:
     """Nonzero entries of row i as {column: value}."""
     if i < 1:
         raise ValueError("indices are 1-based")
-    k = spec.kind
-    if k == "weighted_shift":
-        if i < 2:
-            return {}
-        v = spec._w(i - 1)
-        return {i - 1: v} if v != 0 else {}
-    if k == "adjoint_weighted_shift":
-        v = spec._w(i)
-        v = v.conjugate() if isinstance(v, complex) else v
-        return {i + 1: v} if v != 0 else {}
-    if k == "diagonal":
-        v = spec._w(i)
-        return {i: v} if v != 0 else {}
-    if k == "dilation_shift":
-        if i % 2 == 0:
-            v = spec._w(i // 2)
+    terms = spec._terms
+    if terms is None:
+        return _composite_support(spec, i, row_support, spec.children)
+    out: dict[int, complex] = {}
+    for a, b, w in reversed(terms):
+        j = (i - b) // a
+        if j >= 1 and a * j + b == i:
+            v = w(j)
             if v != 0:
-                return {i // 2: v}
-        return {}
-    if k == "example_A":
-        if i % 2 == 1:
-            return {i: float(i) ** 2}
-        return {i - 1: 1 / (i - 1), i: float(i) ** 2}
-    if k == "toeplitz":
-        return {i - off: val for off, val in spec.bands if i - off >= 1}
-    if k == "hermite_q":
-        out: dict[int, complex] = {i + 1: math.sqrt(i) * _INV_SQRT2}
-        if i >= 2:
-            out[i - 1] = math.sqrt(i - 1) * _INV_SQRT2
-        return out
-    if k == "hermite_p":
-        out = {i + 1: -1j * math.sqrt(i) * _INV_SQRT2}
-        if i >= 2:
-            out[i - 1] = 1j * math.sqrt(i - 1) * _INV_SQRT2
-        return out
-    if k == "creation":
-        return {i - 1: math.sqrt(i - 1)} if i >= 2 else {}
-    if k == "annihilation":
-        return {i + 1: math.sqrt(i)}
+                out[j] = v
+    return out
+
+
+def _composite_support(spec: OperatorSpec, t: int, support: Callable,
+                       chain: Iterable[OperatorSpec]) -> dict[int, complex]:
+    """Support of a sum, scale or product at index t from its children's.
+
+    support is col_support or row_support, and chain the order in which a
+    product applies its children (right to left for a column).
+    """
+    k = spec.kind
     if k == "sum":
         acc: dict[int, complex] = {}
         for ch in spec.children:
-            for j, v in row_support(ch, i).items():
-                acc[j] = acc.get(j, 0) + v
-        return {j: v for j, v in acc.items() if v != 0}
+            for s, v in support(ch, t).items():
+                acc[s] = acc.get(s, 0) + v
+        return {s: v for s, v in acc.items() if v != 0}
     if k == "scale":
         if spec.factor == 0:
             return {}
-        return {j: spec.factor * v for j, v in row_support(spec.children[0], i).items()}
-    if k == "product":
-        vec: dict[int, complex] = {i: 1.0}
-        for ch in spec.children:
-            nxt: dict[int, complex] = {}
-            for idx, coef in vec.items():
-                for j, v in row_support(ch, idx).items():
-                    nxt[j] = nxt.get(j, 0) + coef * v
-            vec = {j: v for j, v in nxt.items() if v != 0}
-            if not vec:
-                return {}
-        return vec
-    raise InvalidSpec(f"unknown operator kind {k!r}")
+        return {s: spec.factor * v for s, v in support(spec.children[0], t).items()}
+    vec: dict[int, complex] = {t: 1.0}
+    for ch in chain:
+        nxt: dict[int, complex] = {}
+        for idx, coef in vec.items():
+            for s, v in support(ch, idx).items():
+                nxt[s] = nxt.get(s, 0) + coef * v
+        vec = {s: v for s, v in nxt.items() if v != 0}
+        if not vec:
+            return {}
+    return vec
 
 
 def _col_hi(spec: OperatorSpec, j: int) -> int:
     """Monotone upper bound for max(row index) over columns 1..j.  0 = empty."""
-    k = spec.kind
-    if k in ("weighted_shift", "creation"):
-        return j + 1
-    if k == "adjoint_weighted_shift":
-        return j - 1 if j >= 2 else 0
-    if k == "diagonal":
-        return j
-    if k == "dilation_shift":
-        return 2 * j
-    if k == "example_A":
-        return j + 1
-    if k == "toeplitz":
-        if not spec.bands:
-            return 0
-        hi = j + max(off for off, _ in spec.bands)
-        return hi if hi >= 1 else 0
-    if k in ("hermite_q", "hermite_p"):
-        return j + 1
-    if k == "annihilation":
-        return j - 1 if j >= 2 else 0
-    if k == "sum":
-        return max(_col_hi(ch, j) for ch in spec.children)
-    if k == "scale":
-        return _col_hi(spec.children[0], j)
-    if k == "product":
-        h = j
-        for ch in reversed(spec.children):
-            h = _col_hi(ch, h)
-            if h == 0:
-                return 0
-        return h
-    raise InvalidSpec(f"unknown operator kind {k!r}")
+    reach = spec._reach
+    if reach is None:
+        return _composite_hi(spec, j, _col_hi, reversed(spec.children))
+    a, _, b = reach
+    h = a * j + b
+    return h if h >= 1 else 0
 
 
 def _row_hi(spec: OperatorSpec, i: int) -> int:
     """Monotone upper bound for max(column index) over rows 1..i.  0 = empty."""
+    reach = spec._reach
+    if reach is None:
+        return _composite_hi(spec, i, _row_hi, spec.children)
+    a, b, _ = reach
+    h = (i - b) // a
+    return h if h >= 1 else 0
+
+
+def _composite_hi(spec: OperatorSpec, t: int, hi: Callable,
+                  chain: Iterable[OperatorSpec]) -> int:
+    """Reach bound of a sum, scale or product; 0 for a primitive without terms."""
     k = spec.kind
-    if k == "weighted_shift":
-        return i - 1 if i >= 2 else 0
-    if k in ("adjoint_weighted_shift", "annihilation"):
-        return i + 1
-    if k == "diagonal":
-        return i
-    if k == "dilation_shift":
-        return i // 2
-    if k == "example_A":
-        return i
-    if k == "toeplitz":
-        if not spec.bands:
-            return 0
-        hi = i - min(off for off, _ in spec.bands)
-        return hi if hi >= 1 else 0
-    if k in ("hermite_q", "hermite_p"):
-        return i + 1
-    if k == "creation":
-        return i - 1 if i >= 2 else 0
     if k == "sum":
-        return max(_row_hi(ch, i) for ch in spec.children)
+        return max(hi(ch, t) for ch in spec.children)
     if k == "scale":
-        return _row_hi(spec.children[0], i)
-    if k == "product":
-        h = i
-        for ch in spec.children:
-            h = _row_hi(ch, h)
-            if h == 0:
-                return 0
-        return h
-    raise InvalidSpec(f"unknown operator kind {k!r}")
+        return hi(spec.children[0], t)
+    if k != "product":
+        return 0
+    for ch in chain:
+        t = hi(ch, t)
+        if t == 0:
+            return 0
+    return t
 
 
 def propagation(spec: OperatorSpec) -> int | None:
     """Max |row - column| over nonzero entries; None when unbounded."""
+    reach = spec._reach
+    if reach is not None:
+        a, lo, hi = reach
+        return max(abs(lo), abs(hi)) if a == 1 else None
     k = spec.kind
-    if k in ("weighted_shift", "adjoint_weighted_shift", "creation", "annihilation",
-             "hermite_q", "hermite_p", "example_A"):
-        return 1
-    if k == "diagonal":
-        return 0
-    if k == "dilation_shift":
-        return None
-    if k == "toeplitz":
-        return max((abs(off) for off, _ in spec.bands), default=0)
-    if k in ("sum",):
-        parts = [propagation(ch) for ch in spec.children]
-        return None if any(p is None for p in parts) else max(parts)
     if k == "scale":
         return propagation(spec.children[0])
-    if k == "product":
-        parts = [propagation(ch) for ch in spec.children]
-        return None if any(p is None for p in parts) else sum(parts)
-    raise InvalidSpec(f"unknown operator kind {k!r}")
+    if k not in ("sum", "product"):
+        return 0
+    parts = [propagation(ch) for ch in spec.children]
+    if any(p is None for p in parts):
+        return None
+    return max(parts) if k == "sum" else sum(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +368,9 @@ def capture_bound(spec: OperatorSpec, n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     m = n
-    for _, below in _boundary_cols(spec, n):
-        m = max(m, max(below))
-    for _, beyond in _boundary_rows(spec, n):
-        m = max(m, max(beyond))
+    for hi, support in ((_col_hi, col_support), (_row_hi, row_support)):
+        for _, part in _boundary(spec, n, hi, support):
+            m = max(m, max(part))
     return m
 
 
@@ -495,31 +388,20 @@ def _suffix_start(hi: Callable[[int], int], n: int) -> int | None:
     return lo
 
 
-def _boundary_cols(spec: OperatorSpec, n: int) -> Iterable[tuple[int, dict[int, complex]]]:
-    """Yield (row, {col: +T_ij}) pieces of T P_n with row index beyond n.
+def _boundary(spec: OperatorSpec, n: int, hi: Callable,
+              support: Callable) -> Iterable[tuple[int, dict[int, complex]]]:
+    """Yield (t, {s: value}) for each t <= n whose support reaches past n.
 
-    Concretely: for columns j <= n whose support reaches past n, yields
-    (i, j, value) triples grouped as per-column dicts {i: value, ...} with
-    i > n.
+    With _col_hi/col_support, t is a column of T P_n and s > n its rows;
+    with _row_hi/row_support, t is a row of P_n T and s > n its columns.
     """
-    j0 = _suffix_start(lambda t: _col_hi(spec, t), n)
-    if j0 is None:
+    t0 = _suffix_start(lambda t: hi(spec, t), n)
+    if t0 is None:
         return
-    for j in range(j0, n + 1):
-        below = {i: v for i, v in col_support(spec, j).items() if i > n}
-        if below:
-            yield j, below
-
-
-def _boundary_rows(spec: OperatorSpec, n: int) -> Iterable[tuple[int, dict[int, complex]]]:
-    """Yield (row, {col: value}) pieces of P_n T with column index beyond n."""
-    i0 = _suffix_start(lambda t: _row_hi(spec, t), n)
-    if i0 is None:
-        return
-    for i in range(i0, n + 1):
-        beyond = {j: v for j, v in row_support(spec, i).items() if j > n}
-        if beyond:
-            yield i, beyond
+    for t in range(t0, n + 1):
+        part = {s: v for s, v in support(spec, t).items() if s > n}
+        if part:
+            yield t, part
 
 
 @dataclass(frozen=True)
@@ -536,6 +418,15 @@ class Window:
         if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
             raise ValueError("window entries must be finite")
         object.__setattr__(self, "entries", a)
+
+
+def hermitian_part(a: np.ndarray, tol: float, error: type[Exception],
+                   message: str) -> np.ndarray:
+    """(a + a*)/2; raises error(message) if max|a - a*| > tol * max(1, max|a_ij|)."""
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if float(np.max(np.abs(a - a.conj().T))) > tol * scale:
+        raise error(message)
+    return (a + a.conj().T) / 2
 
 
 def compress(spec: OperatorSpec, N: int) -> Window:
@@ -676,11 +567,10 @@ def commutator_triplets(spec: OperatorSpec, fam: ProjectionFamily, n: int) -> li
         raise InvalidSpec("triplet assembly needs a coordinate family")
     acc: dict[tuple[int, int], complex] = {}
     if fam.kind == "canonical":
-        m = n
-        for j, below in _boundary_cols(spec, m):
+        for j, below in _boundary(spec, n, _col_hi, col_support):
             for i, v in below.items():
                 acc[(i, j)] = acc.get((i, j), 0) + v
-        for i, beyond in _boundary_rows(spec, m):
+        for i, beyond in _boundary(spec, n, _row_hi, row_support):
             for j, v in beyond.items():
                 acc[(i, j)] = acc.get((i, j), 0) - v
     else:

@@ -38,11 +38,8 @@ class EmpiricalSpectralMeasure:
 
 def empirical_spectrum(spec: ops.OperatorSpec, n: int) -> EmpiricalSpectralMeasure:
     """Eigenvalues of the n-th canonical compression (must be Hermitian)."""
-    w = ops.compress(spec, n).entries
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    if float(np.max(np.abs(w - w.conj().T))) > _HERM_TOL * scale:
-        raise NonHermitianCompression(f"compression at n={n} is not Hermitian")
-    h = (w + w.conj().T) / 2
+    h = ops.hermitian_part(ops.compress(spec, n).entries, _HERM_TOL,
+                           NonHermitianCompression, f"compression at n={n} is not Hermitian")
     if np.all(h.imag == 0):
         h = h.real
     return EmpiricalSpectralMeasure(n=n, eigenvalues=np.linalg.eigvalsh(h))

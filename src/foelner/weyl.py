@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import ops
-from .errors import DegreeExceedsWindow, FoelnerError, InvalidSpec
+from .errors import DegreeExceedsWindow, FoelnerError, InvalidSpec, ResourceLimit
 
 Monomial = tuple[int, int]   # (k, l) <-> p^k q^l
 
@@ -352,14 +352,23 @@ class MonomialSubspace:
 
 
 def _exact_rank(rows: Iterable[IntTerms]) -> int:
-    """Rank over the Gaussian rationals of sparse Gaussian-integer rows.
+    """Rank over the Gaussian rationals of sparse Gaussian-integer rows."""
+    return _eliminate(rows)[0]
+
+
+def _eliminate(rows: Iterable[IntTerms]) -> tuple[int, int]:
+    """(rank, work) of sparse Gaussian-integer rows over the Gaussian rationals.
 
     Fraction-free elimination: a row whose leading monomial already has a
     pivot becomes lead(piv)*row - lead(row)*piv, then is divided by the gcd
-    of its integer parts, which keeps the coefficients small.
+    of its integer parts, which keeps the coefficients small.  work counts
+    the coefficients of the input rows and of every reduced row, a
+    deterministic measure that tracks the running time.
     """
     pivots: dict[Monomial, IntTerms] = {}
+    work = 0
     for row in rows:
+        work += len(row)
         while row:
             lead = min(row, key=lambda m: (m[0] + m[1], m[0], m[1]))
             piv = pivots.get(lead)
@@ -371,9 +380,10 @@ def _exact_rank(rows: Iterable[IntTerms]) -> int:
             for m, (r, s) in piv.items():
                 u, v = acc.get(m, (0, 0))
                 acc[m] = (u - c * r + d * s, v - c * s - d * r)
+            work += len(acc)
             g = math.gcd(*(x for v in acc.values() for x in v))
             row = {m: (r // g, s // g) for m, (r, s) in acc.items() if r or s}
-    return len(pivots)
+    return len(pivots), work
 
 
 class _Growth:
@@ -388,6 +398,7 @@ class _Growth:
         self.terms = _integral(a.terms)[0]
         self.deg = a.degree() or 0
         self.products: dict[Monomial, IntTerms] = {}
+        self.work = 0    # elimination work over every level so far
 
     def ratio(self, n: int) -> Fraction:
         if self.deg == 0:
@@ -401,7 +412,9 @@ class _Growth:
                 kept[m] = prod = self.products.get(m) or _product(self.terms, {m: (1, 0)})
                 rows.append({t: c for t, c in prod.items() if t[0] + t[1] > n})
         self.products = kept
-        return Fraction(dim_vn + _exact_rank(rows), dim_vn)
+        rank, work = _eliminate(rows)
+        self.work += work
+        return Fraction(dim_vn + rank, dim_vn)
 
 
 def foelner_ratio(a: WeylElement, n: int) -> Fraction:
@@ -409,6 +422,11 @@ def foelner_ratio(a: WeylElement, n: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be >= 0")
     return _Growth(a).ratio(n)
+
+
+# Elimination work (see _eliminate) amenability_witness may spend; one unit
+# took 1.5-6 microseconds on one core of a 2-core x86 VM.
+WITNESS_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -426,7 +444,10 @@ def amenability_witness(F: Sequence[WeylElement], epsilon) -> AmenabilityWitness
 
     The search is capped at ceil((delta + 2) / (sqrt(1 + eps) - 1)), where
     delta is the largest total degree in F; that level always works because
-    dim V_{n+delta} / dim V_n falls below 1 + eps there.
+    dim V_{n+delta} / dim V_n falls below 1 + eps there.  Before each level
+    the elimination work spent so far (see _eliminate) is checked against
+    WITNESS_BUDGET; past it, ResourceLimit is raised.  For F = [p] that
+    happens at n = 1000, i.e. for eps below about 1/500.
     """
     if not F:
         raise ValueError("need at least one element")
@@ -438,6 +459,9 @@ def amenability_witness(F: Sequence[WeylElement], epsilon) -> AmenabilityWitness
     target = 1 + eps
     growth = [_Growth(a) for a in F]
     for n in range(cap + 1):
+        if sum(g.work for g in growth) > WITNESS_BUDGET:
+            raise ResourceLimit(f"no witness below level {n} within the work budget "
+                                f"({WITNESS_BUDGET} units); try a larger epsilon")
         rats = tuple(g.ratio(n) for g in growth)
         if all(r <= target for r in rats):
             return AmenabilityWitness(n=n, cap=cap, epsilon=eps, ratios=rats)

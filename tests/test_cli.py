@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from foelner import cli
+from foelner import cli, ops
 
 REPO = Path(__file__).resolve().parents[1]
 SPECS = sorted((REPO / "specs").glob("*.json"))
@@ -29,14 +30,42 @@ def test_spec_corpus_validates(path):
     cli.validate_document(doc)
 
 
-@pytest.mark.parametrize("path", [p for p in SPECS
-                                  if "operator" in json.loads(p.read_text())],
-                         ids=lambda p: p.stem)
-def test_operator_json_round_trip(path):
-    doc = json.loads(path.read_text())
-    spec = cli.parse_operator(doc["operator"])
+_OPERATOR_FILES = [p for p in SPECS if "operator" in json.loads(p.read_text())]
+_ONE_PER_KIND = [
+    {"kind": "weighted_shift", "weight": "log"},
+    {"kind": "adjoint_weighted_shift", "weight": "pow:-0.5"},
+    {"kind": "diagonal", "weight": "const:2"},
+    {"kind": "dilation_shift", "weight": "linear"},
+    {"kind": "example_A"},
+    {"kind": "toeplitz", "bands": {"3": 0.25, "-1": [0.5, 1], "0": 2}},
+    {"kind": "hermite_q"},
+    {"kind": "hermite_p"},
+    {"kind": "creation"},
+    {"kind": "annihilation"},
+    {"kind": "sum", "children": [{"kind": "creation"}, {"kind": "annihilation"}]},
+    {"kind": "scale", "factor": [0, -1], "child": {"kind": "hermite_p"}},
+    {"kind": "product", "children": [{"kind": "diagonal", "weight": "sqrt"},
+                                     {"kind": "dilation_shift"}]},
+]
+
+
+@pytest.mark.parametrize(
+    "doc", [json.loads(p.read_text())["operator"] for p in _OPERATOR_FILES] + _ONE_PER_KIND,
+    ids=[p.stem for p in _OPERATOR_FILES] + [d["kind"] for d in _ONE_PER_KIND])
+def test_operator_json_round_trip(doc):
+    spec = cli.parse_operator(doc)
     again = cli.parse_operator(cli.operator_to_json(spec))
     assert again == spec
+    cli.validate_document({"operator": cli.operator_to_json(spec)})
+
+
+def test_schema_operator_kinds_match_term_table():
+    kinds = set()
+    for alt in cli.spec_schema()["$defs"]["operator"]["oneOf"]:
+        k = alt["properties"]["kind"]
+        kinds |= set(k.get("enum", [k.get("const")]))
+    assert kinds == set(ops._PRIMITIVES) | {"sum", "scale", "product"}
+    assert {d["kind"] for d in _ONE_PER_KIND} == kinds
 
 
 def test_unknown_field_rejected(tmp_path, capsys):
@@ -189,6 +218,18 @@ def test_weyl_amenability_rejects_nonpositive_epsilon(tmp_path, capsys, source):
     assert code == 2
     assert out == ""
     assert "epsilon must be positive" in err
+
+
+def test_weyl_amenability_over_budget_exits_3(tmp_path, capsys):
+    # the witness for p at eps = 1/2000 sits near level 4000, far past the budget
+    out_file = tmp_path / "w.csv"
+    start = time.perf_counter()
+    code, out, err = run(["weyl-amenability", "--elements", "p", "--epsilon", "1/2000",
+                          "-o", out_file], capsys)
+    assert time.perf_counter() - start < 30
+    assert code == 3
+    assert "ResourceLimit" in err
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("weight", ["const:nan", "const:inf", "pow:nan", "pow:-inf",

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -70,27 +71,69 @@ def test_adjoint_is_conjugate_transpose():
                 np.conj(ops.entry(s, j, i)), abs=1e-15)
 
 
-def test_row_support_matches_col_support():
-    specs = [
-        OperatorSpec.weighted_shift("log"),
-        OperatorSpec.hermite_p(),
-        OperatorSpec.example_a(),
-        OperatorSpec.dilation_shift(),
-        OperatorSpec.toeplitz({-2: 0.5, 0: 1.0, 3: 2j}),
-        OperatorSpec.product(OperatorSpec.weighted_shift("sqrt"),
-                             OperatorSpec.adjoint_weighted_shift("sqrt")),
-    ]
-    for spec in specs:
-        seen = {}
-        for j in range(1, 40):
-            for i, v in ops.col_support(spec, j).items():
-                seen[(i, j)] = v
-        again = {}
-        for i in range(1, 90):
-            for j, v in ops.row_support(spec, i).items():
-                if j < 40:
-                    again[(i, j)] = v
-        assert seen == again
+_ONE_PER_KIND = [
+    OperatorSpec.weighted_shift("log"),
+    OperatorSpec.adjoint_weighted_shift("sqrt"),
+    OperatorSpec.diagonal("pow:-0.5"),
+    OperatorSpec.dilation_shift(),
+    OperatorSpec.example_a(),
+    OperatorSpec.toeplitz({-2: 0.5, 0: 1.0, 3: 2j}),
+    OperatorSpec.hermite_q(),
+    OperatorSpec.hermite_p(),
+    OperatorSpec.creation(),
+    OperatorSpec.annihilation(),
+    OperatorSpec.sum(OperatorSpec.hermite_q(), OperatorSpec.weighted_shift("inverse")),
+    OperatorSpec.scale(2 - 1j, OperatorSpec.dilation_shift("linear")),
+    OperatorSpec.product(OperatorSpec.weighted_shift("sqrt"),
+                         OperatorSpec.adjoint_weighted_shift("sqrt")),
+]
+
+
+def test_one_spec_per_kind():
+    assert sorted(s.kind for s in _ONE_PER_KIND) == sorted(
+        list(ops._PRIMITIVES) + ["sum", "scale", "product"])
+
+
+@pytest.mark.parametrize("spec", _ONE_PER_KIND, ids=lambda s: s.kind)
+def test_row_support_matches_col_support(spec):
+    seen = {}
+    for j in range(1, 40):
+        for i, v in ops.col_support(spec, j).items():
+            seen[(i, j)] = v
+    again = {}
+    for i in range(1, 90):
+        for j, v in ops.row_support(spec, i).items():
+            if j < 40:
+                again[(i, j)] = v
+    assert seen == again
+    # the reach bounds are monotone and bound every observed entry
+    col_hi = [ops._col_hi(spec, j) for j in range(1, 90)]
+    row_hi = [ops._row_hi(spec, i) for i in range(1, 90)]
+    assert col_hi == sorted(col_hi) and row_hi == sorted(row_hi)
+    for i, j in seen:
+        assert i <= col_hi[j - 1] and j <= row_hi[i - 1]
+    reach = max(abs(i - j) for i, j in seen)
+    prop = ops.propagation(spec)
+    if spec.kind in ("dilation_shift", "scale"):
+        assert prop is None and reach >= 39
+    elif spec.kind in ("sum", "product"):
+        assert reach <= prop
+    else:
+        assert reach == prop
+
+
+def test_spec_validation():
+    for bad in (dict(kind="nope"), dict(kind="sum"), dict(kind="weighted_shift"),
+                dict(kind="toeplitz", bands=((1.5, 1),)),
+                dict(kind="toeplitz", bands=((1, math.inf),)),
+                dict(kind="scale", factor=math.nan, children=(OperatorSpec.creation(),))):
+        with pytest.raises(InvalidSpec):
+            OperatorSpec(**bad)
+    spec = OperatorSpec.toeplitz({2: 0, 1: 1j, -1: 2})
+    assert spec.bands == ((-1, 2), (1, 1j))
+    assert spec == OperatorSpec(kind="toeplitz", bands=((1, 1j), (-1, 2.0)))
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    assert ops.col_support(pickle.loads(pickle.dumps(spec)), 3) == {2: 2, 4: 1j}
 
 
 def test_compress_toeplitz_tridiagonal():
