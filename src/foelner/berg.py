@@ -89,6 +89,7 @@ def random_hermitian(dim: int, seed: int, spectrum_radius: float = 1.0) -> np.nd
     """Seeded complex Hermitian matrix rescaled so max |eigenvalue| = radius."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    ops.check_dense(dim * dim, f"a dense {dim} x {dim} random Hermitian matrix")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2

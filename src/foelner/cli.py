@@ -4,8 +4,8 @@ A spec file is a JSON document {"operator": ..., "projection": ..., and
 "experiment": ...} validated strictly against the bundled schema before any
 computation runs.  Flags override experiment values.  Exit codes: 0 success,
 2 validation problem, 3 computation failure (error class name on stderr).
-Reports are buffered and written only after the computation finishes, so a
-failing run never leaves a partial file behind.
+Reports are buffered and written only after the computation finishes, then
+renamed into place, so a failing run never leaves a partial file behind.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+import uuid
 from datetime import datetime, timezone
 from fractions import Fraction
 from importlib import resources
@@ -86,8 +88,9 @@ def operator_to_json(spec: ops.OperatorSpec) -> dict:
     out: dict = {"kind": spec.kind}
     if spec.weight is not None:
         out["weight"] = spec.weight
-    if spec.bands:
-        out["bands"] = {str(off): _cnum_to_json(val) for off, val in spec.bands}
+    if spec.kind == "toeplitz":
+        # the schema wants at least one band; the zero operator keeps a zero one
+        out["bands"] = {str(off): _cnum_to_json(val) for off, val in spec.bands or ((0, 0j),)}
     if spec.kind == "scale":
         out["factor"] = _cnum_to_json(spec.factor)
         out["child"] = operator_to_json(spec.children[0])
@@ -295,8 +298,8 @@ def cmd_halmos(args, doc: dict, spec_hash: str | None) -> str:
     limit = int(_pick(args.search_limit, exp, "search_limit", 10_000))
     boundaries = decomp.select_subsequence(spec, fam, eps, search_limit=limit)
     d = decomp.halmos_decompose(spec, boundaries, N, eps)
-    recon = float(np.max(np.abs(
-        d.block_diagonal.entries + d.perturbation.entries - d.window.entries)))
+    diff = d.sparse_block_diagonal + d.sparse_perturbation - d.sparse_window
+    recon = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
     report = {
         "meta": _meta_obj(args, spec_hash),
         "command": "halmos",
@@ -512,6 +515,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _write_atomic(target: Path, text: str) -> None:
+    """Write text to target in one step: a temp file beside it, then a rename."""
+    tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -527,7 +541,7 @@ def main(argv=None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if args.output:
-        Path(args.output).write_text(text)
+        _write_atomic(Path(args.output), text)
     else:
         sys.stdout.write(text)
     return 0

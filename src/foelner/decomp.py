@@ -10,10 +10,12 @@ with small Foelner ratios on very sparse index sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse
 
 from . import norms, ops
 from .errors import InvalidSpec, NotQuasidiagonalAlongFamily, SelectorOutOfRange, WindowTooSmall
@@ -58,16 +60,33 @@ def select_subsequence(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Result of a window split T|_N = B + K along boundary ranks."""
+    """Result of a window split T|_N = B + K along boundary ranks.
+
+    The split is held as N x N CSR matrices; `window`, `block_diagonal` and
+    `perturbation` are their dense views, built (within ops.DENSE_CELLS)
+    on first read.
+    """
 
     boundaries: tuple[int, ...]
-    window: ops.Window            # the compression the split was taken from
-    block_diagonal: ops.Window    # B
-    perturbation: ops.Window      # K
+    sparse_window: scipy.sparse.csr_matrix = field(repr=False)          # T|_N
+    sparse_block_diagonal: scipy.sparse.csr_matrix = field(repr=False)  # B
+    sparse_perturbation: scipy.sparse.csr_matrix = field(repr=False)    # K
     epsilon: float
     k_norm: float                 # ||K||_u
     offblock_residual: float      # max |B_ij| over entries linking distinct blocks
     ok: bool                      # k_norm < epsilon and offblock_residual <= 1e-12
+
+    @functools.cached_property
+    def window(self) -> ops.Window:
+        return ops.to_window(self.sparse_window)
+
+    @functools.cached_property
+    def block_diagonal(self) -> ops.Window:
+        return ops.to_window(self.sparse_block_diagonal)
+
+    @functools.cached_property
+    def perturbation(self) -> ops.Window:
+        return ops.to_window(self.sparse_perturbation)
 
 
 def halmos_decompose(spec: ops.OperatorSpec, boundaries: Sequence[int], N: int,
@@ -75,9 +94,12 @@ def halmos_decompose(spec: ops.OperatorSpec, boundaries: Sequence[int], N: int,
     """Split the N-window of T into block diagonal B plus boundary residue K.
 
     K = sum_i (Q_{i+1} T P_{b_i} + P_{b_i} T Q_{i+1}) where Q_{i+1} covers
-    (b_i, b_{i+1}] and the final stretch (b_k, N] acts as the last block.
-    Boundaries at or beyond N are dropped (their blocks fall outside the
-    window).  The decomposition always reconstructs exactly: B + K = T|_N.
+    (b_i, b_{i+1}] and the final stretch (b_k, N] acts as the last block:
+    K holds exactly the entries whose row and column lie in different
+    blocks, and B the rest.  Boundaries at or beyond N are dropped (their
+    blocks fall outside the window).  The split works on the sparse window,
+    so its cost is linear in the nonzeros, and it always reconstructs
+    exactly: B + K = T|_N.
     """
     bs = sorted({int(b) for b in boundaries})
     if not bs or bs[0] < 1:
@@ -88,32 +110,32 @@ def halmos_decompose(spec: ops.OperatorSpec, boundaries: Sequence[int], N: int,
     if not bs:
         raise WindowTooSmall(f"no boundary lies inside the window of dimension {N}")
 
-    W = ops.compress(spec, N).entries
-    K = np.zeros_like(W)
-    edges = bs + [N]
-    for t, b in enumerate(bs):
-        q_lo, q_hi = b, edges[t + 1]          # Q_{t+1} covers rows (b, q_hi]
-        K[q_lo:q_hi, :b] = W[q_lo:q_hi, :b]
-        K[:b, q_lo:q_hi] = W[:b, q_lo:q_hi]
-    B = W - K
+    W = ops.sparse_window(spec, N)
+    edges = np.asarray(bs)
 
-    # residual coupling between distinct blocks of B (should vanish identically)
-    blocks = [(0, edges[0])] + [(edges[t], edges[t + 1]) for t in range(len(edges) - 1)]
-    resid = 0.0
-    for a0, a1 in blocks:
-        for b0, b1 in blocks:
-            if (a0, a1) == (b0, b1):
-                continue
-            piece = B[a0:a1, b0:b1]
-            if piece.size:
-                resid = max(resid, float(np.max(np.abs(piece))))
+    def crossing(m: scipy.sparse.csr_matrix):
+        """m in COO form, and the mask of its entries that link distinct blocks."""
+        c = m.tocoo()
+        # 0-based index r lies in block t when exactly t boundaries are <= r
+        return c, (np.searchsorted(edges, c.row, side="right")
+                   != np.searchsorted(edges, c.col, side="right"))
 
-    k_norm = norms.seminorm(K, "u")
+    Wc, cross = crossing(W)
+    B, K = (scipy.sparse.csr_matrix((Wc.data[m], (Wc.row[m], Wc.col[m])), shape=(N, N))
+            for m in (~cross, cross))
+    # residual coupling between distinct blocks of B (vanishes by construction)
+    Bc, linked = crossing(B)
+    resid = float(np.max(np.abs(Bc.data[linked]))) if linked.any() else 0.0
+
+    sv = norms._triplet_svals(list(zip((Wc.row[cross] + 1).tolist(),
+                                       (Wc.col[cross] + 1).tolist(),
+                                       Wc.data[cross].tolist())))
+    k_norm = float(sv[0]) if sv.size else 0.0
     return Decomposition(
         boundaries=tuple(bs),
-        window=ops.Window(N, W),
-        block_diagonal=ops.Window(N, B),
-        perturbation=ops.Window(N, K),
+        sparse_window=W,
+        sparse_block_diagonal=B,
+        sparse_perturbation=K,
         epsilon=float(epsilon),
         k_norm=k_norm,
         offblock_residual=resid,

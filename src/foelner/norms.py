@@ -11,8 +11,9 @@ matching the 1- and 2-Foelner conditions exactly (rank = trace norm of a
 projection, sqrt(rank) = its Hilbert-Schmidt norm).
 
 Padding a window with zero rows/columns changes none of the three seminorms,
-so they are evaluated on a compacted copy of the nonzero support.  Commutators
-whose nonzero entries occupy pairwise distinct rows and columns (every shift
+so they are evaluated on a compacted copy of the nonzero support, one
+connected component of the row/column graph at a time.  Commutators whose
+nonzero entries occupy pairwise distinct rows and columns (every shift
 against every coordinate projection) have singular values equal to the entry
 moduli; that exact path avoids the SVD entirely.
 """
@@ -52,17 +53,46 @@ def _compact(entries: Sequence[tuple[int, int, complex]]) -> np.ndarray:
     return a
 
 
+def _components(entries: list[tuple[int, int, complex]]) -> list[list[tuple[int, int, complex]]]:
+    """Triplets grouped by connected component of their row/column graph.
+
+    Rows and columns are the two sides of a bipartite graph with one edge
+    per entry; union-find keys rows as i and columns as -j (indices >= 1).
+    """
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        root = x
+        while parent.setdefault(root, root) != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for i, j, _ in entries:
+        parent[find(i)] = find(-j)
+    groups: dict[int, list[tuple[int, int, complex]]] = {}
+    for e in entries:
+        groups.setdefault(find(e[0]), []).append(e)
+    return list(groups.values())
+
+
 def _triplet_svals(entries: list[tuple[int, int, complex]]) -> np.ndarray:
-    """Singular values of the sparse matrix given by merged triplets."""
+    """Singular values of the sparse matrix given by merged triplets, descending.
+
+    A direct sum has the union of its summands' singular values, so each
+    connected component of the row/column graph gets its own small SVD.
+    When every component is a single entry (a scaled partial permutation)
+    the singular values are the entry moduli, found without the graph.
+    """
     if not entries:
         return np.zeros(0)
     rows = [i for i, _, _ in entries]
     cols = [j for _, j, _ in entries]
     if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
-        # at most one entry per row and per column: a scaled partial
-        # permutation, so the singular values are just the entry moduli
         return np.sort(np.abs(np.asarray([v for _, _, v in entries])))[::-1]
-    return _svdvals(_compact(entries))
+    parts = [_svdvals(_compact(c)) for c in _components(entries)]
+    return np.sort(np.concatenate(parts))[::-1]
 
 
 def seminorm(w: ops.Window | np.ndarray, mode: str) -> float:

@@ -6,7 +6,9 @@ are the only 0-based objects and appear only at the API boundary.
 
 An operator is described symbolically by :class:`OperatorSpec`; entries are
 evaluated on demand from per-column / per-row supports, so specs act on
-arbitrarily large (Python int) indices.  The operator vocabulary is written
+arbitrarily large (Python int) indices.  Finite sections P_N T P_N are built
+sparse (``sparse_window``); a dense window is refused before allocation when
+it would exceed ``DENSE_CELLS`` cells.  The operator vocabulary is written
 once, in the term table ``_PRIMITIVES``: each primitive kind is a short tuple
 of elementary terms (a, b, w) meaning e_j -> w(j) e_{a*j + b}, a in {1, 2}.
 Column and row supports, the monotone reach bounds behind capture windows
@@ -28,8 +30,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import scipy.sparse
 
-from .errors import InvalidSpec, SelectorOutOfRange, WeightUndefined, WindowTooSmall
+from .errors import (InvalidSpec, ResourceLimit, SelectorOutOfRange, WeightUndefined,
+                     WindowTooSmall)
 
 
 def _parse_weight(rule: str) -> Callable[[int], float]:
@@ -429,16 +433,45 @@ def hermitian_part(a: np.ndarray, tol: float, error: type[Exception],
     return (a + a.conj().T) / 2
 
 
-def compress(spec: OperatorSpec, N: int) -> Window:
-    """P_N T P_N as a dense N x N window."""
+# Budget for every dense array of windows: 2^24 complex cells (256 MiB), a
+# 4096 x 4096 window.  Dense paths check it before they allocate and raise
+# ResourceLimit past it; sparse paths (halmos, szego, triplet norms) never
+# allocate a dense window and are not bound by it.
+DENSE_CELLS = 1 << 24
+
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", complex)])
+
+
+def check_dense(cells: int, what: str) -> None:
+    """Raise ResourceLimit if a dense allocation of `cells` entries is over DENSE_CELLS."""
+    if cells > DENSE_CELLS:
+        raise ResourceLimit(f"{what} needs {cells} dense cells, "
+                            f"over the budget of {DENSE_CELLS}")
+
+
+def sparse_window(spec: OperatorSpec, N: int) -> scipy.sparse.csr_matrix:
+    """P_N T P_N as an N x N complex CSR matrix (0-based, canonical format).
+
+    Holds the col_support entries of columns 1..N with row <= N; memory is
+    O(nnz), gathered straight into numpy arrays.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
-    a = np.zeros((N, N), dtype=complex)
-    for j in range(1, N + 1):
-        for i, v in col_support(spec, j).items():
-            if i <= N:
-                a[i - 1, j - 1] = v
-    return Window(N, a)
+    e = np.fromiter(((i - 1, j - 1, v) for j in range(1, N + 1)
+                     for i, v in col_support(spec, j).items() if i <= N), dtype=_ENTRY)
+    return scipy.sparse.csr_matrix((e["v"], (e["i"], e["j"])), shape=(N, N))
+
+
+def to_window(m: scipy.sparse.spmatrix) -> Window:
+    """Dense view of a square sparse matrix, refused past the dense budget."""
+    N = m.shape[0]
+    check_dense(N * N, f"a dense {N} x {N} window")
+    return Window(N, m.toarray())
+
+
+def compress(spec: OperatorSpec, N: int) -> Window:
+    """P_N T P_N as a dense N x N window."""
+    return to_window(sparse_window(spec, N))
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +572,7 @@ def projection_window(fam: ProjectionFamily, n: int, N: int) -> Window:
         V = fam.bases[n - 1]
         if V.shape[0] > N:
             raise WindowTooSmall(f"explicit basis lives in dimension {V.shape[0]} > {N}")
+        check_dense(N * N, f"a dense {N} x {N} projection window")
         m = V @ V.conj().T
         a = np.zeros((N, N), dtype=complex)
         # entrywise-exact Hermitian symmetrization of the BLAS product
@@ -547,6 +581,7 @@ def projection_window(fam: ProjectionFamily, n: int, N: int) -> Window:
     idx = fam.indices(n)
     if idx and idx[-1] > N:
         raise WindowTooSmall(f"projection touches index {idx[-1]} > window {N}")
+    check_dense(N * N, f"a dense {N} x {N} projection window")
     a = np.zeros((N, N), dtype=complex)
     for k in idx:
         a[k - 1, k - 1] = 1.0
@@ -608,6 +643,7 @@ def commutator_window(spec: OperatorSpec, fam: ProjectionFamily, n: int) -> Wind
     else:
         idx = fam.indices(n)
         m = max([idx[-1]] + [max(i, j) for i, j, _ in trips]) if idx else 1
+    check_dense(m * m, f"a dense {m} x {m} commutator window")
     a = np.zeros((m, m), dtype=complex)
     for i, j, v in trips:
         a[i - 1, j - 1] = v

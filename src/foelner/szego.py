@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse
 
 from . import ops
 from .errors import InvalidSpec, NonHermitianCompression
@@ -110,12 +109,12 @@ def _trace_moments(spec: ops.OperatorSpec, n: int, ps: Sequence[int]) -> dict[in
     """Empirical moments via traces of banded powers: (1/n) tr(T_n^p).
 
     Equal to the eigenvalue average but free of eigensolver noise, so
-    moments that vanish by symmetry come out exactly zero.
+    moments that vanish by symmetry come out exactly zero.  The powers are
+    sparse products of the sparse window: O(n) work for a banded T.
     """
-    dense = ops.compress(spec, n).entries
-    if np.all(dense.imag == 0):
-        dense = dense.real
-    T = scipy.sparse.csr_matrix(dense)
+    T = ops.sparse_window(spec, n)
+    if not T.data.imag.any():
+        T = T.real
     out: dict[int, float] = {}
     power = None
     for e in range(1, max(ps) + 1 if ps else 0):

@@ -487,6 +487,8 @@ def represent(x: WeylElement, N: int) -> ops.Window:
     if d >= N:
         raise DegreeExceedsWindow(f"degree {d} needs a window larger than {N}")
     big = N + d
+    # the powers of P and Q plus the accumulator: 2d + 3 dense big x big arrays
+    ops.check_dense((2 * d + 3) * big * big, f"representing a degree-{d} element at N={N}")
     P = ops.compress(ops.OperatorSpec.hermite_p(), big).entries
     Q = ops.compress(ops.OperatorSpec.hermite_q(), big).entries
     p_pows = [np.eye(big, dtype=complex)]

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,9 +51,15 @@ _ONE_PER_KIND = [
 ]
 
 
+# a toeplitz whose bands are all zero is the zero operator; its JSON keeps a zero band
+_ZERO_TOEPLITZ = {"kind": "toeplitz", "bands": {"0": 0}}
+
+
 @pytest.mark.parametrize(
-    "doc", [json.loads(p.read_text())["operator"] for p in _OPERATOR_FILES] + _ONE_PER_KIND,
-    ids=[p.stem for p in _OPERATOR_FILES] + [d["kind"] for d in _ONE_PER_KIND])
+    "doc", [json.loads(p.read_text())["operator"] for p in _OPERATOR_FILES] + _ONE_PER_KIND
+    + [_ZERO_TOEPLITZ],
+    ids=[p.stem for p in _OPERATOR_FILES] + [d["kind"] for d in _ONE_PER_KIND]
+    + ["toeplitz_zero"])
 def test_operator_json_round_trip(doc):
     spec = cli.parse_operator(doc)
     again = cli.parse_operator(cli.operator_to_json(spec))
@@ -299,3 +307,49 @@ def test_flag_overrides_spec_experiment(tmp_path, capsys):
     rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
     assert len(rows) == 1
     assert rows[0].split(",")[0] == "10"
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl-represent", REPO / "specs" / "weyl_window.json", "--window", "100000"],
+    ["berg", "--dim", "100000"],
+], ids=["weyl-represent", "berg"])
+def test_dense_window_over_budget_exits_3_without_allocating(tmp_path, capsys, argv):
+    out_file = tmp_path / "r.txt"
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run(argv + ["-o", out_file], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "ResourceLimit" in err
+    assert peak < 20 * 2 ** 20
+    assert not out_file.exists()
+
+
+def test_output_is_written_whole_and_leaves_no_temp_file(tmp_path, capsys):
+    argv = ["szego", REPO / "specs" / "szego_cos.json", "--no-timestamp"]
+    code, expected, _ = run(argv, capsys)
+    assert code == 0
+    target = tmp_path / "report.csv"
+    target.write_text("old report\n")
+    code, out, _ = run(argv + ["-o", target], capsys)
+    assert code == 0 and out == ""
+    assert target.read_text() == expected
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_failed_rename_keeps_old_output_and_no_temp_file(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "report.csv"
+    target.write_text("old report\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        run(["szego", REPO / "specs" / "szego_cos.json", "-o", target], capsys)
+    assert target.read_text() == "old report\n"
+    assert list(tmp_path.iterdir()) == [target]

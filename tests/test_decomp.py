@@ -156,3 +156,36 @@ def test_halmos_blocks_for_example_a_have_zero_commutator():
     A = ops.OperatorSpec.example_a()
     for n in (1, 2, 3, 4):
         assert norms.u_norm(A, fam, n) == 0.0
+
+
+_SPLIT_SPECS = {
+    "hermite_q": ops.OperatorSpec.hermite_q(),
+    "toeplitz5": ops.OperatorSpec.toeplitz({-2: 0.5, -1: 1 - 1j, 0: 2.0, 1: 3j, 2: -0.25}),
+    "example_A": ops.OperatorSpec.example_a(),
+    "product": ops.OperatorSpec.product(ops.OperatorSpec.example_a(),
+                                        ops.OperatorSpec.hermite_p(),
+                                        ops.OperatorSpec.weighted_shift("sqrt")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_SPECS))
+@pytest.mark.parametrize("bs", [[1], [3, 7], [2, 4, 6, 8, 10, 12], list(range(1, 40)),
+                                [5, 17, 100]], ids=["1", "3-7", "even", "every", "past"])
+def test_sparse_split_matches_dense_reference(name, bs):
+    spec, N = _SPLIT_SPECS[name], 40
+    # reference built entry by entry, blocks labelled by a plain loop
+    W = np.array([[ops.entry(spec, i, j) for j in range(1, N + 1)] for i in range(1, N + 1)])
+    label = np.zeros(N, dtype=int)
+    for b in bs:
+        label[b:] += 1
+    K = np.where(label[:, None] != label[None, :], W, 0)
+    d = decomp.halmos_decompose(spec, bs, N, 0.5)
+    assert np.array_equal(d.window.entries, W)
+    assert np.array_equal(d.perturbation.entries, K)
+    assert np.array_equal(d.block_diagonal.entries, W - K)
+    assert np.array_equal(d.block_diagonal.entries + d.perturbation.entries, W)
+    assert d.sparse_perturbation.nnz == np.count_nonzero(K)
+    assert d.offblock_residual == 0.0
+    want = np.linalg.svd(K, compute_uv=False)[0]
+    assert d.k_norm == pytest.approx(want, rel=1e-12, abs=1e-300)
+    assert d.ok == (d.k_norm < 0.5)

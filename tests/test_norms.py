@@ -200,3 +200,47 @@ def test_verdict_profiles_match_limit_table():
         rows = report_sequence(OperatorSpec.weighted_shift(weight), CANON, ns)
         assert classify([r.ratio1 for r in rows]).kind == want1, weight
         assert classify([r.ratio2 for r in rows]).kind == want2, weight
+
+
+def _block_triplets(rng, shapes, complex_values):
+    """Triplets of a direct sum of dense random blocks on scattered indices."""
+    rows = rng.permutation(np.arange(1, 1 + sum(h for h, _ in shapes))) * 3
+    cols = rng.permutation(np.arange(1, 1 + sum(w for _, w in shapes))) * 5
+    trips, r0, c0 = [], 0, 0
+    for h, w in shapes:
+        block = rng.standard_normal((h, w))
+        if complex_values:
+            block = block + 1j * rng.standard_normal((h, w))
+        trips += [(int(rows[r0 + a]), int(cols[c0 + b]), complex(block[a, b]))
+                  for a in range(h) for b in range(w)]
+        r0, c0 = r0 + h, c0 + w
+    order = rng.permutation(len(trips))
+    return [trips[k] for k in order]
+
+
+@pytest.mark.parametrize("shapes", [
+    [(1, 1)] * 12,                                   # partial permutation
+    [(3, 3), (1, 1), (2, 5), (8, 8), (1, 4)],
+    [(8, 1), (1, 8), (4, 4), (2, 2), (7, 6), (1, 1)],
+    [(5, 5)],
+])
+@pytest.mark.parametrize("complex_values", [True, False])
+def test_triplet_svals_match_dense_svd(shapes, complex_values):
+    # oracle: one dense SVD of the whole compacted matrix; the component
+    # split must give the same nonzero singular values
+    rng = np.random.default_rng(len(shapes) * 7 + complex_values)
+    for _ in range(5):
+        trips = _block_triplets(rng, shapes, complex_values)
+        assert len(norms._components(trips)) == len(shapes)
+        got = norms._triplet_svals(trips)
+        want = np.linalg.svd(norms._compact(trips), compute_uv=False)
+        assert np.all(got[:-1] >= got[1:])
+        assert got.size == sum(min(h, w) for h, w in shapes)
+        padded = np.concatenate([got, np.zeros(want.size - got.size)])
+        np.testing.assert_allclose(padded, want, rtol=1e-12, atol=1e-12 * want[0])
+
+
+def test_triplet_svals_partial_permutation_is_moduli():
+    trips = [(4, 9, 3 - 4j), (1, 2, -0.5), (9, 4, 2j), (2, 1, 1e-3)]
+    assert norms._triplet_svals(trips).tolist() == [5.0, 2.0, 0.5, 1e-3]
+    assert norms._triplet_svals([]).size == 0

@@ -1,12 +1,15 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from foelner import ops
 from foelner.errors import (
     InvalidSpec,
+    ResourceLimit,
     SelectorOutOfRange,
     WeightUndefined,
     WindowTooSmall,
@@ -147,6 +150,23 @@ def test_compress_hermite_q():
     r = 1 / math.sqrt(2)
     want = r * np.array([[0, 1, 0], [1, 0, math.sqrt(2)], [0, math.sqrt(2), 0]])
     assert np.max(np.abs(w.entries - want)) < 1e-15
+
+
+@pytest.mark.parametrize("spec", [OperatorSpec.hermite_p(), OperatorSpec.example_a(),
+                                  OperatorSpec.dilation_shift(),
+                                  OperatorSpec.toeplitz({-3: 1j, 0: 2, 2: -1}),
+                                  OperatorSpec.product(OperatorSpec.creation(),
+                                                       OperatorSpec.diagonal("log"))],
+                         ids=["hermite_p", "example_A", "dilation", "toeplitz", "product"])
+def test_sparse_window_matches_entrywise_reference(spec):
+    N = 30
+    want = np.array([[ops.entry(spec, i, j) for j in range(1, N + 1)]
+                     for i in range(1, N + 1)])
+    m = ops.sparse_window(spec, N)
+    assert m.shape == (N, N) and m.has_canonical_format
+    assert m.nnz == np.count_nonzero(want)
+    assert np.array_equal(m.toarray(), want)
+    assert np.array_equal(ops.compress(spec, N).entries, want)
 
 
 def test_compress_sum_cancellation():
@@ -338,3 +358,25 @@ def test_dilation_commutator_structure():
     assert set(nz) == set(want)
     for k, v in want.items():
         assert nz[k] == pytest.approx(v)
+
+
+_OVER = math.isqrt(ops.DENSE_CELLS) + 1      # smallest square window over the budget
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: ops.compress(OperatorSpec.hermite_q(), n),
+    lambda n: ops.to_window(scipy.sparse.identity(n, dtype=complex, format="csr")),
+    lambda n: ops.projection_window(ProjectionFamily.canonical(), 1, n),
+    lambda n: ops.commutator_window(OperatorSpec.weighted_shift("inverse"),
+                                    ProjectionFamily.sparse([n - 1]), 1),
+], ids=["compress", "to_window", "projection_window", "commutator_window"])
+def test_dense_budget_refuses_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit):
+            build(_OVER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense window at this size would take 16 * _OVER^2 bytes (256 MiB)
+    assert peak < 16 * _OVER ** 2 / 100

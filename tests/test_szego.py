@@ -96,3 +96,21 @@ def test_mixed_symbol_moments_converge():
     assert by[(800, 2)].gap < by[(50, 2)].gap
     assert by[(800, 2)].gap < 0.01
     assert by[(800, 4)].gap < 0.1
+
+
+@pytest.mark.parametrize("bands", [
+    {1: 1.0, -1: 1.0},
+    {1: 1.0, -1: 1.0, 2: 0.5, -2: 0.5},
+    {0: 0.3, 1: 1 - 2j, -1: 1 + 2j, 2: 0.25j, -2: -0.25j},
+], ids=["two_cos", "mixed", "complex5"])
+def test_trace_moments_match_dense_matrix_powers(bands):
+    spec = ops.OperatorSpec.toeplitz(bands)
+    ps = [0, 1, 2, 3, 4, 5, 6]
+    for n in (1, 2, 5, 17, 64):
+        # reference: the dense Toeplitz section, band d = row - column
+        T = sum(c * np.eye(n, k=-d) for d, c in bands.items())
+        got = szego._trace_moments(spec, n, ps)
+        assert sorted(got) == ps
+        for p in ps:
+            want = np.trace(np.linalg.matrix_power(T, p)).real / n
+            assert got[p] == pytest.approx(want, rel=1e-12, abs=1e-12)
