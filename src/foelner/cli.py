@@ -3,7 +3,8 @@
 A spec file is a JSON document {"operator": ..., "projection": ..., and
 "experiment": ...} validated strictly against the bundled schema before any
 computation runs.  Flags override experiment values.  Exit codes: 0 success,
-2 validation problem, 3 computation failure (error class name on stderr).
+2 validation problem (including an -o path in a directory that does not
+exist), 3 computation failure (error class name on stderr).
 Reports are buffered and written only after the computation finishes, then
 renamed into place, so a failing run never leaves a partial file behind.
 """
@@ -541,7 +542,11 @@ def main(argv=None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if args.output:
-        _write_atomic(Path(args.output), text)
+        try:
+            _write_atomic(Path(args.output), text)
+        except (FileNotFoundError, NotADirectoryError) as exc:
+            print(f"cannot write the report to {args.output}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

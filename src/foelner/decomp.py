@@ -127,9 +127,8 @@ def halmos_decompose(spec: ops.OperatorSpec, boundaries: Sequence[int], N: int,
     Bc, linked = crossing(B)
     resid = float(np.max(np.abs(Bc.data[linked]))) if linked.any() else 0.0
 
-    sv = norms._triplet_svals(list(zip((Wc.row[cross] + 1).tolist(),
-                                       (Wc.col[cross] + 1).tolist(),
-                                       Wc.data[cross].tolist())))
+    sv = norms._triplet_svals(ops._entries(Wc.row[cross] + 1, Wc.col[cross] + 1,
+                                           Wc.data[cross]))
     k_norm = float(sv[0]) if sv.size else 0.0
     return Decomposition(
         boundaries=tuple(bs),

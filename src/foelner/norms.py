@@ -15,7 +15,9 @@ so they are evaluated on a compacted copy of the nonzero support, one
 connected component of the row/column graph at a time.  Commutators whose
 nonzero entries occupy pairwise distinct rows and columns (every shift
 against every coordinate projection) have singular values equal to the entry
-moduli; that exact path avoids the SVD entirely.
+moduli; that exact path avoids the SVD entirely.  From triplets, s2 is the
+square root of the correctly rounded sum (math.fsum) of the squared real and
+imaginary parts of the entries, so it does not depend on their order.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse
 
 from . import ops
 from .errors import NumericalFailure, TooFewSamples
@@ -41,58 +44,78 @@ def _svdvals(a: np.ndarray) -> np.ndarray:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
 
 
-def _compact(entries: Sequence[tuple[int, int, complex]]) -> np.ndarray:
-    """Dense matrix of the triplets with empty rows/columns removed."""
-    rows = sorted({i for i, _, _ in entries})
-    cols = sorted({j for _, j, _ in entries})
-    ri = {r: t for t, r in enumerate(rows)}
-    ci = {c: t for t, c in enumerate(cols)}
-    a = np.zeros((len(rows), len(cols)), dtype=complex)
-    for i, j, v in entries:
-        a[ri[i], ci[j]] = v
+def _dense_ids(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank of each value of x among its distinct values, and their count."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    new = np.ones(len(xs), bool)
+    new[1:] = xs[1:] != xs[:-1]
+    ids = np.empty(len(xs), np.intp)
+    ids[order] = np.cumsum(new) - 1
+    return ids, int(new.sum())
+
+
+def _distinct(x: np.ndarray) -> bool:
+    """No value repeats in x (by sorting; np.unique is far slower here)."""
+    if len(x) < 2:
+        return True
+    xs = np.sort(x)
+    return not np.count_nonzero(xs[1:] == xs[:-1])
+
+
+def _compact(e: np.ndarray) -> np.ndarray:
+    """Dense matrix of the entries with empty rows/columns removed."""
+    ri, nr = _dense_ids(e["i"])
+    ci, nc = _dense_ids(e["j"])
+    a = np.zeros((nr, nc), dtype=complex)
+    a[ri, ci] = e["v"]
     return a
 
 
-def _components(entries: list[tuple[int, int, complex]]) -> list[list[tuple[int, int, complex]]]:
-    """Triplets grouped by connected component of their row/column graph.
+def _components(e: np.ndarray) -> list[np.ndarray]:
+    """The entries grouped by connected component of their row/column graph.
 
     Rows and columns are the two sides of a bipartite graph with one edge
-    per entry; union-find keys rows as i and columns as -j (indices >= 1).
+    per entry.
     """
-    parent: dict[int, int] = {}
+    from scipy.sparse.csgraph import connected_components
 
-    def find(x: int) -> int:
-        root = x
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for i, j, _ in entries:
-        parent[find(i)] = find(-j)
-    groups: dict[int, list[tuple[int, int, complex]]] = {}
-    for e in entries:
-        groups.setdefault(find(e[0]), []).append(e)
-    return list(groups.values())
+    ri, nr = _dense_ids(e["i"])
+    ci, nc = _dense_ids(e["j"])
+    graph = scipy.sparse.coo_matrix((np.ones(len(e)), (ri, nr + ci)), shape=(nr + nc,) * 2)
+    _, label = connected_components(graph, directed=False)
+    label = label[ri]
+    order = np.argsort(label, kind="stable")
+    return np.split(e[order], np.flatnonzero(np.diff(label[order])) + 1)
 
 
-def _triplet_svals(entries: list[tuple[int, int, complex]]) -> np.ndarray:
-    """Singular values of the sparse matrix given by merged triplets, descending.
+def _triplet_svals(entries) -> np.ndarray:
+    """Singular values of the sparse matrix given by merged entries, descending.
 
-    A direct sum has the union of its summands' singular values, so each
-    connected component of the row/column graph gets its own small SVD.
-    When every component is a single entry (a scaled partial permutation)
-    the singular values are the entry moduli, found without the graph.
+    entries is an _ENTRY array (or a list of (i, j, v) tuples).  A direct sum
+    has the union of its summands' singular values, so each connected
+    component of the row/column graph gets its own small SVD.  When every
+    component is a single entry (a scaled partial permutation) the singular
+    values are the entry moduli, found without the graph.
     """
-    if not entries:
+    e = entries if isinstance(entries, np.ndarray) else np.asarray(entries, dtype=ops._ENTRY)
+    if not len(e):
         return np.zeros(0)
-    rows = [i for i, _, _ in entries]
-    cols = [j for _, j, _ in entries]
-    if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
-        return np.sort(np.abs(np.asarray([v for _, _, v in entries])))[::-1]
-    parts = [_svdvals(_compact(c)) for c in _components(entries)]
+    if _distinct(e["i"]) and _distinct(e["j"]):
+        return np.sort(np.abs(e["v"]))[::-1]
+    parts = [_svdvals(_compact(c)) for c in _components(e)]
     return np.sort(np.concatenate(parts))[::-1]
+
+
+def _frobenius(v: np.ndarray) -> float:
+    """sqrt of the correctly rounded sum of the squared parts of v; inf on overflow."""
+    squares = (v.real * v.real).tolist()
+    if v.imag.any():
+        squares += (v.imag * v.imag).tolist()
+    try:
+        return math.sqrt(math.fsum(squares))
+    except OverflowError:
+        return math.inf
 
 
 def seminorm(w: ops.Window | np.ndarray, mode: str) -> float:
@@ -126,17 +149,27 @@ class NormReport:
 
 
 def report(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, n: int) -> NormReport:
-    """Exact seminorms of [T, R_n] against the given family."""
+    """Exact seminorms of [T, R_n] against the given family.
+
+    s2 is the square root of the correctly rounded sum of the squared real
+    and imaginary parts of the commutator's entries (a dense Frobenius norm
+    for explicit families).  Raises NumericalFailure when u, s1 or s2 is not
+    finite.
+    """
     if fam.kind == "explicit":
         w = ops.commutator_window(spec, fam, n)
         sv = _svdvals(w.entries)
         s2 = float(np.linalg.norm(w.entries))
     else:
-        trips = ops.commutator_triplets(spec, fam, n)
-        sv = _triplet_svals(trips)
-        s2 = math.sqrt(sum(abs(v) ** 2 for _, _, v in trips))
+        e = ops.commutator_triplets(spec, fam, n)
+        sv = _triplet_svals(e)
+        s2 = _frobenius(e["v"])
     u = float(sv[0]) if sv.size else 0.0
-    return NormReport(n=n, rank=fam.rank(n), u=u, s1=float(np.sum(sv)), s2=s2)
+    s1 = float(sv.sum())
+    if not (math.isfinite(u) and math.isfinite(s1) and math.isfinite(s2)):
+        raise NumericalFailure(f"seminorms of [T, R_{n}] are not finite: "
+                               f"u={u}, s1={s1}, s2={s2}")
+    return NormReport(n=n, rank=fam.rank(n), u=u, s1=s1, s2=s2)
 
 
 def report_sequence(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
@@ -150,8 +183,7 @@ def report_sequence(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
 
 def u_norm(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, n: int) -> float:
     """Operator norm of [T, R_n] alone (cheaper than a full report)."""
-    trips = ops.commutator_triplets(spec, fam, n)
-    sv = _triplet_svals(trips)
+    sv = _triplet_svals(ops.commutator_triplets(spec, fam, n))
     return float(sv[0]) if sv.size else 0.0
 
 

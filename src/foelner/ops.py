@@ -5,17 +5,18 @@ addressed as (row, column) with row, column >= 1.  Dense windows (numpy arrays)
 are the only 0-based objects and appear only at the API boundary.
 
 An operator is described symbolically by :class:`OperatorSpec`; entries are
-evaluated on demand from per-column / per-row supports, so specs act on
-arbitrarily large (Python int) indices.  Finite sections P_N T P_N are built
-sparse (``sparse_window``); a dense window is refused before allocation when
-it would exceed ``DENSE_CELLS`` cells.  The operator vocabulary is written
-once, in the term table ``_PRIMITIVES``: each primitive kind is a short tuple
-of elementary terms (a, b, w) meaning e_j -> w(j) e_{a*j + b}, a in {1, 2}.
-Column and row supports, the monotone reach bounds behind capture windows
-and the propagation all follow from the terms; only sums, scalings and
-products are recursive.  Commutators against coordinate projections are
-assembled exactly from those supports: for a coordinate projection R with
-index set K,
+evaluated on demand, so specs act on arbitrarily large (Python int) indices.
+The operator vocabulary is written once, in the term table ``_PRIMITIVES``:
+each primitive kind is a short tuple of elementary terms (a, b, w) meaning
+e_j -> w(j) e_{a*j + b}, a in {1, 2}.  One array kernel (``_gather``)
+evaluates the table over a whole array of column or row indices at once;
+sums, scalings and products merge their children's arrays, a product by a
+sparse join over the intermediate index.  Column and row supports, finite
+sections P_N T P_N (``sparse_window``), the monotone reach bounds behind
+capture windows and the propagation all follow from the terms.  A dense
+window is refused before allocation when it would exceed ``DENSE_CELLS``
+cells.  Commutators against coordinate projections are assembled exactly
+from the kernel: for a coordinate projection R with index set K,
 
     [T, R]_(i,j) = T_(i,j) * (1_K(j) - 1_K(i)),
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -36,35 +37,60 @@ from .errors import (InvalidSpec, ResourceLimit, SelectorOutOfRange, WeightUndef
                      WindowTooSmall)
 
 
-def _parse_weight(rule: str) -> Callable[[int], float]:
-    """Turn a weight-rule string into an index -> float evaluator.
+class _Weight(NamedTuple):
+    """A weight rule: `at(j)` for one index, `over(js)` for an index array.
+
+    `over` takes an int64 array (every index below _NATIVE) and agrees with
+    `at` bit for bit there; None means `at` runs per index.  Calling the
+    weight calls `at`.
+    """
+
+    at: Callable[[int], complex]
+    over: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __call__(self, j: int) -> complex:
+        return self.at(j)
+
+
+def _shifted(w: _Weight) -> _Weight:
+    """The weight j -> w(j - 1)."""
+    return _Weight(lambda j: w.at(j - 1), w.over and (lambda js: w.over(js - 1)))
+
+
+def _constant(c: complex) -> _Weight:
+    return _Weight(lambda j: c, lambda js: np.full(len(js), c if c.imag else c.real))
+
+
+def _parse_weight(rule: str) -> _Weight:
+    """Turn a weight-rule string into a _Weight (index -> float evaluator).
 
     Vocabulary: "log", "sqrt", "linear", "inverse", "const:<c>", "pow:<a>",
     where c and a are finite floats.
     Indices are Python ints and may exceed float range; evaluators fall back
     to exact integer arithmetic where that keeps the value finite and raise
-    WeightUndefined otherwise.
+    WeightUndefined otherwise.  "log" and "pow:" keep libm per index: numpy's
+    log and power round differently on some indices.
     """
     if rule == "log":
         # math.log accepts arbitrary-precision ints directly
-        return lambda n: math.log(n)
+        return _Weight(lambda n: math.log(n))
     if rule == "sqrt":
         def _sqrt(n: int) -> float:
             try:
                 return math.sqrt(n)
             except OverflowError:
                 raise WeightUndefined(f"sqrt weight overflows at index {n}") from None
-        return _sqrt
+        return _Weight(_sqrt, np.sqrt)
     if rule == "linear":
         def _lin(n: int) -> float:
             try:
                 return float(n)
             except OverflowError:
                 raise WeightUndefined(f"linear weight overflows at index {n}") from None
-        return _lin
+        return _Weight(_lin, lambda js: js.astype(float))
     if rule == "inverse":
         # int/int division is correctly rounded even for huge denominators
-        return lambda n: 1 / n
+        return _Weight(lambda n: 1 / n, lambda js: 1 / js)
     if isinstance(rule, str) and rule.startswith(("const:", "pow:")):
         kind, arg = rule.split(":", 1)
         try:
@@ -74,7 +100,7 @@ def _parse_weight(rule: str) -> Callable[[int], float]:
         if not math.isfinite(a):
             raise InvalidSpec(f"weight rule {rule!r} needs a finite number after {kind}:")
         if kind == "const":
-            return lambda n: a
+            return _constant(a)
         def _pow(n: int) -> float:
             try:
                 return float(n) ** a
@@ -82,33 +108,37 @@ def _parse_weight(rule: str) -> Callable[[int], float]:
                 if a < 0:
                     return math.exp(a * math.log(n))
                 raise WeightUndefined(f"pow:{a} weight overflows at index {n}") from None
-        return _pow
+        return _Weight(_pow)
     raise InvalidSpec(f"unknown weight rule {rule!r}")
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_CREATION = _Weight(math.sqrt, np.sqrt)
+_HERMITE_Q = _Weight(lambda j: math.sqrt(j) * _INV_SQRT2, lambda js: np.sqrt(js) * _INV_SQRT2)
 
 # Every primitive kind as elementary terms (a, b, w): column j holds w(j) in
 # row a*j + b.  Rows below 1 and zero values are dropped, so a term may switch
 # itself off (example_A's off-diagonal term is 0 on even columns).  The terms
 # of one kind share a and have distinct b.  Column supports visit the terms in
-# order and row supports in reverse.  These orders (toeplitz: top offset first)
-# fix the order of commutator triplets, and with it the float sum behind s2.
-_PRIMITIVES: dict[str, Callable[["OperatorSpec"], tuple[tuple[int, int, Callable], ...]]] = {
+# order and row supports in reverse (toeplitz: top offset first).
+_PRIMITIVES: dict[str, Callable[["OperatorSpec"], tuple[tuple[int, int, _Weight], ...]]] = {
     "weighted_shift": lambda s: ((1, 1, _parse_weight(s.weight)),),
-    "adjoint_weighted_shift":
-        lambda s: ((1, -1, lambda j, w=_parse_weight(s.weight): w(j - 1)),),
+    "adjoint_weighted_shift": lambda s: ((1, -1, _shifted(_parse_weight(s.weight))),),
     "diagonal": lambda s: ((1, 0, _parse_weight(s.weight)),),
     "dilation_shift": lambda s: ((2, 0, _parse_weight(s.weight or "sqrt")),),
-    "example_A": lambda s: ((1, 0, lambda j: float(j) ** 2),
-                            (1, 1, lambda j: 1 / j if j % 2 else 0)),
-    "toeplitz": lambda s: tuple((1, off, lambda j, v=v: v) for off, v in reversed(s.bands)),
-    "hermite_q": lambda s: ((1, 1, lambda j: math.sqrt(j) * _INV_SQRT2),
-                            (1, -1, lambda j: math.sqrt(j - 1) * _INV_SQRT2)),
-    "hermite_p": lambda s: ((1, 1, lambda j: 1j * math.sqrt(j) * _INV_SQRT2),
-                            (1, -1, lambda j: -1j * math.sqrt(j - 1) * _INV_SQRT2)),
-    "creation": lambda s: ((1, 1, math.sqrt),),
-    "annihilation": lambda s: ((1, -1, lambda j: math.sqrt(j - 1)),),
+    "example_A": lambda s: (
+        (1, 0, _Weight(lambda j: float(j) ** 2, lambda js: np.square(js.astype(float)))),
+        (1, 1, _Weight(lambda j: 1 / j if j % 2 else 0,
+                       lambda js: np.where(js % 2 == 1, 1 / js, 0.0)))),
+    "toeplitz": lambda s: tuple((1, off, _constant(v)) for off, v in reversed(s.bands)),
+    "hermite_q": lambda s: ((1, 1, _HERMITE_Q), (1, -1, _shifted(_HERMITE_Q))),
+    "hermite_p": lambda s: (
+        (1, 1, _Weight(lambda j: 1j * math.sqrt(j) * _INV_SQRT2,
+                       lambda js: 1j * (np.sqrt(js) * _INV_SQRT2))),
+        (1, -1, _Weight(lambda j: -1j * math.sqrt(j - 1) * _INV_SQRT2,
+                        lambda js: -1j * (np.sqrt(js - 1) * _INV_SQRT2)))),
+    "creation": lambda s: ((1, 1, _CREATION),),
+    "annihilation": lambda s: ((1, -1, _shifted(_CREATION)),),
 }
 
 
@@ -229,71 +259,179 @@ class OperatorSpec:
 
 
 # ---------------------------------------------------------------------------
-# column / row supports
+# the array kernel and the column / row supports
 # ---------------------------------------------------------------------------
+
+# Index arrays are int64 while every index stays below _NATIVE = 2^26.  There
+# int64 arithmetic cannot overflow and the numpy weights agree bit for bit
+# with the per-index rules (float(j) and float(j)**2 are exact).  Past it they
+# hold Python ints (dtype object), and weights run per index.
+_NATIVE = 1 << 26
+_INT64, _OBJECT = np.dtype(np.int64), np.dtype(object)
+_NO_ENTRIES = (np.zeros(0, np.intp), np.zeros(0, np.int64), np.zeros(0))
+# pos of a _gather result with exactly one entry per index, in order
+_EACH = slice(None)
+
+
+def _as_index(values: Sequence[int]) -> np.ndarray:
+    """An index array for ascending Python ints (int64 or object, see _NATIVE)."""
+    return np.array(values, dtype=_INT64 if values[-1] < _NATIVE else _OBJECT)
+
+
+def _fit(ts: np.ndarray, bound: int) -> np.ndarray:
+    """ts as int64 if bound (on every index computed from ts) is below _NATIVE, else as Python ints."""
+    want = _INT64 if bound < _NATIVE else _OBJECT
+    return ts if ts.dtype == want else ts.astype(want)
+
+
+def _weigh(w: _Weight, js: np.ndarray) -> np.ndarray:
+    """w over js: real values, or complex where the rule is complex."""
+    if w.over is not None and js.dtype != _OBJECT:
+        return w.over(js)
+    vals = np.array(list(map(w.at, js.tolist())))
+    return vals.astype(np.result_type(vals, float), copy=False)
+
+
+def _cmul(x, y: np.ndarray) -> np.ndarray:
+    """x * y rounded as Python rounds it.
+
+    With a real operand numpy's product is the exact one; two complex
+    operands multiply by parts, since numpy's complex product may fuse the
+    multiply-add and round differently.
+    """
+    if np.asarray(x).dtype.kind != "c" or y.dtype.kind != "c":
+        return x * y
+    out = np.empty(np.broadcast(x, y).shape, complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _nonzero(pos: np.ndarray, idx: np.ndarray,
+             vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries with a nonzero value."""
+    if np.count_nonzero(vals) == len(vals):
+        return pos, idx, vals
+    keep = vals != 0
+    return np.flatnonzero(keep) if pos is _EACH else pos[keep], idx[keep], vals[keep]
+
+
+def _gather(spec: OperatorSpec, ts: np.ndarray, top: int,
+            col: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of the columns (col) or rows ts of T, as arrays (pos, idx, vals).
+
+    ts holds indices >= 1, at most top.  Entry k lies in column (row)
+    ts[pos][k], at row (column) idx[k], with value vals[k]; pos is an index
+    array, or _EACH.  Entries come grouped by pos in increasing order, each
+    group in the order of the terms (col_support) or their reverse
+    (row_support).  Values are float, or complex where a rule is complex.
+    """
+    terms = spec._terms
+    if terms is None:
+        return _composite(spec, ts, top, col)
+    m = len(ts)
+    if not terms or not m:
+        return _NO_ENTRIES
+    a, lo, hi = spec._reach
+    ts = _fit(ts, a * top + max(hi, -lo))
+    outs = []
+    for a, b, w in terms if col else terms[::-1]:
+        # ok marks the indices with an entry in this term; None: all of them
+        if col:
+            idx, at = (ts + b if a == 1 else a * ts + b), ts
+            ok = None if a + b >= 1 else idx >= 1
+        elif a == 1:
+            idx = at = ts - b
+            ok = None if b <= 0 else idx >= 1
+        else:
+            d = ts - b
+            idx = at = d // a
+            ok = (idx >= 1) & (d % a == 0)
+        if ok is None or np.count_nonzero(ok) == m:
+            vals = _weigh(w, at)
+        else:
+            part = _weigh(w, at[ok])
+            vals = np.zeros(m, part.dtype)
+            vals[ok] = part
+        outs.append((idx, vals))
+    k = len(outs)
+    if k == 1:
+        return _nonzero(_EACH, *outs[0])
+    # one column per term; read row by row this is the support order
+    idx, vals = (np.array(x).T.ravel() for x in zip(*outs))
+    return _nonzero(np.arange(m * k) // k, idx, vals)
+
+
+def _composite(spec: OperatorSpec, ts: np.ndarray, top: int,
+               col: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_gather for a sum, scale or product, from its children's arrays."""
+    if spec.kind == "scale":
+        if spec.factor == 0:
+            return _NO_ENTRIES
+        c = spec.factor
+        pos, idx, vals = _gather(spec.children[0], ts, top, col)
+        return _nonzero(pos, idx, _cmul(c if c.imag else c.real, vals))
+    if spec.kind == "sum":
+        every = np.arange(len(ts))
+        pos, idx, vals = (np.concatenate(x) for x in zip(*(
+            (every[p], i, v) for p, i, v in (_gather(ch, ts, top, col) for ch in spec.children))))
+        order = np.argsort(pos, kind="stable")
+        return _merge(pos[order], idx[order], vals[order])
+    # a product applies its children right to left to a column, left to right
+    # to a row; each step is a sparse join over the intermediate index, whose
+    # bound comes from the child's reach
+    reach = _col_hi if col else _row_hi
+    chain = spec.children[::-1] if col else spec.children
+    pos, idx, vals = _gather(chain[0], ts, top, col)
+    pos = np.arange(len(ts))[pos]
+    for prev, ch in zip(chain, chain[1:]):
+        top = reach(prev, top)
+        p, idx, v = _gather(ch, idx, top, col)
+        pos, idx, vals = _merge(pos[p], idx, _cmul(vals[p], v))
+    return pos, idx, vals
+
+
+def _merge(pos: np.ndarray, idx: np.ndarray,
+           vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum the entries of equal (pos, idx) and drop zeros.
+
+    Each sum runs in the order the entries come and takes the place of its
+    first entry, so the result matches accumulating them one by one in a dict.
+    """
+    # pos never decreases, so a key can repeat only where pos does
+    if np.count_nonzero(pos[1:] == pos[:-1]):
+        order = np.lexsort((idx, pos))            # stable: arrival order within a key
+        ps, xs = pos[order], idx[order]
+        first = np.ones(len(ps), bool)
+        first[1:] = (ps[1:] != ps[:-1]) | (xs[1:] != xs[:-1])
+        if np.count_nonzero(first) < len(first):
+            starts = np.flatnonzero(first)
+            group = np.cumsum(first) - 1
+            rank = np.arange(len(ps)) - starts[group]
+            vs = vals[order]
+            acc = np.zeros(len(starts), vs.dtype)
+            for r in range(int(rank.max()) + 1):
+                at = rank == r
+                acc[group[at]] += vs[at]
+            back = np.argsort(order[starts])
+            pos, idx, vals = ps[starts][back], xs[starts][back], acc[back]
+    return _nonzero(pos, idx, vals)
+
 
 def col_support(spec: OperatorSpec, j: int) -> dict[int, complex]:
     """Nonzero entries of column j as {row: value}.  Exact, merged, zero-free."""
     if j < 1:
         raise ValueError("indices are 1-based")
-    terms = spec._terms
-    if terms is None:
-        return _composite_support(spec, j, col_support, reversed(spec.children))
-    out: dict[int, complex] = {}
-    for a, b, w in terms:
-        i = a * j + b
-        if i >= 1:
-            v = w(j)
-            if v != 0:
-                out[i] = v
-    return out
+    _, rows, vals = _gather(spec, _as_index([j]), j, True)
+    return dict(zip(rows.tolist(), vals.tolist()))
 
 
 def row_support(spec: OperatorSpec, i: int) -> dict[int, complex]:
     """Nonzero entries of row i as {column: value}."""
     if i < 1:
         raise ValueError("indices are 1-based")
-    terms = spec._terms
-    if terms is None:
-        return _composite_support(spec, i, row_support, spec.children)
-    out: dict[int, complex] = {}
-    for a, b, w in reversed(terms):
-        j = (i - b) // a
-        if j >= 1 and a * j + b == i:
-            v = w(j)
-            if v != 0:
-                out[j] = v
-    return out
-
-
-def _composite_support(spec: OperatorSpec, t: int, support: Callable,
-                       chain: Iterable[OperatorSpec]) -> dict[int, complex]:
-    """Support of a sum, scale or product at index t from its children's.
-
-    support is col_support or row_support, and chain the order in which a
-    product applies its children (right to left for a column).
-    """
-    k = spec.kind
-    if k == "sum":
-        acc: dict[int, complex] = {}
-        for ch in spec.children:
-            for s, v in support(ch, t).items():
-                acc[s] = acc.get(s, 0) + v
-        return {s: v for s, v in acc.items() if v != 0}
-    if k == "scale":
-        if spec.factor == 0:
-            return {}
-        return {s: spec.factor * v for s, v in support(spec.children[0], t).items()}
-    vec: dict[int, complex] = {t: 1.0}
-    for ch in chain:
-        nxt: dict[int, complex] = {}
-        for idx, coef in vec.items():
-            for s, v in support(ch, idx).items():
-                nxt[s] = nxt.get(s, 0) + coef * v
-        vec = {s: v for s, v in nxt.items() if v != 0}
-        if not vec:
-            return {}
-    return vec
+    _, cols, vals = _gather(spec, _as_index([i]), i, False)
+    return dict(zip(cols.tolist(), vals.tolist()))
 
 
 def _col_hi(spec: OperatorSpec, j: int) -> int:
@@ -372,40 +510,59 @@ def capture_bound(spec: OperatorSpec, n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     m = n
-    for hi, support in ((_col_hi, col_support), (_row_hi, row_support)):
-        for _, part in _boundary(spec, n, hi, support):
-            m = max(m, max(part))
+    for col in (True, False):
+        _, past, _ = _boundary(spec, n, col)
+        if len(past):
+            m = max(m, int(past.max()))
     return m
 
 
-def _suffix_start(hi: Callable[[int], int], n: int) -> int | None:
-    """Smallest t in 1..n with hi(t) > n, using monotonicity; None if no t."""
-    if hi(n) <= n:
-        return None
-    lo, hi_i = 1, n
-    while lo < hi_i:
-        mid = (lo + hi_i) // 2
-        if hi(mid) > n:
-            hi_i = mid
-        else:
-            lo = mid + 1
-    return lo
+def _first_past(spec: OperatorSpec, n: int, col: bool) -> int | None:
+    """Smallest t >= 1 whose reach bound (_col_hi, or _row_hi) passes n; None if none.
 
-
-def _boundary(spec: OperatorSpec, n: int, hi: Callable,
-              support: Callable) -> Iterable[tuple[int, dict[int, complex]]]:
-    """Yield (t, {s: value}) for each t <= n whose support reaches past n.
-
-    With _col_hi/col_support, t is a column of T P_n and s > n its rows;
-    with _row_hi/row_support, t is a row of P_n T and s > n its columns.
+    Closed form for a primitive; a sum takes its children's least, and a
+    product inverts its chain of monotone bounds from the outermost factor in.
     """
-    t0 = _suffix_start(lambda t: hi(spec, t), n)
-    if t0 is None:
-        return
-    for t in range(t0, n + 1):
-        part = {s: v for s, v in support(spec, t).items() if s > n}
-        if part:
-            yield t, part
+    reach = spec._reach
+    if reach is not None:
+        a, lo, hi = reach
+        return max(1, (n - hi) // a + 1 if col else a * (n + 1) + lo)
+    if spec.kind == "scale":
+        return _first_past(spec.children[0], n, col)
+    if spec.kind == "sum":
+        starts = [t for t in (_first_past(ch, n, col) for ch in spec.children) if t is not None]
+        return min(starts, default=None)
+    if spec.kind != "product":
+        return None                    # a primitive without terms
+    t = n + 1
+    for ch in spec.children if col else spec.children[::-1]:
+        t = _first_past(ch, t - 1, col)
+        if t is None:
+            return None
+    return t
+
+
+def _boundary(spec: OperatorSpec, n: int,
+              col: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (t, s, v) of the columns (col) or rows t <= n of T with s > n.
+
+    With col, t is a column of T P_n and s its row; otherwise t is a row of
+    P_n T and s its column.
+    """
+    t0 = _first_past(spec, n, col)
+    if t0 is None or t0 > n:
+        return _NO_ENTRIES
+    ts = np.arange(t0, n + 1) if n < _NATIVE else np.array(range(t0, n + 1), dtype=object)
+    pos, idx, vals = _gather(spec, ts, n, col)
+    reach = spec._reach
+    if reach is not None:
+        # every entry of a primitive here has its other index at least low
+        a, lo, hi = reach
+        low = a * t0 + lo if col else (t0 - hi) // a
+        if low > n:
+            return ts[pos], idx, vals
+    past = idx > n
+    return ts[pos][past], idx[past], vals[past]
 
 
 @dataclass(frozen=True)
@@ -439,7 +596,18 @@ def hermitian_part(a: np.ndarray, tol: float, error: type[Exception],
 # allocate a dense window and are not bound by it.
 DENSE_CELLS = 1 << 24
 
+# Matrix entries (row i, column j, value v) as one record array; indices past
+# int64 are held as Python ints.
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", complex)])
+_BIG_ENTRY = np.dtype([("i", object), ("j", object), ("v", complex)])
+
+
+def _entries(i: np.ndarray, j: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Pack index and value arrays into an _ENTRY (or _BIG_ENTRY) array."""
+    big = i.dtype == object or j.dtype == object
+    e = np.empty(len(v), _BIG_ENTRY if big else _ENTRY)
+    e["i"], e["j"], e["v"] = i, j, v
+    return e
 
 
 def check_dense(cells: int, what: str) -> None:
@@ -452,14 +620,16 @@ def check_dense(cells: int, what: str) -> None:
 def sparse_window(spec: OperatorSpec, N: int) -> scipy.sparse.csr_matrix:
     """P_N T P_N as an N x N complex CSR matrix (0-based, canonical format).
 
-    Holds the col_support entries of columns 1..N with row <= N; memory is
-    O(nnz), gathered straight into numpy arrays.
+    The kernel over columns 1..N, keeping rows <= N; memory is O(nnz).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    e = np.fromiter(((i - 1, j - 1, v) for j in range(1, N + 1)
-                     for i, v in col_support(spec, j).items() if i <= N), dtype=_ENTRY)
-    return scipy.sparse.csr_matrix((e["v"], (e["i"], e["j"])), shape=(N, N))
+    cols = np.arange(N)
+    pos, rows, vals = _gather(spec, cols + 1, N, True)
+    keep = rows <= N
+    return scipy.sparse.csr_matrix(
+        (vals[keep].astype(complex), (rows[keep].astype(np.int64) - 1, cols[pos][keep])),
+        shape=(N, N))
 
 
 def to_window(m: scipy.sparse.spmatrix) -> Window:
@@ -493,6 +663,10 @@ class ProjectionFamily:
     rule: Callable[[int], int] | None = None
     blocks: tuple[tuple[int, int], ...] = ()   # half-open 1-based (lo, hi] intervals
     bases: tuple[np.ndarray, ...] = ()
+
+    def __post_init__(self):
+        # the rule's values so far: a run over n = 1..N calls the rule N times
+        object.__setattr__(self, "_prefix", [])
 
     @classmethod
     def canonical(cls) -> "ProjectionFamily":
@@ -539,10 +713,13 @@ class ProjectionFamily:
         if self.kind == "canonical":
             return list(range(1, n + 1))
         if self.kind == "sparse":
-            ks = [self.rule(t) for t in range(1, n + 1)]
-            if any(b <= a for a, b in zip(ks, ks[1:])) or ks[0] < 1:
-                raise InvalidSpec("sparse rule is not strictly increasing")
-            return ks
+            ks = self._prefix
+            while len(ks) < n:
+                k = self.rule(len(ks) + 1)
+                if k <= (ks[-1] if ks else 0):
+                    raise InvalidSpec("sparse rule is not strictly increasing")
+                ks.append(k)
+            return ks[:n]
         if self.kind == "blocks":
             if n > len(self.blocks):
                 raise SelectorOutOfRange(f"family has {len(self.blocks)} blocks, asked for {n}")
@@ -592,33 +769,41 @@ def projection_window(fam: ProjectionFamily, n: int, N: int) -> Window:
 # exact commutators
 # ---------------------------------------------------------------------------
 
-def commutator_triplets(spec: OperatorSpec, fam: ProjectionFamily, n: int) -> list[tuple[int, int, complex]]:
-    """All nonzero entries of [T, R_n] as (row, col, value) with exact support.
+def _member(K: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Mask of the entries of x that lie in the ascending index array K."""
+    if K.dtype != x.dtype:
+        K, x = K.astype(object), x.astype(object)
+    at = np.minimum(np.searchsorted(K, x), len(K) - 1)
+    return K[at] == x
 
-    For coordinate families this uses [T,R]_(i,j) = T_(i,j)(1_K(j) - 1_K(i));
-    entries are merged by position and exact zeros dropped.
+
+def commutator_triplets(spec: OperatorSpec, fam: ProjectionFamily, n: int) -> np.ndarray:
+    """All nonzero entries of [T, R_n] as an _ENTRY array, one record per entry.
+
+    For coordinate families [T,R]_(i,j) = T_(i,j)(1_K(j) - 1_K(i)): the
+    entries of the columns in K with rows outside K, and minus the entries of
+    the rows in K with columns outside K.  Canonical families read only the
+    boundary columns and rows; sparse and blocks families test membership in
+    the sorted index set K.
     """
     if fam.kind == "explicit":
         raise InvalidSpec("triplet assembly needs a coordinate family")
-    acc: dict[tuple[int, int], complex] = {}
     if fam.kind == "canonical":
-        for j, below in _boundary(spec, n, _col_hi, col_support):
-            for i, v in below.items():
-                acc[(i, j)] = acc.get((i, j), 0) + v
-        for i, beyond in _boundary(spec, n, _row_hi, row_support):
-            for j, v in beyond.items():
-                acc[(i, j)] = acc.get((i, j), 0) - v
+        cols, rows, below = _boundary(spec, n, True)
+        rows2, cols2, beyond = _boundary(spec, n, False)
     else:
-        K = set(fam.indices(n))
-        for j in K:
-            for i, v in col_support(spec, j).items():
-                if i not in K:
-                    acc[(i, j)] = acc.get((i, j), 0) + v
-        for i in K:
-            for j, v in row_support(spec, i).items():
-                if j not in K:
-                    acc[(i, j)] = acc.get((i, j), 0) - v
-    return [(i, j, v) for (i, j), v in acc.items() if v != 0]
+        K = _as_index(fam.indices(n))
+        top = int(K[-1])
+        pos, rows, below = _gather(spec, K, top, True)
+        out = ~_member(K, rows)
+        rows, cols, below = rows[out], K[pos][out], below[out]
+        pos, cols2, beyond = _gather(spec, K, top, False)
+        out = ~_member(K, cols2)
+        rows2, cols2, beyond = K[pos][out], cols2[out], beyond[out]
+    if not len(beyond):
+        return _entries(rows, cols, below)
+    return _entries(np.concatenate((rows, rows2)), np.concatenate((cols, cols2)),
+                    np.concatenate((below, -beyond)))
 
 
 def commutator_window(spec: OperatorSpec, fam: ProjectionFamily, n: int) -> Window:
@@ -637,14 +822,12 @@ def commutator_window(spec: OperatorSpec, fam: ProjectionFamily, n: int) -> Wind
         T = compress(spec, m).entries
         R = projection_window(fam, n, m).entries
         return Window(m, T @ R - R @ T)
-    trips = commutator_triplets(spec, fam, n)
+    e = commutator_triplets(spec, fam, n)
     if fam.kind == "canonical":
         m = capture_bound(spec, n)
     else:
-        idx = fam.indices(n)
-        m = max([idx[-1]] + [max(i, j) for i, j, _ in trips]) if idx else 1
+        m = max([fam.indices(n)[-1], *e["i"].tolist(), *e["j"].tolist()])
     check_dense(m * m, f"a dense {m} x {m} commutator window")
     a = np.zeros((m, m), dtype=complex)
-    for i, j, v in trips:
-        a[i - 1, j - 1] = v
+    a[e["i"].astype(np.intp) - 1, e["j"].astype(np.intp) - 1] = e["v"]
     return Window(m, a)

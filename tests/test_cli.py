@@ -341,6 +341,28 @@ def test_output_is_written_whole_and_leaves_no_temp_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [target]
 
 
+def test_output_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "absent" / "report.csv"
+    code, out, err = run(["szego", REPO / "specs" / "szego_cos.json", "-o", target], capsys)
+    assert code == 2 and out == ""
+    assert "cannot write the report" in err and "absent" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_seminorms_exit_3(tmp_path, capsys):
+    # the entries are finite, but s1 and s2 overflow
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({"operator": {
+        "kind": "toeplitz", "bands": {"0": 1e308, "1": 1e308, "-1": 1e308}}}))
+    out = tmp_path / "r.csv"
+    code, _, err = run(["norms", spec, "--n-start", "2", "--n-end", "4", "--n-step", "1",
+                        "-o", out], capsys)
+    assert code == 3
+    assert "NumericalFailure" in err
+    assert not out.exists()
+
+
 def test_failed_rename_keeps_old_output_and_no_temp_file(tmp_path, capsys, monkeypatch):
     target = tmp_path / "report.csv"
     target.write_text("old report\n")

@@ -1,0 +1,257 @@
+"""The array kernel of ops against the per-index dict supports it replaced.
+
+The reference below evaluates supports one column or row at a time with
+dicts, straight from the term table's per-index weights (``w.at``); it is
+independent of the kernel's numpy weights, merges and joins.  Hypothesis
+draws specs of every kind, nested in sums, scales and products to depth 2,
+and canonical, sparse and blocks families, including sparse indices past
+int64.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from foelner import norms, ops
+from foelner.ops import OperatorSpec, ProjectionFamily
+
+# ---------------------------------------------------------------------------
+# reference: dict supports and dict commutator assembly
+# ---------------------------------------------------------------------------
+
+
+def ref_col_support(spec, j):
+    terms = spec._terms
+    if terms is None:
+        return _ref_composite(spec, j, ref_col_support, reversed(spec.children))
+    out = {}
+    for a, b, w in terms:
+        i = a * j + b
+        if i >= 1:
+            v = w.at(j)
+            if v != 0:
+                out[i] = v
+    return out
+
+
+def ref_row_support(spec, i):
+    terms = spec._terms
+    if terms is None:
+        return _ref_composite(spec, i, ref_row_support, spec.children)
+    out = {}
+    for a, b, w in reversed(terms):
+        j = (i - b) // a
+        if j >= 1 and a * j + b == i:
+            v = w.at(j)
+            if v != 0:
+                out[j] = v
+    return out
+
+
+def _ref_composite(spec, t, support, chain):
+    if spec.kind == "sum":
+        acc = {}
+        for ch in spec.children:
+            for s, v in support(ch, t).items():
+                acc[s] = acc.get(s, 0) + v
+        return {s: v for s, v in acc.items() if v != 0}
+    if spec.kind == "scale":
+        if spec.factor == 0:
+            return {}
+        return {s: spec.factor * v for s, v in support(spec.children[0], t).items()}
+    vec = {t: 1.0}
+    for ch in chain:
+        nxt = {}
+        for idx, coef in vec.items():
+            for s, v in support(ch, idx).items():
+                nxt[s] = nxt.get(s, 0) + coef * v
+        vec = {s: v for s, v in nxt.items() if v != 0}
+        if not vec:
+            return {}
+    return vec
+
+
+def ref_commutator(spec, fam, n):
+    """{(i, j): value} of [T, R_n], column by column and row by row."""
+    acc = {}
+    K = range(1, n + 1) if fam.kind == "canonical" else sorted(set(fam.indices(n)))
+    inside = set(K).__contains__
+    for j in K:
+        for i, v in ref_col_support(spec, j).items():
+            if not inside(i):
+                acc[(i, j)] = acc.get((i, j), 0) + v
+    for i in K:
+        for j, v in ref_row_support(spec, i).items():
+            if not inside(j):
+                acc[(i, j)] = acc.get((i, j), 0) - v
+    return {k: v for k, v in acc.items() if v != 0}
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+_SMALL = st.sampled_from([-2.5, -1.0, -0.5, 0.25, 1.0, 3.0])
+_COEF = st.one_of(_SMALL, st.builds(complex, _SMALL, _SMALL))
+_RULES = st.one_of(
+    st.sampled_from(["log", "sqrt", "linear", "inverse", "const:0"]),
+    st.builds("const:{}".format, _SMALL),
+    st.builds("pow:{}".format, st.sampled_from([-1.5, -0.5, 0.5, 2.0])))
+# rules that stay finite at any Python int
+_BIG_RULES = st.one_of(
+    st.sampled_from(["log", "inverse"]),
+    st.builds("const:{}".format, _SMALL),
+    st.builds("pow:{}".format, st.sampled_from([-1.5, -0.5])))
+_BANDS = st.dictionaries(st.integers(-3, 3), _COEF, min_size=1, max_size=4)
+
+
+def _primitives(rules, big):
+    kinds = [
+        st.builds(OperatorSpec.weighted_shift, rules),
+        st.builds(OperatorSpec.adjoint_weighted_shift, rules),
+        st.builds(OperatorSpec.diagonal, rules),
+        st.builds(OperatorSpec.dilation_shift, rules),
+        st.builds(OperatorSpec.toeplitz, _BANDS),
+    ]
+    if not big:
+        kinds += [st.just(OperatorSpec.example_a()), st.just(OperatorSpec.hermite_q()),
+                  st.just(OperatorSpec.hermite_p()), st.just(OperatorSpec.creation()),
+                  st.just(OperatorSpec.annihilation())]
+    return st.one_of(kinds)
+
+
+def _specs(depth, rules, big=False):
+    if depth == 0:
+        return _primitives(rules, big)
+    sub = _specs(depth - 1, rules, big)
+    kids = st.lists(sub, min_size=1, max_size=3)
+    return st.one_of(
+        sub,
+        kids.map(lambda c: OperatorSpec.sum(*c)),
+        kids.map(lambda c: OperatorSpec.product(*c)),
+        st.builds(OperatorSpec.scale, st.one_of(_COEF, st.just(0.0)), sub))
+
+
+SPECS = _specs(2, _RULES)
+BIG_SPECS = _specs(2, _BIG_RULES, big=True)
+
+
+@st.composite
+def _families(draw):
+    kind = draw(st.sampled_from(["canonical", "sparse", "pow2", "squares", "blocks"]))
+    if kind == "canonical":
+        return ProjectionFamily.canonical(), draw(st.integers(1, 40))
+    if kind == "sparse":
+        ks = sorted(draw(st.sets(st.integers(1, 120), min_size=1, max_size=30)))
+        return ProjectionFamily.sparse(ks), draw(st.integers(1, len(ks)))
+    if kind == "pow2":
+        return ProjectionFamily.sparse(lambda t: 2 ** t), draw(st.integers(1, 40))
+    if kind == "squares":
+        return ProjectionFamily.sparse(lambda t: t * t), draw(st.integers(1, 40))
+    cuts = sorted(draw(st.sets(st.integers(1, 80), min_size=1, max_size=12)))
+    fam = ProjectionFamily.from_boundaries([0] + cuts)
+    return fam, draw(st.integers(1, len(cuts)))
+
+
+def _as_dict(e):
+    return {(int(i), int(j)): complex(v) for i, j, v in e.tolist()}
+
+
+def _check_commutator(spec, fam, n):
+    want = ref_commutator(spec, fam, n)
+    e = ops.commutator_triplets(spec, fam, n)
+    assert len(e) == len(want)
+    assert _as_dict(e) == want
+    s2 = math.sqrt(math.fsum(x * x for v in want.values() for x in (v.real, v.imag)))
+    assert norms.report(spec, fam, n).s2 == s2
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+
+def test_array_weights_agree_with_per_index_rules():
+    # numpy's log and power round differently from libm on some indices of
+    # this range, so those rules have to stay per index
+    js = np.arange(2, 200_001)
+    rules = ["log", "sqrt", "linear", "inverse", "const:2.5", "pow:0.5", "pow:-1.5"]
+    specs = [OperatorSpec.weighted_shift(r) for r in rules] + [
+        OperatorSpec.adjoint_weighted_shift("log"), OperatorSpec.example_a(),
+        OperatorSpec.toeplitz({-1: 2 - 1j, 2: 0.5}), OperatorSpec.hermite_q(),
+        OperatorSpec.hermite_p(), OperatorSpec.creation(), OperatorSpec.annihilation()]
+    for spec in specs:
+        for _, _, w in spec._terms:
+            got = ops._weigh(w, js)
+            want = np.array([w.at(j) for j in js.tolist()], dtype=complex)
+            assert np.array_equal(got, want), spec
+
+
+_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@_SETTINGS
+@given(SPECS, st.lists(st.one_of(st.integers(1, 60), st.integers(1, 2 ** 40)),
+                       min_size=1, max_size=4))
+def test_supports_match_reference_in_order(spec, ts):
+    for t in ts:
+        assert list(ops.col_support(spec, t).items()) == list(ref_col_support(spec, t).items())
+        assert list(ops.row_support(spec, t).items()) == list(ref_row_support(spec, t).items())
+
+
+@_SETTINGS
+@given(BIG_SPECS, st.integers(1, 1100))
+def test_supports_past_int64_match_reference(spec, k):
+    for t in (2 ** k, 2 ** k + 1, 3 ** (k // 2 + 1)):
+        assert list(ops.col_support(spec, t).items()) == list(ref_col_support(spec, t).items())
+        assert list(ops.row_support(spec, t).items()) == list(ref_row_support(spec, t).items())
+
+
+def test_supports_around_the_int64_switch():
+    # past 2^26 indices run per index: there j*j needs more than 53 bits and
+    # libm's pow(j, 2) may round an exact tie differently from j*j
+    ts = [2 ** 26 - 1, 2 ** 26, 2 ** 26 + 1, *range(2 ** 27 - 41, 2 ** 27, 2),
+          2 ** 53 + 1, 2 ** 63 + 1]
+    for spec in (OperatorSpec.example_a(), OperatorSpec.weighted_shift("inverse"),
+                 OperatorSpec.dilation_shift(), OperatorSpec.hermite_p()):
+        for t in ts:
+            assert ops.col_support(spec, t) == ref_col_support(spec, t)
+            assert ops.row_support(spec, t) == ref_row_support(spec, t)
+
+
+@_SETTINGS
+@given(SPECS, _families())
+def test_commutator_triplets_match_reference(spec, fam_n):
+    _check_commutator(spec, *fam_n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(BIG_SPECS, st.integers(1, 1100))
+def test_commutator_triplets_past_int64_match_reference(spec, n):
+    _check_commutator(spec, ProjectionFamily.sparse(lambda t: 2 ** t), n)
+
+
+@_SETTINGS
+@given(SPECS, st.integers(1, 200), st.booleans())
+def test_first_past_is_where_the_reach_bound_passes_n(spec, n, col):
+    hi = (lambda t: ops._col_hi(spec, t)) if col else (lambda t: ops._row_hi(spec, t))
+    t = ops._first_past(spec, n, col)
+    if t is None:
+        assert all(hi(s) <= n for s in range(1, 4 * n + 8))
+    else:
+        assert hi(t) > n and (t == 1 or hi(t - 1) <= n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(SPECS, st.integers(1, 30))
+def test_sparse_window_matches_reference(spec, N):
+    want = np.zeros((N, N), dtype=complex)
+    for j in range(1, N + 1):
+        for i, v in ref_col_support(spec, j).items():
+            if i <= N:
+                want[i - 1, j - 1] = v
+    m = ops.sparse_window(spec, N)
+    assert m.nnz == np.count_nonzero(want)
+    assert np.array_equal(m.toarray(), want)

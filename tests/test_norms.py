@@ -231,9 +231,10 @@ def test_triplet_svals_match_dense_svd(shapes, complex_values):
     rng = np.random.default_rng(len(shapes) * 7 + complex_values)
     for _ in range(5):
         trips = _block_triplets(rng, shapes, complex_values)
-        assert len(norms._components(trips)) == len(shapes)
+        e = np.asarray(trips, dtype=ops._ENTRY)
+        assert len(norms._components(e)) == len(shapes)
         got = norms._triplet_svals(trips)
-        want = np.linalg.svd(norms._compact(trips), compute_uv=False)
+        want = np.linalg.svd(norms._compact(e), compute_uv=False)
         assert np.all(got[:-1] >= got[1:])
         assert got.size == sum(min(h, w) for h, w in shapes)
         padded = np.concatenate([got, np.zeros(want.size - got.size)])
