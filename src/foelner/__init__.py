@@ -42,6 +42,7 @@ from .norms import (
     report_sequence,
     seminorm,
     u_norm,
+    u_sequence,
 )
 from .decomp import (
     Decomposition,

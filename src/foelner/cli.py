@@ -29,6 +29,7 @@ from . import __version__, berg, decomp, norms, ops, szego, weyl
 from .errors import FoelnerError, InvalidSpec
 
 _SCHEMA: dict | None = None
+_VALIDATOR = None
 
 
 def spec_schema() -> dict:
@@ -40,11 +41,20 @@ def spec_schema() -> dict:
 
 
 def validate_document(doc) -> None:
-    try:
-        jsonschema.validate(doc, spec_schema())
-    except jsonschema.ValidationError as exc:
+    """Raise InvalidSpec with the error jsonschema.validate would raise for doc.
+
+    The validator is built on the first call and kept; unlike
+    jsonschema.validate it does not check the schema against its meta-schema
+    each time (the tests check the shipped schema once).
+    """
+    global _VALIDATOR
+    if _VALIDATOR is None:
+        schema = spec_schema()
+        _VALIDATOR = jsonschema.validators.validator_for(schema)(schema)
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise InvalidSpec(f"spec rejected at {path}: {exc.message}") from None
+        raise InvalidSpec(f"spec rejected at {path}: {exc.message}")
 
 
 def load_spec_file(path: str) -> tuple[dict, str]:
@@ -152,11 +162,9 @@ def _meta_obj(args, spec_hash: str | None) -> dict:
 
 
 def _norm_csv(rows) -> list[str]:
-    out = ["n,rank,u,s1,s2,ratio1,ratio2"]
-    for r in rows:
-        out.append(",".join([_num(r.n), _num(r.rank), _num(r.u), _num(r.s1),
-                             _num(r.s2), _num(r.ratio1), _num(r.ratio2)]))
-    return out
+    # the fields are Python ints and floats, so this is _num of each
+    return ["n,rank,u,s1,s2,ratio1,ratio2"] + [
+        f"{r.n},{r.rank},{r.u!r},{r.s1!r},{r.s2!r},{r.ratio1!r},{r.ratio2!r}" for r in rows]
 
 
 def _row_obj(r) -> dict:

@@ -11,6 +11,7 @@ with small Foelner ratios on very sparse index sets.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,21 +38,15 @@ def select_subsequence(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
     if search_limit < 1:
         raise ValueError("search_limit must be >= 1")
     picked: list[int] = []
-    n = 1
-    i = 1
+    # one pass over n = 1..search_limit: n is picked when its norm is below the
+    # threshold of the next position; u comes in doubling chunks of n
+    n, size = 1, 1
     while n <= search_limit:
-        threshold = epsilon / 2 ** (i + 1)
-        found = None
-        while n <= search_limit:
-            if norms.u_norm(spec, fam, n) < threshold:
-                found = n
-                break
-            n += 1
-        if found is None:
-            break
-        picked.append(found)
-        i += 1
-        n = found + 1
+        chunk = range(n, min(n + size, search_limit + 1))
+        for m, u in zip(chunk, norms.u_sequence(spec, fam, chunk)):
+            if u < math.ldexp(epsilon, -(len(picked) + 2)):
+                picked.append(m)
+        n, size = chunk.stop, 2 * size
     if not picked:
         raise NotQuasidiagonalAlongFamily(
             f"no rank n <= {search_limit} has ||[T, P_n]||_u < {epsilon / 4}")

@@ -18,19 +18,22 @@ against every coordinate projection) have singular values equal to the entry
 moduli; that exact path avoids the SVD entirely.  From triplets, s2 is the
 square root of the correctly rounded sum (math.fsum) of the squared real and
 imaginary parts of the entries, so it does not depend on their order.
+A grid of n takes one pass for all its commutators (_grid), with the same
+bits as one report per n.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse
 
 from . import ops
-from .errors import NumericalFailure, TooFewSamples
+from .errors import InvalidSpec, NumericalFailure, TooFewSamples
 
 _MODES = ("u", "s1", "s2")
 
@@ -109,13 +112,35 @@ def _triplet_svals(entries) -> np.ndarray:
 
 def _frobenius(v: np.ndarray) -> float:
     """sqrt of the correctly rounded sum of the squared parts of v; inf on overflow."""
-    squares = (v.real * v.real).tolist()
-    if v.imag.any():
-        squares += (v.imag * v.imag).tolist()
+    squares = v.real * v.real
+    if v.dtype.kind == "c" and v.imag.any():
+        squares = np.concatenate((squares, v.imag * v.imag))
     try:
-        return math.sqrt(math.fsum(squares))
+        return math.sqrt(_exact_sum(squares))
     except OverflowError:
         return math.inf
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """The correctly rounded sum of the finite nonnegative floats x, as math.fsum gives it.
+
+    Long arrays are summed exactly in integers: x = m 2^(e-53) with a 53-bit
+    integer m (np.frexp), whose top 27 and low 26 bits are added per exponent
+    by np.bincount, exactly while fewer than 2^26 of them are.
+    """
+    if not 2048 <= len(x) < 1 << 26 or not np.isfinite(x).all():
+        return math.fsum(x.tolist())
+    frac, exp = np.frexp(x)
+    frac *= 2.0 ** 27
+    high = np.floor(frac)
+    frac -= high                      # the low 26 bits, as a fraction
+    frac *= 2.0 ** 26
+    base = int(exp.min())
+    k = exp - base
+    total = sum((int(h) << 26) + int(r) << s for s, (h, r) in enumerate(zip(
+        np.bincount(k, weights=high).tolist(), np.bincount(k, weights=frac).tolist())))
+    shift = 53 - base
+    return total / (1 << shift) if shift >= 0 else float(total << -shift)
 
 
 def seminorm(w: ops.Window | np.ndarray, mode: str) -> float:
@@ -149,42 +174,316 @@ class NormReport:
 
 
 def report(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, n: int) -> NormReport:
-    """Exact seminorms of [T, R_n] against the given family.
-
-    s2 is the square root of the correctly rounded sum of the squared real
-    and imaginary parts of the commutator's entries (a dense Frobenius norm
-    for explicit families).  Raises NumericalFailure when u, s1 or s2 is not
-    finite.
-    """
-    if fam.kind == "explicit":
-        w = ops.commutator_window(spec, fam, n)
-        sv = _svdvals(w.entries)
-        s2 = float(np.linalg.norm(w.entries))
-    else:
-        e = ops.commutator_triplets(spec, fam, n)
-        sv = _triplet_svals(e)
-        s2 = _frobenius(e["v"])
-    u = float(sv[0]) if sv.size else 0.0
-    s1 = float(sv.sum())
-    if not (math.isfinite(u) and math.isfinite(s1) and math.isfinite(s2)):
-        raise NumericalFailure(f"seminorms of [T, R_{n}] are not finite: "
-                               f"u={u}, s1={s1}, s2={s2}")
-    return NormReport(n=n, rank=fam.rank(n), u=u, s1=s1, s2=s2)
+    """Exact seminorms of [T, R_n] against the given family (a one-point grid)."""
+    return _reports(spec, fam, [n])[0]
 
 
 def report_sequence(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
                     ns: Sequence[int]) -> list[NormReport]:
-    """Norm reports along increasing family indices."""
+    """Norm reports along increasing family indices.
+
+    s2 is the square root of the correctly rounded sum of the squared real
+    and imaginary parts of the commutator's entries (a dense Frobenius norm
+    for explicit families).  A coordinate family takes one grid pass for all
+    of ns (see _grid).  Raises NumericalFailure when u, s1 or s2 is not
+    finite.
+    """
     ns = list(ns)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n values must be strictly increasing")
-    return [report(spec, fam, n) for n in ns]
+    return _reports(spec, fam, ns)
+
+
+def _reports(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int]) -> list[NormReport]:
+    if fam.kind == "explicit":
+        norms = (_explicit_norms(spec, fam, n) for n in ns)
+    else:
+        norms = _per_grid(spec, fam, ns, full=True)
+    out = []
+    for n, (u, s1, s2) in zip(ns, norms):
+        if not (math.isfinite(u) and math.isfinite(s1) and math.isfinite(s2)):
+            raise NumericalFailure(f"seminorms of [T, R_{n}] are not finite: "
+                                   f"u={u}, s1={s1}, s2={s2}")
+        out.append(NormReport(n=n, rank=fam.rank(n), u=u, s1=s1, s2=s2))
+    return out
+
+
+def _explicit_norms(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
+                    n: int) -> tuple[float, float, float]:
+    """u, s1, s2 of the dense commutator window of an explicit family."""
+    w = ops.commutator_window(spec, fam, n)
+    sv = _svdvals(w.entries)
+    return float(sv[0]) if sv.size else 0.0, float(sv.sum()), float(np.linalg.norm(w.entries))
+
+
+def u_sequence(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
+               ns: Sequence[int]) -> list[float]:
+    """Operator norms of [T, R_n] along increasing n of a coordinate family."""
+    if fam.kind == "explicit":
+        raise InvalidSpec("triplet assembly needs a coordinate family")
+    return [u for u, _, _ in _per_grid(spec, fam, list(ns), full=False)]
 
 
 def u_norm(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, n: int) -> float:
     """Operator norm of [T, R_n] alone (cheaper than a full report)."""
-    sv = _triplet_svals(ops.commutator_triplets(spec, fam, n))
-    return float(sv[0]) if sv.size else 0.0
+    return u_sequence(spec, fam, [n])[0]
+
+
+# ---------------------------------------------------------------------------
+# the grid pass: seminorms of [T, R_n] for a whole grid of n at once
+# ---------------------------------------------------------------------------
+
+# Most (entry, grid point) pairs one chunk of a grid pass expands to; a grid
+# point with more entries than this is a chunk of its own.
+_CHUNK = 1 << 18
+# Most columns (rows) one gather of a canonical grid pass reads; a longer
+# grid is cut into groups of consecutive points.
+_GATHER = 1 << 17
+
+
+def _per_grid(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int],
+              full: bool) -> Iterator[tuple[float, float, float]]:
+    """(u, s1, s2) for each n of ns: _grid, or one point at a time if the pass raises.
+
+    The one-point passes run as they are consumed, so the first n that fails
+    raises what a report of that n alone raises.
+    """
+    try:
+        return zip(*_grid(spec, fam, ns, full))
+    except Exception:
+        if len(ns) < 2:
+            raise
+        return (next(zip(*_grid(spec, fam, [n], full))) for n in ns)
+
+
+def _grid_entries(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int]):
+    """The entries of T that lie in [T, R_n] for some n of the ascending grid ns.
+
+    Returns arrays (i, j, v, lo, hi): entry (i, j) with value v lies in
+    [T, R_n] exactly for n = ns[lo] .. ns[hi - 1].  With r(k) the least n
+    whose index set holds k (k itself for canonical families, its position
+    for sparse ones, its block for blocks, and past the grid if no set holds
+    it), column entries T_(i,j) count with sign + for r(j) <= n < r(i) and
+    row entries with sign - for r(i) <= n < r(j).  Canonical families read
+    the columns (rows) of the union of the per-n boundary ranges
+    [_first_past(n), n]; sparse and blocks families read their largest
+    index set.
+    """
+    top = ns[-1]
+    grid = ops._as_index(ns)
+    if fam.kind == "canonical":
+        K = None
+        r_of = lambda x: x
+    else:
+        K = ops._as_index(fam.indices(top))
+        if fam.kind == "sparse":
+            rk = np.arange(1, top + 1)
+        else:
+            rk = np.repeat(np.arange(1, top + 1), [b - a for a, b in fam.blocks[:top]])
+
+        def r_of(x):
+            at, hit = ops._find(K, x)
+            return np.where(hit, rk[at], top + 1)
+
+    def place(r):
+        return np.searchsorted(grid.astype(object) if r.dtype != grid.dtype else grid, r)
+
+    parts = []
+    for col in (True, False):
+        if K is None:
+            t0 = ops._first_past(spec, grid, col)
+            if t0 is None:
+                continue
+            # each n reads [t0(n), n] less what an earlier n of the grid read,
+            # so the indices read for ns[g] lie in (ns[g - 1], ns[g]]
+            ts, at = _ranges(np.maximum(t0, np.concatenate(([0], grid[:-1])) + 1), grid)
+        else:
+            ts, at = K, place(rk)
+        pos, x, vals = ops._gather(spec, ts, top if K is None else int(K[-1]), col)
+        lo, hi = at[pos], place(r_of(x))
+        part = (x, ts[pos]) if col else (ts[pos], x)
+        part += (vals if col else -vals, lo, hi)
+        keep = hi > lo
+        if not keep.all():
+            part = tuple(y[keep] for y in part)
+        if len(part[2]):
+            parts.append(part)
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return _NO_PAIRS
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+_NO_PAIRS = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0),
+             np.zeros(0, np.intp), np.zeros(0, np.intp))
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integers lo[g] .. hi[g] for every g, concatenated, and the g of each.
+
+    Ranges with lo[g] > hi[g] are empty.
+    """
+    count = np.maximum(hi - lo + 1, 0)
+    owner = np.repeat(np.arange(len(hi)), count.astype(np.intp))
+    if hi.dtype == object:
+        return np.array([k for a, b in zip(lo.tolist(), hi.tolist()) for k in range(a, b + 1)],
+                        dtype=object), owner
+    return np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum()), owner
+
+
+def _grid(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int],
+          full: bool) -> tuple[list[float], list[float], list[float]]:
+    """u, s1, s2 of [T, R_n] for every n of the ascending grid ns (s1, s2 only if full).
+
+    Each entry of _grid_entries is expanded into one (entry, grid point) pair
+    per grid point of its range, chunk by chunk of grid points (_chunks), and
+    the pairs of one grid point form its segment; _segments evaluates them.
+    """
+    if len(ns) == 1:
+        u, s1, s2 = _group(spec, fam, ns, full)
+        return [u], [s1], [s2]
+    u, s1, s2 = np.zeros(len(ns)), np.zeros(len(ns)), np.zeros(len(ns))
+    for group in _groups(spec, fam, ns):
+        u[group], s1[group], s2[group] = _group(spec, fam, ns[group], full)
+    return u.tolist(), s1.tolist(), s2.tolist()
+
+
+def _group(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int], full: bool):
+    """u, s1, s2 arrays of one group of _grid (floats for a single point)."""
+    G = len(ns)
+    if G == 1:
+        # the pass at one point reads just the boundary of R_n
+        return _segment_norms(*ops._commutator_arrays(spec, fam, ns[0]), full)
+    u, s1, s2 = np.zeros(G), np.zeros(G), np.zeros(G)
+    i, j, v, lo, hi = _grid_entries(spec, fam, ns)
+    for ga, gb, cand in _chunks(lo, hi, G):
+        i_, j_, v_ = i[cand], j[cand], v[cand]
+        if gb - ga == 1:
+            u[ga], s1[ga], s2[ga] = _segment_norms(i_, j_, v_, full)
+        elif len(v_):
+            a, b = np.maximum(lo[cand], ga), np.minimum(hi[cand], gb)
+            count = b - a
+            if count.max() == 1:
+                src, seg = None, a - ga
+            else:
+                src = np.repeat(np.arange(len(v_)), count)
+                seg = np.arange(len(src)) - np.repeat(np.cumsum(count) - count - (a - ga), count)
+            u[ga:gb], s1[ga:gb], s2[ga:gb] = _segments(i_, j_, v_, src, seg, gb - ga, full)
+    return u, s1, s2
+
+
+def _groups(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int]) -> list[slice]:
+    """Groups of consecutive grid points whose boundary ranges fit in _GATHER indices.
+
+    Every range [_first_past(n), n] of a group starts at or after the first
+    point's, so a group ends before t + _GATHER, t the first point's least
+    start.  Sparse and blocks families are one group.
+    """
+    if fam.kind != "canonical":
+        return [slice(0, len(ns))]
+    groups, g = [], 0
+    while g < len(ns):
+        starts = [t for t in (ops._first_past(spec, ns[g], col) for col in (True, False))
+                  if t is not None]
+        h = bisect.bisect_right(ns, min(starts, default=ns[g]) + _GATHER - 1, g + 1)
+        groups.append(slice(g, h))
+        g = h
+    return groups
+
+
+def _chunks(lo: np.ndarray, hi: np.ndarray, G: int):
+    """Chunks (ga, gb, entries) of grid points ga..gb-1 and the entries whose range meets them.
+
+    A chunk expands to at most _CHUNK (entry, grid point) pairs unless it is
+    a single grid point.  Entries are taken in order of lo, and those that
+    reach past a chunk are carried into the next.
+    """
+    if int(np.sum(hi - lo)) <= _CHUNK:
+        yield 0, G, slice(None)
+        return
+    active = np.cumsum(np.bincount(lo, minlength=G + 1) - np.bincount(hi, minlength=G + 1))[:G]
+    total = np.cumsum(active)
+    order = np.argsort(lo, kind="stable")
+    starts = lo[order]
+    carry = order[:0]
+    ga = taken = 0
+    while ga < G:
+        done = total[ga - 1] if ga else 0
+        gb = max(ga + 1, int(np.searchsorted(total, done + _CHUNK, side="right")))
+        upto = int(np.searchsorted(starts, gb))
+        cand = np.concatenate((carry, order[taken:upto]))
+        taken = upto
+        yield ga, gb, cand
+        carry = cand[hi[cand] > gb]
+        ga = gb
+
+
+def _segment_norms(i: np.ndarray, j: np.ndarray, v: np.ndarray,
+                   full: bool) -> tuple[float, float, float]:
+    """u, s1, s2 of the sparse matrix with merged entries (i, j, v) (s1, s2 only if full)."""
+    if _distinct(i) and _distinct(j):
+        if not full:
+            return (float(np.abs(v).max()) if len(v) else 0.0), 0.0, 0.0
+        sv = np.sort(np.abs(v))[::-1]
+    else:
+        sv = _triplet_svals(ops._entries(i, j, v))
+    u = float(sv[0]) if sv.size else 0.0
+    return (u, float(sv.sum()), _frobenius(v)) if full else (u, 0.0, 0.0)
+
+
+def _segments(i, j, v, src, seg, S, full):
+    """u, s1, s2 arrays of S segments; pair k is entry src[k] (k if src is None) in segment seg[k].
+
+    Segments of 8 or more entries go through _segment_norms one by one.  The
+    smaller ones become rows of 7 zero-padded columns, all tested and summed
+    at once: sorting a row of row (column) indices shows whether they are
+    distinct, and np.sum adds fewer than 8 terms one by one from 0.0, which
+    the column-by-column sum of the sorted moduli repeats.
+    """
+    if np.any(seg[1:] < seg[:-1]):
+        # a stable sort of 16-bit keys is a radix sort
+        order = np.argsort(seg.astype(np.uint16) if S <= 1 << 16 else seg, kind="stable")
+        src, seg = (order if src is None else src[order]), seg[order]
+    count = np.bincount(seg, minlength=S)
+    end = np.cumsum(count)
+    start = end - count
+    u, s1, s2 = np.zeros(S), np.zeros(S), np.zeros(S)
+    small = count < 8
+    rows = np.flatnonzero(small)
+    if rows.size:
+        at = small[seg]
+        e, g = (np.flatnonzero(at) if src is None else src[at]), seg[at]
+        cell = ((np.cumsum(small) - 1)[g], np.flatnonzero(at) - start[g])
+
+        def table(x, pad):
+            t = np.tile(pad, (len(rows), 1))
+            t[cell] = x
+            return t
+
+        solo = np.ones(len(rows), bool)
+        for x in (i, j):
+            ids = _dense_ids(x[e])[0] if x.dtype == object else x[e]
+            t = np.sort(table(ids, -1 - np.arange(7)), axis=1)
+            solo &= ~(t[:, 1:] == t[:, :-1]).any(axis=1)
+        mods = np.sort(table(np.abs(v[e]), np.zeros(7)), axis=1)[:, ::-1]
+        u[rows] = mods[:, 0]
+        if full:
+            acc = mods[:, 0].copy()
+            for c in range(1, 7):
+                acc += mods[:, c]
+            s1[rows] = acc
+            squares = np.hstack([table(x[e] * x[e], np.zeros(7)) for x in (v.real, v.imag)])
+            # a sum with at most two nonzero terms rounds once, as math.fsum does
+            total = squares.sum(axis=1)
+            many = np.count_nonzero(squares, axis=1) > 2
+            total[many] = [math.fsum(r) for r in squares[many].tolist()]
+            s2[rows] = np.sqrt(total)
+        rows = rows[~solo]
+    for k in np.concatenate((np.flatnonzero(~small), rows)).tolist():
+        at = slice(start[k], end[k]) if src is None else src[start[k]:end[k]]
+        u[k], s1[k], s2[k] = _segment_norms(i[at], j[at], v[at], full)
+    return u, s1, s2
 
 
 # ---------------------------------------------------------------------------

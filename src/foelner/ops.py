@@ -61,6 +61,16 @@ def _constant(c: complex) -> _Weight:
     return _Weight(lambda j: c, lambda js: np.full(len(js), c if c.imag else c.real))
 
 
+def _checked(f: Callable[[int], complex], what: str) -> Callable[[int], complex]:
+    """f per index, raising WeightUndefined where it overflows the float range."""
+    def at(n: int) -> complex:
+        try:
+            return f(n)
+        except OverflowError:
+            raise WeightUndefined(f"{what} weight overflows at index {n}") from None
+    return at
+
+
 def _parse_weight(rule: str) -> _Weight:
     """Turn a weight-rule string into a _Weight (index -> float evaluator).
 
@@ -75,19 +85,9 @@ def _parse_weight(rule: str) -> _Weight:
         # math.log accepts arbitrary-precision ints directly
         return _Weight(lambda n: math.log(n))
     if rule == "sqrt":
-        def _sqrt(n: int) -> float:
-            try:
-                return math.sqrt(n)
-            except OverflowError:
-                raise WeightUndefined(f"sqrt weight overflows at index {n}") from None
-        return _Weight(_sqrt, np.sqrt)
+        return _Weight(_checked(math.sqrt, "sqrt"), np.sqrt)
     if rule == "linear":
-        def _lin(n: int) -> float:
-            try:
-                return float(n)
-            except OverflowError:
-                raise WeightUndefined(f"linear weight overflows at index {n}") from None
-        return _Weight(_lin, lambda js: js.astype(float))
+        return _Weight(_checked(float, "linear"), lambda js: js.astype(float))
     if rule == "inverse":
         # int/int division is correctly rounded even for huge denominators
         return _Weight(lambda n: 1 / n, lambda js: 1 / js)
@@ -113,8 +113,9 @@ def _parse_weight(rule: str) -> _Weight:
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_CREATION = _Weight(math.sqrt, np.sqrt)
-_HERMITE_Q = _Weight(lambda j: math.sqrt(j) * _INV_SQRT2, lambda js: np.sqrt(js) * _INV_SQRT2)
+_CREATION = _parse_weight("sqrt")
+_HERMITE_Q = _Weight(_checked(lambda j: math.sqrt(j) * _INV_SQRT2, "hermite_q"),
+                     lambda js: np.sqrt(js) * _INV_SQRT2)
 
 # Every primitive kind as elementary terms (a, b, w): column j holds w(j) in
 # row a*j + b.  Rows below 1 and zero values are dropped, so a term may switch
@@ -127,15 +128,16 @@ _PRIMITIVES: dict[str, Callable[["OperatorSpec"], tuple[tuple[int, int, _Weight]
     "diagonal": lambda s: ((1, 0, _parse_weight(s.weight)),),
     "dilation_shift": lambda s: ((2, 0, _parse_weight(s.weight or "sqrt")),),
     "example_A": lambda s: (
-        (1, 0, _Weight(lambda j: float(j) ** 2, lambda js: np.square(js.astype(float)))),
+        (1, 0, _Weight(_checked(lambda j: float(j) ** 2, "example_A"),
+                       lambda js: np.square(js.astype(float)))),
         (1, 1, _Weight(lambda j: 1 / j if j % 2 else 0,
                        lambda js: np.where(js % 2 == 1, 1 / js, 0.0)))),
     "toeplitz": lambda s: tuple((1, off, _constant(v)) for off, v in reversed(s.bands)),
     "hermite_q": lambda s: ((1, 1, _HERMITE_Q), (1, -1, _shifted(_HERMITE_Q))),
     "hermite_p": lambda s: (
-        (1, 1, _Weight(lambda j: 1j * math.sqrt(j) * _INV_SQRT2,
+        (1, 1, _Weight(_checked(lambda j: 1j * math.sqrt(j) * _INV_SQRT2, "hermite_p"),
                        lambda js: 1j * (np.sqrt(js) * _INV_SQRT2))),
-        (1, -1, _Weight(lambda j: -1j * math.sqrt(j - 1) * _INV_SQRT2,
+        (1, -1, _Weight(_checked(lambda j: -1j * math.sqrt(j - 1) * _INV_SQRT2, "hermite_p"),
                         lambda js: -1j * (np.sqrt(js - 1) * _INV_SQRT2)))),
     "creation": lambda s: ((1, 1, _CREATION),),
     "annihilation": lambda s: ((1, -1, _shifted(_CREATION)),),
@@ -517,21 +519,26 @@ def capture_bound(spec: OperatorSpec, n: int) -> int:
     return m
 
 
-def _first_past(spec: OperatorSpec, n: int, col: bool) -> int | None:
+def _first_past(spec: OperatorSpec, n, col: bool):
     """Smallest t >= 1 whose reach bound (_col_hi, or _row_hi) passes n; None if none.
 
-    Closed form for a primitive; a sum takes its children's least, and a
-    product inverts its chain of monotone bounds from the outermost factor in.
+    n is an int, or an index array of them (then t is an array too; None
+    does not depend on n).  Closed form for a primitive; a sum takes its
+    children's least, and a product inverts its chain of monotone bounds
+    from the outermost factor in.
     """
     reach = spec._reach
     if reach is not None:
         a, lo, hi = reach
-        return max(1, (n - hi) // a + 1 if col else a * (n + 1) + lo)
+        t = (n - hi) // a + 1 if col else a * (n + 1) + lo
+        return np.maximum(t, 1) if isinstance(t, np.ndarray) else max(1, t)
     if spec.kind == "scale":
         return _first_past(spec.children[0], n, col)
     if spec.kind == "sum":
         starts = [t for t in (_first_past(ch, n, col) for ch in spec.children) if t is not None]
-        return min(starts, default=None)
+        if not starts:
+            return None
+        return np.minimum.reduce(starts) if isinstance(n, np.ndarray) else min(starts)
     if spec.kind != "product":
         return None                    # a primitive without terms
     t = n + 1
@@ -769,16 +776,22 @@ def projection_window(fam: ProjectionFamily, n: int, N: int) -> Window:
 # exact commutators
 # ---------------------------------------------------------------------------
 
-def _member(K: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Mask of the entries of x that lie in the ascending index array K."""
+def _find(K: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each entry of x: a position in the ascending index array K, and whether x is there."""
     if K.dtype != x.dtype:
         K, x = K.astype(object), x.astype(object)
     at = np.minimum(np.searchsorted(K, x), len(K) - 1)
-    return K[at] == x
+    return at, K[at] == x
 
 
 def commutator_triplets(spec: OperatorSpec, fam: ProjectionFamily, n: int) -> np.ndarray:
-    """All nonzero entries of [T, R_n] as an _ENTRY array, one record per entry.
+    """All nonzero entries of [T, R_n] as an _ENTRY array, one record per entry."""
+    return _entries(*_commutator_arrays(spec, fam, n))
+
+
+def _commutator_arrays(spec: OperatorSpec, fam: ProjectionFamily,
+                       n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of [T, R_n] as arrays (rows, columns, values).
 
     For coordinate families [T,R]_(i,j) = T_(i,j)(1_K(j) - 1_K(i)): the
     entries of the columns in K with rows outside K, and minus the entries of
@@ -795,15 +808,15 @@ def commutator_triplets(spec: OperatorSpec, fam: ProjectionFamily, n: int) -> np
         K = _as_index(fam.indices(n))
         top = int(K[-1])
         pos, rows, below = _gather(spec, K, top, True)
-        out = ~_member(K, rows)
+        out = ~_find(K, rows)[1]
         rows, cols, below = rows[out], K[pos][out], below[out]
         pos, cols2, beyond = _gather(spec, K, top, False)
-        out = ~_member(K, cols2)
+        out = ~_find(K, cols2)[1]
         rows2, cols2, beyond = K[pos][out], cols2[out], beyond[out]
     if not len(beyond):
-        return _entries(rows, cols, below)
-    return _entries(np.concatenate((rows, rows2)), np.concatenate((cols, cols2)),
-                    np.concatenate((below, -beyond)))
+        return rows, cols, below
+    return (np.concatenate((rows, rows2)), np.concatenate((cols, cols2)),
+            np.concatenate((below, -beyond)))
 
 
 def commutator_window(spec: OperatorSpec, fam: ProjectionFamily, n: int) -> Window:

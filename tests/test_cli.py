@@ -7,10 +7,12 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from foelner import cli, ops
+from foelner.errors import InvalidSpec
 
 REPO = Path(__file__).resolve().parents[1]
 SPECS = sorted((REPO / "specs").glob("*.json"))
@@ -375,3 +377,34 @@ def test_failed_rename_keeps_old_output_and_no_temp_file(tmp_path, capsys, monke
         run(["szego", REPO / "specs" / "szego_cos.json", "-o", target], capsys)
     assert target.read_text() == "old report\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_shipped_schema_passes_its_meta_schema():
+    # validate_document builds its validator without checking the schema
+    schema = cli.spec_schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize("doc", [
+    [], {"oops": 1}, {"operator": {"kind": "nope"}},
+    {"operator": {"kind": "toeplitz", "bands": {}}},
+    {"operator": {"kind": "sum", "children": [{"kind": "x"}]}},
+    {"projection": {"kind": "sparse"}}, {"experiment": {"n_start": -1}}])
+def test_rejection_message_is_that_of_jsonschema_validate(doc):
+    with pytest.raises(jsonschema.ValidationError) as exc:
+        jsonschema.validate(doc, cli.spec_schema())
+    path = "/".join(str(p) for p in exc.value.absolute_path) or "<root>"
+    with pytest.raises(InvalidSpec) as got:
+        cli.validate_document(doc)
+    assert str(got.value) == f"spec rejected at {path}: {exc.value.message}"
+
+
+@pytest.mark.parametrize("kind", ["creation", "hermite_q", "example_A"])
+def test_weight_past_float_range_exits_3(tmp_path, capsys, kind):
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"operator": {"kind": kind},
+                                "projection": {"kind": "sparse", "rule": "pow2"}}))
+    code, out, err = run(["sparse", spec, "--n-start", "1100", "--n-end", "1100"], capsys)
+    assert code == 3
+    assert "WeightUndefined" in err and "Traceback" not in err
+    assert out == ""

@@ -22,6 +22,9 @@ def test_select_inverse_prefix():
 def test_select_diagonal_takes_everything():
     spec = ops.OperatorSpec.diagonal("sqrt")
     assert decomp.select_subsequence(spec, CANON, 0.3, search_limit=7) == [1, 2, 3, 4, 5, 6, 7]
+    # the thresholds 0.3/2^(i+1) round to 0.0 from i = 1073 on, and u = 0 stops there
+    assert decomp.select_subsequence(spec, CANON, 0.3, search_limit=1100) == \
+        list(range(1, 1073))
 
 
 def test_select_constant_shift_fails():

@@ -5,17 +5,30 @@ dicts, straight from the term table's per-index weights (``w.at``); it is
 independent of the kernel's numpy weights, merges and joins.  Hypothesis
 draws specs of every kind, nested in sums, scales and products to depth 2,
 and canonical, sparse and blocks families, including sparse indices past
-int64.
+int64.  The grid pass of norms is checked against reports built per n from
+commutator_triplets, and select_subsequence against a per-n scan.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foelner import norms, ops
+from foelner import cli, decomp, norms, ops
+from foelner.errors import NotQuasidiagonalAlongFamily
 from foelner.ops import OperatorSpec, ProjectionFamily
+
+try:
+    import resource
+except ImportError:            # not on Windows
+    resource = None
 
 # ---------------------------------------------------------------------------
 # reference: dict supports and dict commutator assembly
@@ -255,3 +268,125 @@ def test_sparse_window_matches_reference(spec, N):
     m = ops.sparse_window(spec, N)
     assert m.nnz == np.count_nonzero(want)
     assert np.array_equal(m.toarray(), want)
+
+
+# ---------------------------------------------------------------------------
+# the grid pass of norms against per-n reports
+# ---------------------------------------------------------------------------
+
+
+def ref_norms(spec, fam, n):
+    """(rank, u, s1, s2) of [T, R_n] from its triplets alone, as report built them per n."""
+    e = ops.commutator_triplets(spec, fam, n)
+    sv = norms._triplet_svals(e)
+    v = e["v"]
+    s2 = math.sqrt(math.fsum((v.real * v.real).tolist() + (v.imag * v.imag).tolist()))
+    return fam.rank(n), float(sv[0]) if sv.size else 0.0, float(sv.sum()), s2
+
+
+@st.composite
+def _family_grids(draw):
+    """A coordinate family and an increasing grid of its ranks: step-1, geometric or one point."""
+    kind = draw(st.sampled_from(["canonical", "sparse", "pow2", "blocks"]))
+    if kind == "canonical":
+        fam, top = ProjectionFamily.canonical(), 60
+    elif kind == "sparse":
+        ks = sorted(draw(st.sets(st.integers(1, 150), min_size=1, max_size=40)))
+        fam, top = ProjectionFamily.sparse(ks), len(ks)
+    elif kind == "pow2":
+        # indices reach 2^40, past the int64 index arrays of the kernel
+        fam, top = ProjectionFamily.sparse(lambda t: 2 ** t), 40
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, 100), min_size=1, max_size=15)))
+        fam, top = ProjectionFamily.from_boundaries([0] + cuts), len(cuts)
+    start = draw(st.integers(1, top))
+    end = draw(st.integers(start, top))
+    shape = draw(st.sampled_from(["step", "geometric", "single"]))
+    if shape == "step":
+        ns = list(range(start, end + 1))
+    elif shape == "geometric":
+        ns = cli.n_grid(start, end, None, draw(st.sampled_from([1.3, 2.0, 3.0])))
+    else:
+        ns = [end]
+    return fam, ns
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(SPECS, _family_grids(), st.sampled_from([None, (1, 4), (5, 2)]))
+def test_grid_pass_matches_per_n_reports_bit_for_bit(spec, fam_ns, sizes):
+    fam, ns = fam_ns
+    want = [ref_norms(spec, fam, n) for n in ns]
+    # small sizes make the pass cut the grid into many groups and chunks
+    chunk, gather = sizes or (norms._CHUNK, norms._GATHER)
+    with mock.patch.object(norms, "_CHUNK", chunk), mock.patch.object(norms, "_GATHER", gather):
+        u, s1, s2 = norms._grid(spec, fam, ns, True)
+        assert norms._grid(spec, fam, ns, False)[0] == u
+        rows = norms.report_sequence(spec, fam, ns)
+    # repr tells -0.0 from 0.0, as the reports do
+    assert repr([(fam.rank(n), *x) for n, x in zip(ns, zip(u, s1, s2))]) == repr(want)
+    assert repr([(r.n, r.rank, r.u, r.s1, r.s2) for r in rows]) == \
+        repr([(n, *w) for n, w in zip(ns, want)])
+
+
+def ref_select(spec, fam, epsilon, search_limit):
+    """The per-n scan of select_subsequence: first n with u < eps/2^(i+1), for i = 1, 2, ..."""
+    picked, n, i = [], 1, 1
+    while n <= search_limit:
+        found = next((m for m in range(n, search_limit + 1)
+                      if ref_norms(spec, fam, m)[1] < epsilon / 2 ** (i + 1)), None)
+        if found is None:
+            break
+        picked.append(found)
+        i, n = i + 1, found + 1
+    return picked
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(SPECS, st.sampled_from([
+           OperatorSpec.weighted_shift("inverse"), OperatorSpec.weighted_shift("pow:-1.5"),
+           OperatorSpec.adjoint_weighted_shift("inverse"), OperatorSpec.example_a()])),
+       st.sampled_from([0.05, 0.3, 1.0, 4.0]), st.integers(1, 130))
+def test_select_subsequence_picks_the_per_n_ranks(spec, epsilon, limit):
+    fam = ProjectionFamily.canonical()
+    want = ref_select(spec, fam, epsilon, limit)
+    if not want:
+        with pytest.raises(NotQuasidiagonalAlongFamily):
+            decomp.select_subsequence(spec, fam, epsilon, search_limit=limit)
+    else:
+        assert decomp.select_subsequence(spec, fam, epsilon, search_limit=limit) == want
+
+
+def test_select_subsequence_on_sparse_and_blocks_families():
+    shift, diagonal = OperatorSpec.weighted_shift("inverse"), OperatorSpec.diagonal("log")
+    for spec, fam, limit in (
+            (shift, ProjectionFamily.sparse(range(1, 300)), 150),
+            (shift, ProjectionFamily.from_boundaries(range(0, 400, 3)), 120),
+            # every u is 0, so every n is picked
+            (diagonal, ProjectionFamily.sparse(lambda t: 2 ** t), 60)):
+        want = ref_select(spec, fam, 0.5, limit)
+        assert want
+        assert decomp.select_subsequence(spec, fam, 0.5, search_limit=limit) == want
+
+
+_RSS_SCRIPT = """
+import resource
+from foelner import norms, ops
+spec, fam = ops.OperatorSpec.dilation_shift(), ops.ProjectionFamily.canonical()
+norms.report_sequence(spec, fam, range(1, 40))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+rows = norms.report_sequence(spec, fam, range(1, 6001))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert [r.n for r in rows] == list(range(1, 6001))
+print((after - before) // 1024)
+"""
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_step_grid_of_dilation_shift_is_chunked():
+    # [S, P_n] has about n/2 entries, so the grid expands to about 9e6
+    # (entry, n) pairs; held whole, their index and sort arrays add about
+    # 350 MB to the peak RSS, and chunked to 2^20 pairs about 50 MB
+    env = dict(os.environ, PYTHONPATH=str(Path(norms.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _RSS_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) < 150

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from foelner import norms, ops
-from foelner.errors import TooFewSamples
+from foelner.errors import FoelnerError, TooFewSamples, WeightUndefined
 from foelner.norms import ClassifyPolicy, classify, report, report_sequence, seminorm
 from foelner.ops import OperatorSpec, ProjectionFamily
 
@@ -245,3 +245,57 @@ def test_triplet_svals_partial_permutation_is_moduli():
     trips = [(4, 9, 3 - 4j), (1, 2, -0.5), (9, 4, 2j), (2, 1, 1e-3)]
     assert norms._triplet_svals(trips).tolist() == [5.0, 2.0, 0.5, 1e-3]
     assert norms._triplet_svals([]).size == 0
+
+
+_POW2 = ProjectionFamily.sparse(lambda t: 2 ** t)
+
+
+@pytest.mark.parametrize("spec", [
+    OperatorSpec.creation(), OperatorSpec.annihilation(), OperatorSpec.hermite_q(),
+    OperatorSpec.hermite_p(), OperatorSpec.example_a()], ids=lambda s: s.kind)
+def test_weights_past_float_range_raise_weight_undefined(spec):
+    # 2^1100 is past the float range: sqrt(j) and j^2 cannot be taken there
+    with pytest.raises(WeightUndefined, match="overflows at index"):
+        report(spec, _POW2, 1100)
+    with pytest.raises(WeightUndefined):
+        norms.u_norm(spec, _POW2, 1100)
+
+
+def _first_failure(spec, fam, ns):
+    for n in ns:
+        try:
+            report(spec, fam, n)
+        except FoelnerError as exc:
+            return n, exc
+    return None, None
+
+
+@pytest.mark.parametrize("spec, fam, ns", [
+    # s2 overflows at n = 1023, the weights from n = 1024 on
+    (OperatorSpec.creation(), _POW2, range(1000, 1100, 7)),
+    (OperatorSpec.creation(), _POW2, range(1020, 1030)),
+    (OperatorSpec.example_a(), _POW2, range(500, 520)),
+    (OperatorSpec.toeplitz({0: 1e308, 1: 1e308, -1: 1e308}), CANON, [2, 3, 4]),
+], ids=["creation", "creation_s2_first", "example_A", "toeplitz"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_failing_grid_raises_what_its_first_failing_point_raises(spec, fam, ns):
+    n, first = _first_failure(spec, fam, ns)
+    assert n is not None
+    with pytest.raises(FoelnerError) as grid:
+        report_sequence(spec, fam, ns)
+    assert type(grid.value) is type(first) and str(grid.value) == str(first)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_sum_is_fsum(seed):
+    rng = np.random.default_rng(seed)
+    n = 2048 + int(rng.integers(0, 6000))
+    x = [rng.random(n),
+         rng.random(n) * 10.0 ** rng.integers(-300, 300, n),
+         np.ldexp(rng.random(n), rng.integers(-1074, -1000, n)),     # subnormal sums
+         np.ldexp(1 + 2.0 ** -52 * rng.integers(0, 3, n), rng.integers(-60, 60, n)),
+         np.full(n, 1.0 + 2.0 ** -52), np.zeros(n)][seed]
+    x[rng.random(n) < 0.1] = 0.0
+    assert norms._exact_sum(x) == math.fsum(x.tolist())
+    with pytest.raises(OverflowError):
+        norms._exact_sum(np.full(n, 1.7e308))
