@@ -3,8 +3,8 @@
 A spec file is a JSON document {"operator": ..., "projection": ..., and
 "experiment": ...} validated strictly against the bundled schema before any
 computation runs.  Flags override experiment values.  Exit codes: 0 success,
-2 validation problem (including an -o path in a directory that does not
-exist), 3 computation failure (error class name on stderr).
+2 validation problem (including an -o path that cannot be written), 3
+computation failure (error class name on stderr).
 Reports are buffered and written only after the computation finishes, then
 renamed into place, so a failing run never leaves a partial file behind.
 """
@@ -208,14 +208,9 @@ def _grid_from(args, exp: dict, start: int, end: int,
                step: int | None = None, geometric: float | None = None) -> list[int]:
     st = _pick(args.n_start, exp, "n_start", start)
     en = _pick(args.n_end, exp, "n_end", end)
-    sp = _pick(args.n_step, exp, "n_step", step)
-    ge = _pick(args.n_geometric, exp, "n_geometric", geometric)
-    if sp is not None and ge is not None:
-        # flag-level override beats the subcommand default
-        if args.n_step is not None:
-            ge = None
-        elif args.n_geometric is not None:
-            sp = None
+    # the spacing comes whole from the flags, else from the spec, else from the default
+    levels = [(args.n_step, args.n_geometric), (exp.get("n_step"), exp.get("n_geometric"))]
+    sp, ge = next((lv for lv in levels if lv != (None, None)), (step, geometric))
     return n_grid(int(st), int(en), sp, ge)
 
 
@@ -302,7 +297,7 @@ def cmd_halmos(args, doc: dict, spec_hash: str | None) -> str:
     spec = _need_operator(doc)
     fam = parse_projection(doc.get("projection"))
     exp = doc.get("experiment", {})
-    eps = float(_pick(args.epsilon, exp, "epsilon", 0.1))
+    eps = _epsilon(_pick(args.epsilon, exp, "epsilon", 0.1))
     N = int(_pick(args.window, exp, "window", 2048))
     limit = int(_pick(args.search_limit, exp, "search_limit", 10_000))
     boundaries = decomp.select_subsequence(spec, fam, eps, search_limit=limit)
@@ -341,7 +336,7 @@ def cmd_sparse(args, doc: dict, spec_hash: str | None) -> str:
 
 def cmd_berg(args, doc: dict, spec_hash: str | None) -> str:
     exp = doc.get("experiment", {})
-    eps = float(_pick(args.epsilon, exp, "epsilon", 0.05))
+    eps = _epsilon(_pick(args.epsilon, exp, "epsilon", 0.05))
     matrix = _pick(args.matrix, exp, "matrix", None)
     if matrix is not None:
         A = read_matrix(matrix)
@@ -403,6 +398,14 @@ def _as_fraction(v) -> Fraction:
         return Fraction(str(v))
     except (ValueError, ZeroDivisionError):
         raise InvalidSpec(f"cannot read {v!r} as an exact rational") from None
+
+
+def _epsilon(v) -> float:
+    """A positive float from a number or a rational string such as "1/10"."""
+    eps = _as_fraction(v)
+    if not 0 < eps <= sys.float_info.max or float(eps) == 0:
+        raise InvalidSpec(f"epsilon must be a positive float, got {v}")
+    return float(eps)
 
 
 def cmd_weyl_amenability(args, doc: dict, spec_hash: str | None) -> str:
@@ -552,8 +555,9 @@ def main(argv=None) -> int:
     if args.output:
         try:
             _write_atomic(Path(args.output), text)
-        except (FileNotFoundError, NotADirectoryError) as exc:
-            print(f"cannot write the report to {args.output}: {exc.strerror}", file=sys.stderr)
+        except OSError as exc:
+            print(f"cannot write the report to {args.output}: {exc.strerror or exc}",
+                  file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

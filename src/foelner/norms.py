@@ -18,8 +18,9 @@ against every coordinate projection) have singular values equal to the entry
 moduli; that exact path avoids the SVD entirely.  From triplets, s2 is the
 square root of the correctly rounded sum (math.fsum) of the squared real and
 imaginary parts of the entries, so it does not depend on their order.
-A grid of n takes one pass for all its commutators (_grid), with the same
-bits as one report per n.
+A grid of n takes one pass for all its commutators (_grid) over the entries
+that ops._commutator_entries assigns to each n; a single n is a one-point
+grid, with the same bits as any grid that holds it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 import scipy.sparse
 
 from . import ops
-from .errors import InvalidSpec, NumericalFailure, TooFewSamples
+from .errors import NumericalFailure, TooFewSamples
 
 _MODES = ("u", "s1", "s2")
 
@@ -219,8 +220,6 @@ def _explicit_norms(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
 def u_sequence(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
                ns: Sequence[int]) -> list[float]:
     """Operator norms of [T, R_n] along increasing n of a coordinate family."""
-    if fam.kind == "explicit":
-        raise InvalidSpec("triplet assembly needs a coordinate family")
     return [u for u, _, _ in _per_grid(spec, fam, list(ns), full=False)]
 
 
@@ -256,93 +255,17 @@ def _per_grid(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int],
         return (next(zip(*_grid(spec, fam, [n], full))) for n in ns)
 
 
-def _grid_entries(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int]):
-    """The entries of T that lie in [T, R_n] for some n of the ascending grid ns.
-
-    Returns arrays (i, j, v, lo, hi): entry (i, j) with value v lies in
-    [T, R_n] exactly for n = ns[lo] .. ns[hi - 1].  With r(k) the least n
-    whose index set holds k (k itself for canonical families, its position
-    for sparse ones, its block for blocks, and past the grid if no set holds
-    it), column entries T_(i,j) count with sign + for r(j) <= n < r(i) and
-    row entries with sign - for r(i) <= n < r(j).  Canonical families read
-    the columns (rows) of the union of the per-n boundary ranges
-    [_first_past(n), n]; sparse and blocks families read their largest
-    index set.
-    """
-    top = ns[-1]
-    grid = ops._as_index(ns)
-    if fam.kind == "canonical":
-        K = None
-        r_of = lambda x: x
-    else:
-        K = ops._as_index(fam.indices(top))
-        if fam.kind == "sparse":
-            rk = np.arange(1, top + 1)
-        else:
-            rk = np.repeat(np.arange(1, top + 1), [b - a for a, b in fam.blocks[:top]])
-
-        def r_of(x):
-            at, hit = ops._find(K, x)
-            return np.where(hit, rk[at], top + 1)
-
-    def place(r):
-        return np.searchsorted(grid.astype(object) if r.dtype != grid.dtype else grid, r)
-
-    parts = []
-    for col in (True, False):
-        if K is None:
-            t0 = ops._first_past(spec, grid, col)
-            if t0 is None:
-                continue
-            # each n reads [t0(n), n] less what an earlier n of the grid read,
-            # so the indices read for ns[g] lie in (ns[g - 1], ns[g]]
-            ts, at = _ranges(np.maximum(t0, np.concatenate(([0], grid[:-1])) + 1), grid)
-        else:
-            ts, at = K, place(rk)
-        pos, x, vals = ops._gather(spec, ts, top if K is None else int(K[-1]), col)
-        lo, hi = at[pos], place(r_of(x))
-        part = (x, ts[pos]) if col else (ts[pos], x)
-        part += (vals if col else -vals, lo, hi)
-        keep = hi > lo
-        if not keep.all():
-            part = tuple(y[keep] for y in part)
-        if len(part[2]):
-            parts.append(part)
-    if len(parts) == 1:
-        return parts[0]
-    if not parts:
-        return _NO_PAIRS
-    return tuple(np.concatenate(x) for x in zip(*parts))
-
-
-_NO_PAIRS = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0),
-             np.zeros(0, np.intp), np.zeros(0, np.intp))
-
-
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The integers lo[g] .. hi[g] for every g, concatenated, and the g of each.
-
-    Ranges with lo[g] > hi[g] are empty.
-    """
-    count = np.maximum(hi - lo + 1, 0)
-    owner = np.repeat(np.arange(len(hi)), count.astype(np.intp))
-    if hi.dtype == object:
-        return np.array([k for a, b in zip(lo.tolist(), hi.tolist()) for k in range(a, b + 1)],
-                        dtype=object), owner
-    return np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum()), owner
-
-
+@np.errstate(over="ignore")
 def _grid(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int],
           full: bool) -> tuple[list[float], list[float], list[float]]:
     """u, s1, s2 of [T, R_n] for every n of the ascending grid ns (s1, s2 only if full).
 
-    Each entry of _grid_entries is expanded into one (entry, grid point) pair
-    per grid point of its range, chunk by chunk of grid points (_chunks), and
-    the pairs of one grid point form its segment; _segments evaluates them.
+    Each entry of ops._commutator_entries is expanded into one (entry, grid
+    point) pair per grid point of its range, chunk by chunk of grid points
+    (_chunks), and the pairs of one grid point form its segment; _segments
+    evaluates them.  Seminorms past the float range come out as inf, without
+    a warning; report raises NumericalFailure for them.
     """
-    if len(ns) == 1:
-        u, s1, s2 = _group(spec, fam, ns, full)
-        return [u], [s1], [s2]
     u, s1, s2 = np.zeros(len(ns)), np.zeros(len(ns)), np.zeros(len(ns))
     for group in _groups(spec, fam, ns):
         u[group], s1[group], s2[group] = _group(spec, fam, ns[group], full)
@@ -350,13 +273,10 @@ def _grid(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int],
 
 
 def _group(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int], full: bool):
-    """u, s1, s2 arrays of one group of _grid (floats for a single point)."""
+    """u, s1, s2 arrays of one group of _grid; its entries are freed on return."""
     G = len(ns)
-    if G == 1:
-        # the pass at one point reads just the boundary of R_n
-        return _segment_norms(*ops._commutator_arrays(spec, fam, ns[0]), full)
     u, s1, s2 = np.zeros(G), np.zeros(G), np.zeros(G)
-    i, j, v, lo, hi = _grid_entries(spec, fam, ns)
+    i, j, v, lo, hi = ops._commutator_entries(spec, fam, ns)
     for ga, gb, cand in _chunks(lo, hi, G):
         i_, j_, v_ = i[cand], j[cand], v[cand]
         if gb - ga == 1:
@@ -429,7 +349,10 @@ def _segment_norms(i: np.ndarray, j: np.ndarray, v: np.ndarray,
     else:
         sv = _triplet_svals(ops._entries(i, j, v))
     u = float(sv[0]) if sv.size else 0.0
-    return (u, float(sv.sum()), _frobenius(v)) if full else (u, 0.0, 0.0)
+    if not full:
+        return u, 0.0, 0.0
+    s1, sv = float(sv.sum()), None      # sv freed before _frobenius's temporaries
+    return u, s1, _frobenius(v)
 
 
 def _segments(i, j, v, src, seg, S, full):

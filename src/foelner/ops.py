@@ -21,7 +21,9 @@ from the kernel: for a coordinate projection R with index set K,
     [T, R]_(i,j) = T_(i,j) * (1_K(j) - 1_K(i)),
 
 so the commutator is supported on the finitely many entries of T that cross
-the boundary of K.
+the boundary of K.  One routine (``_commutator_entries``) finds them for a
+whole ascending grid of n at once; commutator triplets, capture bounds and
+commutator windows are its one-point grid.
 """
 
 from __future__ import annotations
@@ -327,7 +329,22 @@ def _gather(spec: OperatorSpec, ts: np.ndarray, top: int,
     array, or _EACH.  Entries come grouped by pos in increasing order, each
     group in the order of the terms (col_support) or their reverse
     (row_support).  Values are float, or complex where a rule is complex.
+    The terms' values are finite; an entry of a sum or product that leaves
+    the float range raises WeightUndefined.
     """
+    if spec._terms is not None:
+        return _raw_gather(spec, ts, top, col)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos, idx, vals = _composite(spec, ts, top, col)
+    if not np.isfinite(vals).all():
+        raise WeightUndefined(f"an entry of the {spec.kind} in {'column' if col else 'row'} "
+                              f"{ts[pos][~np.isfinite(vals)][0]} overflows the float range")
+    return pos, idx, vals
+
+
+def _raw_gather(spec: OperatorSpec, ts: np.ndarray, top: int,
+                col: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_gather without the float-range check of a sum's or product's entries."""
     terms = spec._terms
     if terms is None:
         return _composite(spec, ts, top, col)
@@ -371,12 +388,12 @@ def _composite(spec: OperatorSpec, ts: np.ndarray, top: int,
         if spec.factor == 0:
             return _NO_ENTRIES
         c = spec.factor
-        pos, idx, vals = _gather(spec.children[0], ts, top, col)
+        pos, idx, vals = _raw_gather(spec.children[0], ts, top, col)
         return _nonzero(pos, idx, _cmul(c if c.imag else c.real, vals))
     if spec.kind == "sum":
         every = np.arange(len(ts))
-        pos, idx, vals = (np.concatenate(x) for x in zip(*(
-            (every[p], i, v) for p, i, v in (_gather(ch, ts, top, col) for ch in spec.children))))
+        parts = (_raw_gather(ch, ts, top, col) for ch in spec.children)
+        pos, idx, vals = (np.concatenate(x) for x in zip(*((every[p], i, v) for p, i, v in parts)))
         order = np.argsort(pos, kind="stable")
         return _merge(pos[order], idx[order], vals[order])
     # a product applies its children right to left to a column, left to right
@@ -384,11 +401,11 @@ def _composite(spec: OperatorSpec, ts: np.ndarray, top: int,
     # bound comes from the child's reach
     reach = _col_hi if col else _row_hi
     chain = spec.children[::-1] if col else spec.children
-    pos, idx, vals = _gather(chain[0], ts, top, col)
+    pos, idx, vals = _raw_gather(chain[0], ts, top, col)
     pos = np.arange(len(ts))[pos]
     for prev, ch in zip(chain, chain[1:]):
         top = reach(prev, top)
-        p, idx, v = _gather(ch, idx, top, col)
+        p, idx, v = _raw_gather(ch, idx, top, col)
         pos, idx, vals = _merge(pos[p], idx, _cmul(vals[p], v))
     return pos, idx, vals
 
@@ -501,24 +518,6 @@ def entry(spec: OperatorSpec, i: int, j: int) -> complex:
     return complex(col_support(spec, j).get(i, 0.0))
 
 
-def capture_bound(spec: OperatorSpec, n: int) -> int:
-    """Smallest window dimension m with [T, P_n] = P_m [T, P_n] P_m exactly.
-
-    P_n is the canonical rank-n coordinate projection.  The bound is computed
-    from exact column supports of columns 1..n and row supports of rows 1..n,
-    so for banded kinds it equals n + propagation while structurally sparse
-    kinds (dilation) get their true reach.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m = n
-    for col in (True, False):
-        _, past, _ = _boundary(spec, n, col)
-        if len(past):
-            m = max(m, int(past.max()))
-    return m
-
-
 def _first_past(spec: OperatorSpec, n, col: bool):
     """Smallest t >= 1 whose reach bound (_col_hi, or _row_hi) passes n; None if none.
 
@@ -547,29 +546,6 @@ def _first_past(spec: OperatorSpec, n, col: bool):
         if t is None:
             return None
     return t
-
-
-def _boundary(spec: OperatorSpec, n: int,
-              col: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entries (t, s, v) of the columns (col) or rows t <= n of T with s > n.
-
-    With col, t is a column of T P_n and s its row; otherwise t is a row of
-    P_n T and s its column.
-    """
-    t0 = _first_past(spec, n, col)
-    if t0 is None or t0 > n:
-        return _NO_ENTRIES
-    ts = np.arange(t0, n + 1) if n < _NATIVE else np.array(range(t0, n + 1), dtype=object)
-    pos, idx, vals = _gather(spec, ts, n, col)
-    reach = spec._reach
-    if reach is not None:
-        # every entry of a primitive here has its other index at least low
-        a, lo, hi = reach
-        low = a * t0 + lo if col else (t0 - hi) // a
-        if low > n:
-            return ts[pos], idx, vals
-    past = idx > n
-    return ts[pos][past], idx[past], vals[past]
 
 
 @dataclass(frozen=True)
@@ -685,8 +661,10 @@ class ProjectionFamily:
             seq = [int(k) for k in rule]
             if any(b <= a for a, b in zip(seq, seq[1:])) or (seq and seq[0] < 1):
                 raise InvalidSpec("sparse indices must be strictly increasing and >= 1")
-            rule_fn = lambda n, _s=tuple(seq): _s[n - 1]
-            return cls(kind="sparse", rule=rule_fn)
+            def rule(n: int, _s=tuple(seq)) -> int:
+                if n > len(_s):
+                    raise SelectorOutOfRange(f"family has {len(_s)} indices, asked for {n}")
+                return _s[n - 1]
         return cls(kind="sparse", rule=rule)
 
     @classmethod
@@ -776,55 +754,103 @@ def projection_window(fam: ProjectionFamily, n: int, N: int) -> Window:
 # exact commutators
 # ---------------------------------------------------------------------------
 
-def _find(K: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each entry of x: a position in the ascending index array K, and whether x is there."""
-    if K.dtype != x.dtype:
-        K, x = K.astype(object), x.astype(object)
-    at = np.minimum(np.searchsorted(K, x), len(K) - 1)
-    return at, K[at] == x
+def _commutator_entries(spec: OperatorSpec, fam: ProjectionFamily, ns: Sequence[int]):
+    """The entries of T that lie in [T, R_n] for some n of the ascending grid ns.
+
+    Returns arrays (i, j, v, lo, hi): entry (i, j) with value v lies in
+    [T, R_n] exactly for n = ns[lo] .. ns[hi - 1].  [T, R]_(i,j) =
+    T_(i,j)(1_K(j) - 1_K(i)) for the index set K of R, so with r(k) the
+    least n whose index set holds k (k itself for canonical families, its
+    position for sparse ones, its block for blocks, and past the grid if no
+    set holds it), column entries T_(i,j) count with sign + for
+    r(j) <= n < r(i) and row entries with sign - for r(i) <= n < r(j).
+    Canonical families read the columns (rows) of the union of the per-n
+    boundary ranges [_first_past(n), n]; sparse and blocks families read
+    their largest index set, which explicit families lack (InvalidSpec).
+    """
+    top = ns[-1]
+    grid = _as_index(ns)
+    if fam.kind == "canonical":
+        K, r_of = None, (lambda x: x)
+    else:
+        K = _as_index(fam.indices(top))
+        if fam.kind == "sparse":
+            rk = np.arange(1, top + 1)
+        else:
+            rk = np.repeat(np.arange(1, top + 1), [b - a for a, b in fam.blocks[:top]])
+
+        def r_of(x):
+            Kx, x = (K, x) if K.dtype == x.dtype else (K.astype(object), x.astype(object))
+            at = np.minimum(np.searchsorted(Kx, x), len(K) - 1)
+            return np.where(Kx[at] == x, rk[at], top + 1)
+
+    def place(r):
+        at = np.searchsorted(grid.astype(object) if r.dtype != grid.dtype else grid, r)
+        return at.astype(np.int32)
+
+    parts = []
+    for col in (True, False):
+        if K is None:
+            t0 = _first_past(spec, grid, col)
+            if t0 is None:
+                continue
+            # each n reads [t0(n), n] less what an earlier n of the grid read,
+            # so the indices read for ns[g] lie in (ns[g - 1], ns[g]]
+            ts, at = _ranges(np.maximum(t0, np.concatenate(([0], grid[:-1])) + 1), grid)
+        else:
+            ts, at = K, place(rk)
+        pos, x, vals = _gather(spec, ts, top if K is None else int(K[-1]), col)
+        lo, hi = at[pos], place(r_of(x))
+        part = (x, ts[pos]) if col else (ts[pos], x)
+        part += (vals if col else -vals, lo, hi)
+        keep = hi > lo
+        if not keep.all():
+            part = tuple(y[keep] for y in part)
+        if len(part[2]):
+            parts.append(part)
+    if len(parts) != 1:
+        return tuple(np.concatenate(x) for x in zip(*parts)) if parts else _NO_PAIRS
+    return parts[0]
+
+
+_NO_PAIRS = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0),
+             np.zeros(0, np.int32), np.zeros(0, np.int32))
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integers lo[g] .. hi[g] for every g, concatenated, and the g (int32) of each.
+
+    Ranges with lo[g] > hi[g] are empty.
+    """
+    count = np.maximum(hi - lo + 1, 0).astype(np.intp)
+    owner = np.repeat(np.arange(len(hi), dtype=np.int32), count)
+    return np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum()), owner
 
 
 def commutator_triplets(spec: OperatorSpec, fam: ProjectionFamily, n: int) -> np.ndarray:
-    """All nonzero entries of [T, R_n] as an _ENTRY array, one record per entry."""
-    return _entries(*_commutator_arrays(spec, fam, n))
+    """All nonzero entries of [T, R_n] as an _ENTRY array: the one-point grid [n]."""
+    i, j, v, _, _ = _commutator_entries(spec, fam, [n])
+    return _entries(i, j, v)
 
 
-def _commutator_arrays(spec: OperatorSpec, fam: ProjectionFamily,
-                       n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero entries of [T, R_n] as arrays (rows, columns, values).
+def capture_bound(spec: OperatorSpec, n: int) -> int:
+    """Smallest window dimension m with [T, P_n] = P_m [T, P_n] P_m exactly.
 
-    For coordinate families [T,R]_(i,j) = T_(i,j)(1_K(j) - 1_K(i)): the
-    entries of the columns in K with rows outside K, and minus the entries of
-    the rows in K with columns outside K.  Canonical families read only the
-    boundary columns and rows; sparse and blocks families test membership in
-    the sorted index set K.
+    P_n is the canonical rank-n coordinate projection, and m is the largest
+    of n and every row and column index of the entries of [T, P_n].
     """
-    if fam.kind == "explicit":
-        raise InvalidSpec("triplet assembly needs a coordinate family")
-    if fam.kind == "canonical":
-        cols, rows, below = _boundary(spec, n, True)
-        rows2, cols2, beyond = _boundary(spec, n, False)
-    else:
-        K = _as_index(fam.indices(n))
-        top = int(K[-1])
-        pos, rows, below = _gather(spec, K, top, True)
-        out = ~_find(K, rows)[1]
-        rows, cols, below = rows[out], K[pos][out], below[out]
-        pos, cols2, beyond = _gather(spec, K, top, False)
-        out = ~_find(K, cols2)[1]
-        rows2, cols2, beyond = K[pos][out], cols2[out], beyond[out]
-    if not len(beyond):
-        return rows, cols, below
-    return (np.concatenate((rows, rows2)), np.concatenate((cols, cols2)),
-            np.concatenate((below, -beyond)))
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    e = commutator_triplets(spec, ProjectionFamily.canonical(), n)
+    return max([n, *e["i"].tolist(), *e["j"].tolist()])
 
 
 def commutator_window(spec: OperatorSpec, fam: ProjectionFamily, n: int) -> Window:
     """[T, R_n] as a dense window that captures every nonzero entry.
 
-    For the canonical family the window dimension is capture_bound(spec, n);
-    for other coordinate families it is the largest index the commutator or
-    the projection touches.
+    For a coordinate family the window dimension is the largest index the
+    commutator or the projection touches (capture_bound(spec, n) for the
+    canonical family).
     """
     if fam.kind == "explicit":
         if n > len(fam.bases):
@@ -836,10 +862,7 @@ def commutator_window(spec: OperatorSpec, fam: ProjectionFamily, n: int) -> Wind
         R = projection_window(fam, n, m).entries
         return Window(m, T @ R - R @ T)
     e = commutator_triplets(spec, fam, n)
-    if fam.kind == "canonical":
-        m = capture_bound(spec, n)
-    else:
-        m = max([fam.indices(n)[-1], *e["i"].tolist(), *e["j"].tolist()])
+    m = max([fam.indices(n)[-1], *e["i"].tolist(), *e["j"].tolist()])
     check_dense(m * m, f"a dense {m} x {m} commutator window")
     a = np.zeros((m, m), dtype=complex)
     a[e["i"].astype(np.intp) - 1, e["j"].astype(np.intp) - 1] = e["v"]

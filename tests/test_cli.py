@@ -351,7 +351,6 @@ def test_output_into_missing_directory_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowing_seminorms_exit_3(tmp_path, capsys):
     # the entries are finite, but s1 and s2 overflow
     spec = tmp_path / "huge.json"
@@ -373,10 +372,24 @@ def test_failed_rename_keeps_old_output_and_no_temp_file(tmp_path, capsys, monke
         raise OSError("rename refused")
 
     monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError, match="rename refused"):
-        run(["szego", REPO / "specs" / "szego_cos.json", "-o", target], capsys)
+    code, out, err = run(["szego", REPO / "specs" / "szego_cos.json", "-o", target], capsys)
+    assert code == 2 and out == ""
+    assert "cannot write the report" in err and "rename refused" in err
     assert target.read_text() == "old report\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_output_onto_a_directory_exits_2_and_leaves_it_alone(tmp_path, capsys):
+    target = tmp_path / "reports"
+    target.mkdir()
+    (target / "kept.csv").write_text("kept\n")
+    code, out, err = run(["norms", REPO / "specs" / "shift_sqrt_norms.json", "-o", target],
+                         capsys)
+    assert code == 2 and out == ""
+    assert "cannot write the report" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == [target / "kept.csv"]
+    assert (target / "kept.csv").read_text() == "kept\n"
 
 
 def test_shipped_schema_passes_its_meta_schema():
@@ -397,6 +410,36 @@ def test_rejection_message_is_that_of_jsonschema_validate(doc):
     with pytest.raises(InvalidSpec) as got:
         cli.validate_document(doc)
     assert str(got.value) == f"spec rejected at {path}: {exc.value.message}"
+
+
+_BIG = {"kind": "toeplitz", "bands": {"0": 1e308, "1": 1e308}}
+# commutes with every coordinate projection, so halmos reaches the window
+_HUGE_DIAGONAL = {"kind": "diagonal", "weight": "const:1e200"}
+
+
+@pytest.mark.parametrize("command, doc, code, err", [
+    ("norms", {"operator": {"kind": "creation"},
+               "projection": {"kind": "sparse", "indices": [1, 4]},
+               "experiment": {"n_start": 1, "n_end": 3, "n_step": 1}}, 3, "SelectorOutOfRange"),
+    ("norms", {"operator": {"kind": "product", "children": [_BIG, _BIG]}}, 3, "WeightUndefined"),
+    ("halmos", {"operator": {"kind": "product", "children": [_HUGE_DIAGONAL, _HUGE_DIAGONAL]},
+                "experiment": {"window": 16, "search_limit": 8}}, 3, "WeightUndefined"),
+    ("halmos", {"operator": {"kind": "weighted_shift", "weight": "inverse"},
+                "experiment": {"epsilon": "1/10", "window": 64}}, 0, ""),
+    ("halmos", {"operator": {"kind": "weighted_shift", "weight": "inverse"},
+                "experiment": {"epsilon": "0", "window": 64}}, 2, "epsilon must be"),
+    ("sparse", {"operator": {"kind": "creation"}, "projection": {"kind": "sparse", "rule": "pow2"},
+                "experiment": {"n_start": 1, "n_end": 8, "n_geometric": 2}}, 0, ""),
+], ids=["indices_past_their_end", "product_overflow", "halmos_product_overflow",
+        "rational_epsilon", "zero_epsilon",
+        "spec_spacing_beats_the_default"])
+def test_schema_valid_edge_documents_exit_cleanly(tmp_path, capsys, command, doc, code, err):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    got, out, stderr = run([command, spec, "--no-timestamp"], capsys)
+    assert got == code and err in stderr and "Traceback" not in stderr
+    if command == "halmos" and code == 0:
+        assert json.loads(out)["epsilon"] == 0.1
 
 
 @pytest.mark.parametrize("kind", ["creation", "hermite_q", "example_A"])

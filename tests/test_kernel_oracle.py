@@ -5,7 +5,8 @@ dicts, straight from the term table's per-index weights (``w.at``); it is
 independent of the kernel's numpy weights, merges and joins.  Hypothesis
 draws specs of every kind, nested in sums, scales and products to depth 2,
 and canonical, sparse and blocks families, including sparse indices past
-int64.  The grid pass of norms is checked against reports built per n from
+int64.  Capture bounds and commutator windows are checked against the
+reference triplets, the grid pass of norms against reports built per n from
 commutator_triplets, and select_subsequence against a per-n scan.
 """
 
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foelner import cli, decomp, norms, ops
-from foelner.errors import NotQuasidiagonalAlongFamily
+from foelner.errors import NotQuasidiagonalAlongFamily, ResourceLimit
 from foelner.ops import OperatorSpec, ProjectionFamily
 
 try:
@@ -179,6 +180,20 @@ def _check_commutator(spec, fam, n):
     assert _as_dict(e) == want
     s2 = math.sqrt(math.fsum(x * x for v in want.values() for x in (v.real, v.imag)))
     assert norms.report(spec, fam, n).s2 == s2
+    # the capture bound and the window follow from the triplets alone
+    m = max([max(fam.indices(n)), *(k for ij in want for k in ij)])
+    if fam.kind == "canonical":
+        assert ops.capture_bound(spec, n) == m
+    if m * m > ops.DENSE_CELLS:
+        with pytest.raises(ResourceLimit):
+            ops.commutator_window(spec, fam, n)
+    elif m <= 300:
+        dense = np.zeros((m, m), dtype=complex)
+        for (i, j), v in want.items():
+            dense[i - 1, j - 1] = v
+        w = ops.commutator_window(spec, fam, n)
+        assert w.dim == m
+        assert np.array_equal(w.entries, dense)
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,6 @@ def _first_failure(spec, fam, ns):
     (OperatorSpec.example_a(), _POW2, range(500, 520)),
     (OperatorSpec.toeplitz({0: 1e308, 1: 1e308, -1: 1e308}), CANON, [2, 3, 4]),
 ], ids=["creation", "creation_s2_first", "example_A", "toeplitz"])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_failing_grid_raises_what_its_first_failing_point_raises(spec, fam, ns):
     n, first = _first_failure(spec, fam, ns)
     assert n is not None

@@ -14,7 +14,7 @@ from foelner.errors import (
     WeightUndefined,
     WindowTooSmall,
 )
-from foelner.norms import seminorm
+from foelner.norms import seminorm, u_sequence
 from foelner.ops import OperatorSpec, ProjectionFamily
 
 
@@ -238,6 +238,14 @@ def test_commutator_matches_dense_formula(n):
         t = ops.compress(spec, m).entries
         r = ops.projection_window(fam, n, m).entries
         assert np.max(np.abs(w.entries - (t @ r - r @ t))) < 1e-12
+
+
+def test_triplets_need_a_coordinate_family():
+    fam = ProjectionFamily.explicit([np.eye(3)[:, :1]])
+    with pytest.raises(InvalidSpec):
+        ops.commutator_triplets(OperatorSpec.hermite_q(), fam, 1)
+    with pytest.raises(InvalidSpec):
+        u_sequence(OperatorSpec.hermite_q(), fam, [1])
 
 
 def test_commutator_window_examples():
