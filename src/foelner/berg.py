@@ -22,12 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from . import norms, ops
-from .errors import (
-    NonOrthogonalRanges,
-    NotHermitian,
-    NotNormal,
-    RankStall,
-)
+from .errors import NonOrthogonalRanges, NotHermitian, NotNormal, NumericalFailure, RankStall
 
 _HERMITIAN_TOL = 1e-12
 _NORMAL_TOL = 1e-10
@@ -105,11 +100,15 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
 
     basis_order is a permutation of 1..N; vectors are visited cyclically until
     the projections exhaust the window.  Raises NotHermitian for asymmetric
-    input and RankStall if a full cycle adds no rank before exhaustion.
+    input, RankStall if a full cycle adds no rank before exhaustion and
+    NumericalFailure for entries too large for the spectral cells.
     """
-    a = ops.hermitian_part(_as_array(A), _HERMITIAN_TOL, NotHermitian,
-                           "window is not Hermitian within 1e-12")
+    a = _as_array(A)
     N = a.shape[0]
+    # 2M <= 2 N max|a_ij| and cells are at least _MIN_CELL wide: the cell count stays finite
+    if not math.isfinite(2 * N * float(np.max(np.abs(a), initial=0.0)) / _MIN_CELL):
+        raise NumericalFailure("window entries too large (or not finite) for the spectral cells")
+    a = ops.hermitian_part(a, _HERMITIAN_TOL, NotHermitian, "window is not Hermitian within 1e-12")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     order = [int(t) for t in basis_order]

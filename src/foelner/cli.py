@@ -2,7 +2,8 @@
 
 A spec file is a JSON document {"operator": ..., "projection": ..., and
 "experiment": ...} validated strictly against the bundled schema before any
-computation runs.  Flags override experiment values.  Exit codes: 0 success,
+computation runs.  A flag sets the experiment key of its name, and the
+merged experiment is validated against the same schema.  Exit codes: 0 success,
 2 validation problem (including an -o path that cannot be written), 3
 computation failure (error class name on stderr).
 Reports are buffered and written only after the computation finishes, then
@@ -180,12 +181,6 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _pick(flag_value, experiment: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    return experiment.get(key, default)
-
-
 def n_grid(start: int, end: int, step: int | None, geometric: float | None) -> list[int]:
     if step is not None and geometric is not None:
         raise InvalidSpec("give either n_step or n_geometric, not both")
@@ -194,8 +189,8 @@ def n_grid(start: int, end: int, step: int | None, geometric: float | None) -> l
     if step is not None:
         return list(range(start, end + 1, step))
     base = 2.0 if geometric is None else float(geometric)
-    if base <= 1.0:
-        raise InvalidSpec("n_geometric must be > 1")
+    if not 1.0 < base < float("inf"):
+        raise InvalidSpec("n_geometric must be finite and > 1")
     out = []
     n = start
     while n <= end:
@@ -204,14 +199,26 @@ def n_grid(start: int, end: int, step: int | None, geometric: float | None) -> l
     return out
 
 
-def _grid_from(args, exp: dict, start: int, end: int,
+def _grid_from(exp: dict, start: int, end: int,
                step: int | None = None, geometric: float | None = None) -> list[int]:
-    st = _pick(args.n_start, exp, "n_start", start)
-    en = _pick(args.n_end, exp, "n_end", end)
-    # the spacing comes whole from the flags, else from the spec, else from the default
-    levels = [(args.n_step, args.n_geometric), (exp.get("n_step"), exp.get("n_geometric"))]
-    sp, ge = next((lv for lv in levels if lv != (None, None)), (step, geometric))
-    return n_grid(int(st), int(en), sp, ge)
+    spacing = (exp.get("n_step"), exp.get("n_geometric"))
+    sp, ge = spacing if spacing != (None, None) else (step, geometric)
+    return n_grid(int(exp.get("n_start", start)), int(exp.get("n_end", end)), sp, ge)
+
+
+def _experiment(args, doc: dict) -> dict:
+    """The spec's experiment with the set flags laid over it, validated like a spec file's.
+
+    A flag's dest is its key; a flag's n_step or n_geometric replaces the spacing whole.
+    """
+    exp = doc.get("experiment", {})
+    flags = {key: getattr(args, key) for key in spec_schema()["$defs"]["experiment"]["properties"]
+             if getattr(args, key, None) is not None}
+    if flags.keys() & {"n_step", "n_geometric"}:
+        exp = {k: v for k, v in exp.items() if k not in ("n_step", "n_geometric")}
+    exp = {**exp, **flags}
+    validate_document({"experiment": exp})
+    return exp
 
 
 def _need_operator(doc: dict) -> ops.OperatorSpec:
@@ -268,8 +275,7 @@ def read_matrix(path: str) -> np.ndarray:
 def cmd_norms(args, doc: dict, spec_hash: str | None) -> str:
     spec = _need_operator(doc)
     fam = parse_projection(doc.get("projection"))
-    exp = doc.get("experiment", {})
-    ns = _grid_from(args, exp, start=10, end=1000, geometric=10.0)
+    ns = _grid_from(_experiment(args, doc), start=10, end=1000, geometric=10.0)
     rows = norms.report_sequence(spec, fam, ns)
     lines = _meta_lines(args, spec_hash, {"command": "norms"}) + _norm_csv(rows)
     return "\n".join(lines) + "\n"
@@ -278,8 +284,7 @@ def cmd_norms(args, doc: dict, spec_hash: str | None) -> str:
 def cmd_classify(args, doc: dict, spec_hash: str | None) -> str:
     spec = _need_operator(doc)
     fam = parse_projection(doc.get("projection"))
-    exp = doc.get("experiment", {})
-    ns = _grid_from(args, exp, start=16, end=10_000, geometric=2.0)
+    ns = _grid_from(_experiment(args, doc), start=16, end=10_000, geometric=2.0)
     rows = norms.report_sequence(spec, fam, ns)
     report = {
         "meta": _meta_obj(args, spec_hash),
@@ -296,10 +301,10 @@ def cmd_classify(args, doc: dict, spec_hash: str | None) -> str:
 def cmd_halmos(args, doc: dict, spec_hash: str | None) -> str:
     spec = _need_operator(doc)
     fam = parse_projection(doc.get("projection"))
-    exp = doc.get("experiment", {})
-    eps = _epsilon(_pick(args.epsilon, exp, "epsilon", 0.1))
-    N = int(_pick(args.window, exp, "window", 2048))
-    limit = int(_pick(args.search_limit, exp, "search_limit", 10_000))
+    exp = _experiment(args, doc)
+    eps = _epsilon(exp.get("epsilon", 0.1))
+    N = int(exp.get("window", 2048))
+    limit = int(exp.get("search_limit", 10_000))
     boundaries = decomp.select_subsequence(spec, fam, eps, search_limit=limit)
     d = decomp.halmos_decompose(spec, boundaries, N, eps)
     diff = d.sparse_block_diagonal + d.sparse_perturbation - d.sparse_window
@@ -321,29 +326,29 @@ def cmd_halmos(args, doc: dict, spec_hash: str | None) -> str:
 def cmd_sparse(args, doc: dict, spec_hash: str | None) -> str:
     spec = _need_operator(doc)
     proj_doc = doc.get("projection")
-    exp = doc.get("experiment", {})
+    exp = _experiment(args, doc)
     if proj_doc is None or proj_doc["kind"] == "canonical":
         raise InvalidSpec("sparse needs a sparse or blocks projection in the spec file")
     if proj_doc["kind"] == "blocks" and "selector" in exp:
         fam = decomp.sparse_family(proj_doc["boundaries"], exp["selector"])
     else:
         fam = parse_projection(proj_doc)
-    ns = _grid_from(args, exp, start=1, end=10, step=1)
+    ns = _grid_from(exp, start=1, end=10, step=1)
     rows = norms.report_sequence(spec, fam, ns)
     lines = _meta_lines(args, spec_hash, {"command": "sparse"}) + _norm_csv(rows)
     return "\n".join(lines) + "\n"
 
 
 def cmd_berg(args, doc: dict, spec_hash: str | None) -> str:
-    exp = doc.get("experiment", {})
-    eps = _epsilon(_pick(args.epsilon, exp, "epsilon", 0.05))
-    matrix = _pick(args.matrix, exp, "matrix", None)
+    exp = _experiment(args, doc)
+    eps = _epsilon(exp.get("epsilon", 0.05))
+    matrix = exp.get("matrix")
     if matrix is not None:
         A = read_matrix(matrix)
         source = {"matrix": str(matrix)}
     else:
-        dim = int(_pick(args.dim, exp, "dim", 128))
-        seed = int(_pick(args.seed, exp, "seed", 0))
+        dim = int(exp.get("dim", 128))
+        seed = int(exp.get("seed", 0))
         A = berg.random_hermitian(dim, seed)
         source = {"dim": dim, "seed": seed}
     res = berg.berg_sequence(A, range(1, A.shape[0] + 1), eps)
@@ -364,10 +369,9 @@ def cmd_berg(args, doc: dict, spec_hash: str | None) -> str:
 
 def cmd_szego(args, doc: dict, spec_hash: str | None) -> str:
     spec = _need_operator(doc)
-    exp = doc.get("experiment", {})
-    ns = _pick(_csv_ints(args.ns), exp, "ns", [50, 100, 200, 400, 800, 1600])
-    ps = _pick(_csv_ints(args.ps), exp, "ps", [1, 2, 3, 4])
-    comp = szego.szego_compare(spec, [int(n) for n in ns], [int(p) for p in ps])
+    exp = _experiment(args, doc)
+    comp = szego.szego_compare(spec, exp.get("ns", [50, 100, 200, 400, 800, 1600]),
+                               exp.get("ps", [1, 2, 3, 4]))
     extra = {"command": "szego"}
     for p in sorted(comp.monotone):
         extra[f"monotone-p{p}"] = str(comp.monotone[p]).lower()
@@ -378,15 +382,6 @@ def cmd_szego(args, doc: dict, spec_hash: str | None) -> str:
         lines.append(",".join([_num(r.n), _num(r.p), _num(r.empirical),
                                _num(r.reference), _num(r.gap)]))
     return "\n".join(lines) + "\n"
-
-
-def _csv_ints(text: str | None) -> list[int] | None:
-    if text is None:
-        return None
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise InvalidSpec(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _as_fraction(v) -> Fraction:
@@ -409,13 +404,11 @@ def _epsilon(v) -> float:
 
 
 def cmd_weyl_amenability(args, doc: dict, spec_hash: str | None) -> str:
-    exp = doc.get("experiment", {})
-    texts = _pick(
-        args.elements.split(",") if args.elements else None,
-        exp, "elements", None)
+    exp = _experiment(args, doc)
+    texts = exp.get("elements")
     if not texts:
         raise InvalidSpec("weyl-amenability needs --elements or experiment.elements")
-    eps = _as_fraction(_pick(args.epsilon, exp, "epsilon", "1"))
+    eps = _as_fraction(exp.get("epsilon", "1"))
     if eps <= 0:
         raise InvalidSpec(f"epsilon must be positive, got {eps}")
     F = [weyl.parse_element(t) for t in texts]
@@ -439,13 +432,11 @@ def cmd_weyl_amenability(args, doc: dict, spec_hash: str | None) -> str:
 
 
 def cmd_weyl_represent(args, doc: dict, spec_hash: str | None) -> str:
-    exp = doc.get("experiment", {})
-    text = _pick(args.element, exp, "element", None)
+    exp = _experiment(args, doc)
+    text = exp.get("element")
     if not text:
         raise InvalidSpec("weyl-represent needs --element or experiment.element")
-    N = int(_pick(args.window, exp, "window", 16))
-    x = weyl.parse_element(text)
-    w = weyl.represent(x, N)
+    w = weyl.represent(weyl.parse_element(text), int(exp.get("window", 16)))
     head = _meta_lines(args, spec_hash, {"command": "weyl-represent",
                                          "element": text.strip()})
     return "\n".join(head) + "\n" + format_matrix(w.entries)
@@ -466,6 +457,11 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
+
+def integer_list(text: str) -> list[int]:
+    """Comma-separated integers (argparse names this function in its error)."""
+    return [int(tok) for tok in text.split(",") if tok.strip()]
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -511,12 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("szego", help="eigenvalue moments of compressions vs symbol")
     common(sp)
-    sp.add_argument("--ns", help="comma-separated window sizes")
-    sp.add_argument("--ps", help="comma-separated moment orders")
+    sp.add_argument("--ns", type=integer_list, help="comma-separated window sizes")
+    sp.add_argument("--ps", type=integer_list, help="comma-separated moment orders")
 
     sp = sub.add_parser("weyl-amenability", help="exact growth witness for p/q words")
     common(sp)
-    sp.add_argument("--elements", help="comma-separated elements, e.g. 'p,q,p*q'")
+    sp.add_argument("--elements", type=lambda text: text.split(","),
+                    help="comma-separated elements, e.g. 'p,q,p*q'")
     sp.add_argument("--epsilon", help="rational like 1/10")
 
     sp = sub.add_parser("weyl-represent", help="matrix window of a p/q element")

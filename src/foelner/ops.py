@@ -14,8 +14,9 @@ sums, scalings and products merge their children's arrays, a product by a
 sparse join over the intermediate index.  Column and row supports, finite
 sections P_N T P_N (``sparse_window``), the monotone reach bounds behind
 capture windows and the propagation all follow from the terms.  A dense
-window is refused before allocation when it would exceed ``DENSE_CELLS``
-cells.  Commutators against coordinate projections are assembled exactly
+window over ``DENSE_CELLS`` cells is refused before allocation; ``compress``
+(and so ``weyl.represent``) refuses it before the kernel runs.
+Commutators against coordinate projections are assembled exactly
 from the kernel: for a coordinate projection R with index set K,
 
     [T, R]_(i,j) = T_(i,j) * (1_K(j) - 1_K(i)),
@@ -623,7 +624,8 @@ def to_window(m: scipy.sparse.spmatrix) -> Window:
 
 
 def compress(spec: OperatorSpec, N: int) -> Window:
-    """P_N T P_N as a dense N x N window."""
+    """P_N T P_N as a dense N x N window, refused past the dense budget before any work."""
+    check_dense(N * N, f"a dense {N} x {N} window")
     return to_window(sparse_window(spec, N))
 
 
@@ -743,11 +745,8 @@ def projection_window(fam: ProjectionFamily, n: int, N: int) -> Window:
     idx = fam.indices(n)
     if idx and idx[-1] > N:
         raise WindowTooSmall(f"projection touches index {idx[-1]} > window {N}")
-    check_dense(N * N, f"a dense {N} x {N} projection window")
-    a = np.zeros((N, N), dtype=complex)
-    for k in idx:
-        a[k - 1, k - 1] = 1.0
-    return Window(N, a)
+    k = np.array(idx, dtype=np.int64) - 1
+    return to_window(scipy.sparse.coo_matrix((np.ones(len(k)), (k, k)), shape=(N, N)))
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +862,6 @@ def commutator_window(spec: OperatorSpec, fam: ProjectionFamily, n: int) -> Wind
         return Window(m, T @ R - R @ T)
     e = commutator_triplets(spec, fam, n)
     m = max([fam.indices(n)[-1], *e["i"].tolist(), *e["j"].tolist()])
+    # before the build: a sparse family's indices may pass int64, which no shape holds
     check_dense(m * m, f"a dense {m} x {m} commutator window")
-    a = np.zeros((m, m), dtype=complex)
-    a[e["i"].astype(np.intp) - 1, e["j"].astype(np.intp) - 1] = e["v"]
-    return Window(m, a)
+    return to_window(scipy.sparse.coo_matrix((e["v"], (e["i"] - 1, e["j"] - 1)), shape=(m, m)))

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ops
-from .errors import InvalidSpec, NonHermitianCompression
+from .errors import InvalidSpec, NonHermitianCompression, NumericalFailure
 
 _HERM_TOL = 1e-10
 
@@ -105,6 +105,7 @@ class SzegoComparison:
     monotone: dict[int, bool]     # per power: gaps non-increasing in n (10% slack)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # szego_compare checks the moments
 def _trace_moments(spec: ops.OperatorSpec, n: int, ps: Sequence[int]) -> dict[int, float]:
     """Empirical moments via traces of banded powers: (1/n) tr(T_n^p).
 
@@ -128,7 +129,10 @@ def _trace_moments(spec: ops.OperatorSpec, n: int, ps: Sequence[int]) -> dict[in
 
 def szego_compare(spec: ops.OperatorSpec, ns: Sequence[int],
                   ps: Sequence[int]) -> SzegoComparison:
-    """Moment table: empirical vs exact symbol moments with per-power trends."""
+    """Moment table: empirical vs exact symbol moments with per-power trends.
+
+    Raises NumericalFailure when a moment, gap or n * gap (the fitted C) is not finite.
+    """
     symbol = SymbolPolynomial.from_spec(spec)
     if not symbol.is_hermitian():
         raise NonHermitianCompression("symbol is not Hermitian (c_{-d} != conj(c_d))")
@@ -142,6 +146,9 @@ def szego_compare(spec: ops.OperatorSpec, ns: Sequence[int],
         for p in ps:
             emp = emps[p]
             gap = abs(emp - refs[p])
+            if not math.isfinite(n * gap):
+                raise NumericalFailure(f"the moment gap for p={p} at n={n} leaves the "
+                                       f"float range (empirical {emp}, reference {refs[p]})")
             rows.append(SzegoRow(n=n, p=p, empirical=emp, reference=refs[p], gap=gap))
             gaps[p].append(gap)
     monotone = {

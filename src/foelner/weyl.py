@@ -9,8 +9,9 @@ Blasiak, Penson & Solomon, Phys. Lett. A 309 (2003).
 
 The growth diagnostics compare dim(a V_n + V_n) against dim V_n for the
 total-degree filtration V_n = span{p^k q^l : k + l <= n}; dimensions are
-exact ranks by fraction-free elimination over the Gaussian integers.  A
-Hermite-basis representation bridges to the numerical side of the package.
+exact ranks by fraction-free elimination over the Gaussian integers.  The
+Schrodinger representation (``represent``) bridges to the numerical side: it
+is ops.compress of the element written as a spec in hermite_p and hermite_q.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from . import ops
-from .errors import DegreeExceedsWindow, FoelnerError, InvalidSpec, ResourceLimit
+from .errors import (DegreeExceedsWindow, FoelnerError, InvalidSpec, ResourceLimit,
+                     WeightUndefined)
 
 Monomial = tuple[int, int]   # (k, l) <-> p^k q^l
 
@@ -474,29 +474,26 @@ def amenability_witness(F: Sequence[WeylElement], epsilon) -> AmenabilityWitness
 # ---------------------------------------------------------------------------
 
 def represent(x: WeylElement, N: int) -> ops.Window:
-    """Image of x under p, q -> Hermite-basis momentum/position windows.
+    """Image of x under p, q -> the Hermite-basis momentum/position operators, N x N.
 
-    Monomials map to matrix products of the p- and q-windows computed in an
-    enlarged window of size N + deg(x), then cut back to N; entries of the
-    result are exact for the full N x N block because a degree-d monomial
-    only couples basis vectors at distance <= d.
+    Each normal-form term c p^k q^l becomes scale(c, product(hermite_p x k,
+    hermite_q x l)) and x their sum, compressed by ops.compress.  The kernel
+    reads whole columns of each product, so every entry of the window is
+    that of the operator, with no enlarged window.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     d = x.degree() or 0
     if d >= N:
         raise DegreeExceedsWindow(f"degree {d} needs a window larger than {N}")
-    big = N + d
-    # the powers of P and Q plus the accumulator: 2d + 3 dense big x big arrays
-    ops.check_dense((2 * d + 3) * big * big, f"representing a degree-{d} element at N={N}")
-    P = ops.compress(ops.OperatorSpec.hermite_p(), big).entries
-    Q = ops.compress(ops.OperatorSpec.hermite_q(), big).entries
-    p_pows = [np.eye(big, dtype=complex)]
-    q_pows = [np.eye(big, dtype=complex)]
-    for _ in range(d):
-        p_pows.append(p_pows[-1] @ P)
-        q_pows.append(q_pows[-1] @ Q)
-    acc = np.zeros((big, big), dtype=complex)
-    for (k, l) in sorted(x.terms):
-        acc += x.terms[(k, l)].to_complex() * (p_pows[k] @ q_pows[l])
-    return ops.Window(N, acc[:N, :N])
+    S = ops.OperatorSpec
+    p, q = S.hermite_p(), S.hermite_q()
+    terms = []
+    for (k, l), c in sorted(x.terms.items()):
+        try:
+            factor = c.to_complex()
+        except OverflowError:
+            raise WeightUndefined(f"coefficient of p^{k} q^{l} overflows a float") from None
+        word = (p,) * k + (q,) * l
+        terms.append(S.scale(factor, S.product(*word) if word else S.diagonal("const:1")))
+    return ops.compress(S.sum(*terms) if terms else S.toeplitz({}), N)

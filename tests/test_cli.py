@@ -430,9 +430,15 @@ _HUGE_DIAGONAL = {"kind": "diagonal", "weight": "const:1e200"}
                 "experiment": {"epsilon": "0", "window": 64}}, 2, "epsilon must be"),
     ("sparse", {"operator": {"kind": "creation"}, "projection": {"kind": "sparse", "rule": "pow2"},
                 "experiment": {"n_start": 1, "n_end": 8, "n_geometric": 2}}, 0, ""),
+    ("szego", {"operator": {"kind": "toeplitz", "bands": {"0": 1e308}},
+               "experiment": {"ns": [1], "ps": [2]}}, 3, "NumericalFailure"),
+    ("szego", {"operator": {"kind": "toeplitz", "bands": {"0": 1e307}},
+               "experiment": {"ns": [64], "ps": [1]}}, 3, "NumericalFailure"),
+    ("szego", {"operator": {"kind": "toeplitz", "bands": {"0": 1e300}},
+               "experiment": {"ns": [64], "ps": [1]}}, 0, ""),
 ], ids=["indices_past_their_end", "product_overflow", "halmos_product_overflow",
-        "rational_epsilon", "zero_epsilon",
-        "spec_spacing_beats_the_default"])
+        "rational_epsilon", "zero_epsilon", "spec_spacing_beats_the_default",
+        "szego_moment_overflow", "szego_trace_overflow", "szego_large_but_finite"])
 def test_schema_valid_edge_documents_exit_cleanly(tmp_path, capsys, command, doc, code, err):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
@@ -451,3 +457,76 @@ def test_weight_past_float_range_exits_3(tmp_path, capsys, kind):
     assert code == 3
     assert "WeightUndefined" in err and "Traceback" not in err
     assert out == ""
+
+
+# a flag sets the experiment key of its name, so it meets the bounds a spec file meets
+@pytest.mark.parametrize("argv", [
+    ["halmos", "--window", "0"],
+    ["halmos", "--search-limit", "0"],
+    ["berg", "--dim", "0"],
+    ["berg", "--seed", "-1"],
+    ["szego", "--ns", "0"],
+    ["szego", "--ps", "-1"],
+    ["szego", "--ps", "0"],
+    ["norms", "--n-step", "0"],
+    ["norms", "--n-step", "-1"],
+    ["norms", "--n-geometric", "nan"],
+    ["norms", "--n-geometric", "inf"],
+], ids=lambda a: " ".join(a))
+def test_flags_obey_the_schema_bounds(capsys, argv):
+    spec = {"halmos": "halmos_inverse", "berg": "berg_seeded", "szego": "szego_cos",
+            "norms": "shift_sqrt_norms"}[argv[0]]
+    code, out, err = run([argv[0], REPO / "specs" / f"{spec}.json", *argv[1:]], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("InvalidSpec: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["szego", "--ns", "50,x"], ["halmos", "--window", "x"]],
+                         ids=["ns", "window"])
+def test_malformed_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+
+
+def test_flag_spacing_replaces_the_spec_spacing_whole(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"operator": {"kind": "creation"},
+                                "experiment": {"n_start": 1, "n_end": 8, "n_step": 3}}))
+    code, out, _ = run(["norms", spec, "--n-geometric", "2", "--no-timestamp"], capsys)
+    assert code == 0
+    rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
+    assert [int(r.split(",")[0]) for r in rows] == [1, 2, 4, 8]
+
+
+@pytest.mark.parametrize("doc", [{"n_geometric": float("nan")}, {"n_geometric": float("inf")}],
+                         ids=["nan", "inf"])
+def test_spec_file_with_a_nonfinite_base_exits_2(tmp_path, capsys, doc):
+    # Python's json reads NaN and Infinity, and the schema's bound lets both through
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"operator": {"kind": "creation"}, "experiment": doc}))
+    code, out, err = run(["norms", spec], capsys)
+    assert code == 2 and out == "" and "n_geometric must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--element", "1" + "0" * 400 + "*p"],
+    ["--element", "1" + "0" * 300 + "*p^60*q^60", "--window", "130"],
+], ids=["coefficient", "entries"])
+def test_weyl_represent_past_the_float_range_exits_3(tmp_path, capsys, argv):
+    out_file = tmp_path / "w.txt"
+    code, out, err = run(["weyl-represent", *argv, "-o", out_file], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("WeightUndefined: ") and "Traceback" not in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("entries", ["1e308+0i 1e308+0i 1e308+0i 1e308+0i",
+                                     "nan+0i 0+0i 0+0i 1+0i"], ids=["huge", "nan"])
+def test_berg_matrix_past_the_cell_arithmetic_exits_3(tmp_path, capsys, entries):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(f"2\n{entries}\n")
+    code, out, err = run(["berg", "--matrix", matrix], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("NumericalFailure: ") and "Traceback" not in err

@@ -1,19 +1,21 @@
 """The CLI's exit-code contract over schema-valid spec documents.
 
-Hypothesis draws whole spec documents for `norms`, `classify`, `sparse` and
-`halmos` from hand-written strategies that follow src/foelner/schema.json:
-every operator kind nested in sums, scales and products, weight rules that
-are well formed or not, huge and tiny coefficients, canonical, sparse and
-blocks projections whose index lists may be out of order, and small
-experiments (n <= 64, window <= 256, search_limit <= 64).  Each document is
-checked against the schema first.  A run must exit 0, 2 or 3 without a
-traceback, and a report that exits 0 must hold only finite numbers.
+Hypothesis draws whole spec documents for every subcommand from hand-written
+strategies that follow src/foelner/schema.json: every operator kind nested in
+sums, scales and products, weight rules that are well formed or not, huge and
+tiny coefficients, canonical, sparse and blocks projections whose index lists
+may be out of order, Hermitian and other Toeplitz symbols, matrix files,
+p, q elements well formed or not, and small experiments (n <= 64, window <=
+256, search_limit <= 64, dim <= 12, degree <= 8).  Each document is checked
+against the schema first.  A run must exit 0, 2 or 3 without a traceback,
+and a report that exits 0 must hold only finite numbers.
 """
 
 import contextlib
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -79,26 +81,111 @@ def _grid(draw):
 _EPSILON = st.one_of(st.floats(1e-3, 2.0),
                      st.sampled_from(["1/10", "0.5", "3", "0", "1/0"]))
 
+def _hermitian_toeplitz(upper):
+    """The toeplitz with bands c_d for d >= 0 and c_-d = conj(c_d): szego's operators."""
+    bands = {}
+    for d, c in upper.items():
+        re, im = c if isinstance(c, list) else (c, 0)
+        bands[str(d)] = re if d == 0 else [re, im]
+        if d:
+            bands[str(-d)] = [re, -im]
+    return {"kind": "toeplitz", "bands": bands}
+
+
+_HERMITIAN_TOEPLITZ = st.dictionaries(st.integers(0, 3), _CNUM, min_size=1,
+                                      max_size=3).map(_hermitian_toeplitz)
+
+# matrix files for berg --matrix, written into the spec directory
+_MATRICES = {
+    "hermitian.txt": "2\n1+0i 0.5-0.5i\n0.5+0.5i -1+0i\n",
+    "not_hermitian.txt": "2\n1+0i 2+0i\n0+0i 1+0i\n",
+    "huge.txt": "2\n1e308+0i 1e308+0i\n1e308+0i 1e308+0i\n",
+    "large.txt": "2\n1e150+0i 3e149-1e149i\n3e149+1e149i -2e150+0i\n",
+    "nan.txt": "1\nnan+0i\n",
+    "zero.txt": "1\n0+0i\n",
+    "short.txt": "3\n1+0i\n",
+    "garbage.txt": "2\na b c d\n",
+}
+
+_COEFFICIENT = st.one_of(
+    st.sampled_from(["2", "1/2", "i", "3/7", "0", "1" + "0" * 400, "1" + "0" * 300,
+                     "1/" + "1" + "0" * 400]),
+    st.integers(1, 50).map(str))
+_FACTOR = st.builds(str.__add__, st.sampled_from("pq"),
+                    st.sampled_from(["", "^0", "^1", "^2", "^3", "^8"]))
+
 
 @st.composite
-def _documents(draw):
-    """(subcommand, spec document)."""
-    command = draw(st.sampled_from(["norms", "classify", "sparse", "halmos"]))
-    doc = {}
-    if draw(st.integers(0, 9)):
-        doc["operator"] = draw(_OPERATOR)
-    projection = draw(_PROJECTION)
-    if projection is not None:
-        doc["projection"] = projection
+def _element(draw, max_terms=3):
+    """Element text: signed terms of a coefficient and p, q factors; sometimes malformed."""
+    if not draw(st.integers(0, 9)):
+        return draw(st.sampled_from(["p^", "*q", "1/0", "p q", "p^-1", "x", "+", "0"]))
+    text = ""
+    for t in range(draw(st.integers(1, max_terms))):
+        factors = draw(st.lists(st.one_of(_COEFFICIENT, _FACTOR), min_size=1, max_size=3))
+        sign = draw(st.sampled_from(["+", "-"])) if t else draw(st.sampled_from(["", "-"]))
+        text += f" {sign} " + "*".join(factors)
+    return text.strip()
+
+
+# amenability searches stay cheap for low degrees and epsilon >= 1/4
+_SMALL_ELEMENT = st.builds(
+    lambda c, k, l, rest: "*".join([c, *(["p^%d" % k] if k else []),
+                                     *(["q^%d" % l] if l else [])]) + rest,
+    st.sampled_from(["1", "2", "i", "1/3", "1" + "0" * 400]),
+    st.integers(0, 2), st.integers(0, 1),
+    st.sampled_from(["", " + q", " - p*q", " + i", " + 0"]))
+
+
+def _experiment(draw, command):
+    """The experiment block for one subcommand."""
     if command == "halmos":
         exp = {"window": draw(st.integers(1, 256)), "search_limit": draw(st.integers(1, 64))}
         if draw(st.booleans()):
             exp["epsilon"] = draw(_EPSILON)
-    else:
-        exp = draw(_grid())
-        if command == "sparse" and draw(st.booleans()):
-            exp["selector"] = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
-    doc["experiment"] = exp
+        return exp
+    if command == "berg":
+        exp = {"dim": draw(st.integers(1, 12)),
+               "seed": draw(st.one_of(st.integers(0, 2**32), st.just(2**70)))}
+        if draw(st.integers(0, 3)) == 0:
+            exp["matrix"] = draw(st.sampled_from(sorted(_MATRICES) + ["absent.txt"]))
+        if draw(st.booleans()):
+            exp["epsilon"] = draw(_EPSILON)
+        return exp
+    if command == "szego":
+        return {"ns": draw(st.lists(st.integers(1, 64), min_size=1, max_size=4)),
+                "ps": draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))}
+    if command == "weyl-amenability":
+        exp = {"elements": draw(st.lists(st.one_of(_SMALL_ELEMENT, _element(1).filter(
+            lambda t: "^8" not in t and "^3" not in t)), min_size=1, max_size=3))}
+        if draw(st.booleans()):
+            exp["epsilon"] = draw(st.one_of(st.sampled_from(["1", "1/2", "1/4", "3", "0"]),
+                                            st.floats(0.25, 4.0)))
+        return exp
+    if command == "weyl-represent":
+        return {"element": draw(_element()), "window": draw(st.integers(1, 64))}
+    exp = draw(_grid())
+    if command == "sparse" and draw(st.booleans()):
+        exp["selector"] = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    return exp
+
+
+_COMMANDS = ["norms", "classify", "sparse", "halmos", "berg", "szego", "weyl-amenability",
+             "weyl-represent"]
+
+
+@st.composite
+def _documents(draw):
+    """(subcommand, spec document)."""
+    command = draw(st.sampled_from(_COMMANDS))
+    doc = {}
+    if draw(st.integers(0, 9)):
+        doc["operator"] = draw(_HERMITIAN_TOEPLITZ if command == "szego" and draw(st.booleans())
+                               else _OPERATOR)
+    projection = draw(_PROJECTION)
+    if projection is not None:
+        doc["projection"] = projection
+    doc["experiment"] = _experiment(draw, command)
     return command, doc
 
 
@@ -124,23 +211,43 @@ def _numbers(x):
             yield from _numbers(v)
 
 
+_HEADERS = {"norms": "n,rank,u,s1,s2,ratio1,ratio2", "sparse": "n,rank,u,s1,s2,ratio1,ratio2",
+            "szego": "n,p,empirical,reference,gap",
+            "weyl-amenability": "element,n,dim_vn,dim_sum,ratio"}
+
+
 def _report_numbers(command, text):
-    if command in ("classify", "halmos"):
+    if command in ("classify", "halmos", "berg"):
         return list(_numbers(json.loads(text, parse_constant=_reject_constant)))
+    meta = [ln[2:].split(" ", 1) for ln in text.splitlines() if ln.startswith("# ")]
     rows = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    assert rows[0] == "n,rank,u,s1,s2,ratio1,ratio2"
-    return [float(x) for row in rows[1:] for x in row.split(",")]
+    if command == "weyl-represent":
+        assert int(rows[0]) == len(rows) - 1
+        return [float(x) for row in rows[1:] for tok in row.split()
+                for x in (complex(tok.replace("i", "j")).real, complex(tok.replace("i", "j")).imag)]
+    assert rows[0] == _HEADERS[command]
+    cells = [row.split(",") for row in rows[1:]]
+    if command == "weyl-amenability":
+        # every column but the element text is an exact integer or rational
+        return [float(Fraction(x)) for row in cells for x in row[1:]]
+    fitted = [float(v) for k, v in meta if k.startswith("fitted-C-")]
+    return fitted + [float(x) for row in cells for x in row]
 
 
 @pytest.fixture(scope="module")
 def spec_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("documents")
+    path = tmp_path_factory.mktemp("documents")
+    for name, text in _MATRICES.items():
+        (path / name).write_text(text)
+    return path
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_documents())
 def test_schema_valid_documents_keep_the_exit_contract(spec_dir, command_doc):
     command, doc = command_doc
+    if "matrix" in doc["experiment"]:
+        doc["experiment"]["matrix"] = str(spec_dir / doc["experiment"]["matrix"])
     cli.validate_document(doc)
     path = spec_dir / "spec.json"
     path.write_text(json.dumps(doc))

@@ -330,6 +330,44 @@ def test_ratio_matches_fraction_reference():
 
 # ---------------------------------------------------------------- windows
 
+def _dense_represent(x, N):
+    """x in the Hermite basis by dense matrix powers of p and q, cut to N x N.
+
+    The powers live in a window of N + deg(x): a degree-d monomial couples
+    basis vectors at distance <= d only, so the N x N corner is exact.
+    """
+    d = x.degree() or 0
+    big = N + d
+    P = ops.compress(ops.OperatorSpec.hermite_p(), big).entries
+    Q = ops.compress(ops.OperatorSpec.hermite_q(), big).entries
+    p_pows, q_pows = [np.eye(big, dtype=complex)], [np.eye(big, dtype=complex)]
+    for _ in range(d):
+        p_pows.append(p_pows[-1] @ P)
+        q_pows.append(q_pows[-1] @ Q)
+    acc = np.zeros((big, big), dtype=complex)
+    for (k, l) in sorted(x.terms):
+        acc += x.terms[(k, l)].to_complex() * (p_pows[k] @ q_pows[l])
+    return acc[:N, :N]
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(25)
+    cases = [(WeylElement.zero(), 1), (ONE, 7), (I, 64)]
+    for _ in range(30):
+        x = _random_element(rng, max_deg=int(rng.integers(1, 7)), terms=4)
+        d = x.degree() or 0
+        cases.append((x, int(rng.integers(d + 1, 65))))
+    return cases
+
+
+@pytest.mark.parametrize("x, N", _oracle_cases(), ids=lambda v: str(v))
+def test_represent_matches_dense_powers(x, N):
+    got = weyl.represent(x, N).entries
+    want = _dense_represent(x, N)
+    assert np.array_equal(got != 0, want != 0)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
 def test_represent_matches_operator_windows():
     for N in (4, 9, 16):
         assert np.array_equal(weyl.represent(Q, N).entries,
