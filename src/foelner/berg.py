@@ -5,7 +5,11 @@ projects the next cyclic basis vector onto the unexplored complement, splits
 that vector along spectral cells of width eps/2^n, and adjoins one normalized
 piece per occupied cell.  The boundary terms between the swept part and its
 complement form a perturbation K whose operator norm is summed by the cell
-widths, staying below eps.
+widths, staying below eps.  Both are read off the swept basis W (the step
+bases side by side, unitary once the sweep exhausts the window): with
+B = W*AW and e_n the rank after step n, ||[A, P_n]|| is the largest singular
+value of the block B[e_n:, :e_n], and K is the part of B off its diagonal
+blocks, Hermitian, so ||K|| is its largest |eigenvalue|.
 
 Also here: an exact encoding of a normal window into a single Hermitian
 window whose spectral projections generate the same algebra, and the diagonal
@@ -14,6 +18,7 @@ recombination of per-interval sweeps into one increasing projection family.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,7 +26,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from . import norms, ops
+from . import ops
 from .errors import NonOrthogonalRanges, NotHermitian, NotNormal, NumericalFailure, RankStall
 
 _HERMITIAN_TOL = 1e-12
@@ -66,11 +71,21 @@ class BergResult:
     """Outcome of a sweep: nested projections plus the perturbation they cost."""
 
     dim: int
-    projections: tuple[ops.Window, ...]        # P_1 <= P_2 <= ... (last = identity)
     block_ranks: tuple[int, ...]               # rank added per step
     commutator_norms: tuple[float, ...]        # ||[A, P_n]||_u per step
     perturbation_norm: float                   # ||sum_n Q_n A P_n^perp + h.c.||_u
     step_bases: tuple[np.ndarray, ...]         # orthonormal basis of each increment
+
+    @functools.cached_property
+    def projections(self) -> tuple[ops.Window, ...]:
+        """P_1 <= P_2 <= ... (last = identity), dense, built from step_bases."""
+        out = []
+        P = np.zeros((self.dim, self.dim), dtype=complex)
+        for Z in self.step_bases:
+            P = P + Z @ Z.conj().T
+            P = (P + P.conj().T) / 2
+            out.append(ops.Window(self.dim, P))
+        return tuple(out)
 
 
 def _as_array(A: ops.Window | np.ndarray) -> np.ndarray:
@@ -121,13 +136,7 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
         M = 1.0
 
     U_perp = np.eye(N, dtype=complex)
-    P = np.zeros((N, N), dtype=complex)
-    K = np.zeros((N, N), dtype=complex)
-    projections: list[ops.Window] = []
-    block_ranks: list[int] = []
-    comm_norms: list[float] = []
     step_bases: list[np.ndarray] = []
-
     rank = 0
     stall = 0
     step = 0
@@ -166,30 +175,27 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
         stall = 0
         Y = np.column_stack(pieces)
         q = Y.shape[1]
-
-        Z = U_perp @ Y                      # lift increments to the full window
-        P = P + Z @ Z.conj().T
-        P = (P + P.conj().T) / 2
+        step_bases.append(U_perp @ Y)       # lift the increment to the full window
         rank += q
-        Pperp = np.eye(N) - P
-        Qn = Z @ Z.conj().T
-        K += Qn @ a @ Pperp + Pperp @ a @ Qn
-
-        projections.append(ops.Window(N, P.copy()))
-        block_ranks.append(q)
-        comm_norms.append(norms.seminorm(a @ P - P @ a, "u"))
-        step_bases.append(Z)
 
         # shrink the unexplored complement by the new directions
         full_u, _, _ = np.linalg.svd(Y, full_matrices=True)
         U_perp = U_perp @ full_u[:, q:]
 
+    ranks = tuple(Z.shape[1] for Z in step_bases)
+    ends = np.cumsum(ranks)
+    W = np.hstack(step_bases)
+    K = W.conj().T @ a @ W              # B = W*AW, then its diagonal blocks zeroed
+    for s, e in zip(ends - ranks, ends):
+        K[s:e, s:e] = 0
+    # [A, P_n] is the off-diagonal block pair K[e_n:, :e_n] and its adjoint
+    comm_norms = tuple(float(np.linalg.svd(K[e:, :e], compute_uv=False)[0]) if e < N else 0.0
+                       for e in ends)
     return BergResult(
         dim=N,
-        projections=tuple(projections),
-        block_ranks=tuple(block_ranks),
-        commutator_norms=tuple(comm_norms),
-        perturbation_norm=norms.seminorm(K, "u"),
+        block_ranks=ranks,
+        commutator_norms=comm_norms,
+        perturbation_norm=float(np.max(np.abs(np.linalg.eigvalsh(K)))),
         step_bases=tuple(step_bases),
     )
 
@@ -272,19 +278,12 @@ def lift_sweep(A: ops.Window | np.ndarray, V: np.ndarray, basis_order: Sequence[
     N = a.shape[0]
     comp = V.conj().T @ a @ V
     res = berg_sequence(comp, basis_order, epsilon)
-    projections = []
-    bases = []
-    for w, Z in zip(res.projections, res.step_bases):
-        lifted_basis = V @ Z
-        bases.append(lifted_basis)
-        projections.append(ops.Window(N, V @ w.entries @ V.conj().T))
     return BergResult(
         dim=N,
-        projections=tuple(projections),
         block_ranks=res.block_ranks,
         commutator_norms=res.commutator_norms,
         perturbation_norm=res.perturbation_norm,
-        step_bases=tuple(bases),
+        step_bases=tuple(V @ Z for Z in res.step_bases),
     )
 
 
@@ -304,11 +303,10 @@ def unbounded_combine(per_interval: Sequence[BergResult],
     dims = {res.dim for res in per_interval}
     if len(dims) != 1:
         raise ValueError("interval results live in different window dimensions")
-    for s in range(len(per_interval)):
-        for t in range(s + 1, len(per_interval)):
-            ps = per_interval[s].projections[-1].entries
-            pt = per_interval[t].projections[-1].entries
-            if float(np.max(np.abs(ps @ pt))) > _NORMAL_TOL:
+    ranges = [W @ W.conj().T for W in (np.hstack(res.step_bases) for res in per_interval)]
+    for s in range(len(ranges)):
+        for t in range(s + 1, len(ranges)):
+            if float(np.max(np.abs(ranges[s] @ ranges[t]))) > _NORMAL_TOL:
                 raise NonOrthogonalRanges(f"interval ranges {s + 1} and {t + 1} overlap")
 
     deepest = max(n + len(res.step_bases) for n, res in enumerate(per_interval, start=1))

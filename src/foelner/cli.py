@@ -232,17 +232,14 @@ def _need_operator(doc: dict) -> ops.OperatorSpec:
 # ---------------------------------------------------------------------------
 
 def format_matrix(a: np.ndarray) -> str:
-    a = np.asarray(a, dtype=complex)
-    lines = [str(a.shape[0])]
-    for row in a:
-        lines.append(" ".join(_fmt_entry(z) for z in row))
+    rows = np.asarray(a, dtype=complex).tolist()
+    lines = [str(len(rows))] + [" ".join(_fmt_entry(z) for z in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def _fmt_entry(z: complex) -> str:
-    re, im = float(z.real), float(z.imag)
-    sign = "+" if im >= 0 else "-"
-    return f"{re!r}{sign}{abs(im)!r}i"
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -262,7 +259,7 @@ def read_matrix(path: str) -> np.ndarray:
     if n < 1 or len(vals) != n * n:
         raise InvalidSpec(f"matrix file promises {n}x{n} entries, found {len(vals)}")
     try:
-        flat = [complex(tok.replace("i", "j")) for tok in vals]
+        flat = [complex(tok[:-1] + "j" if tok.endswith("i") else tok) for tok in vals]
     except ValueError as exc:
         raise InvalidSpec(f"bad matrix entry: {exc}") from None
     return np.array(flat, dtype=complex).reshape(n, n)

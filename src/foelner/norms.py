@@ -166,12 +166,14 @@ class NormReport:
     u: float
     s1: float
     s2: float
-    ratio1: float = field(init=False)
-    ratio2: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "ratio1", self.s1 / self.rank)
-        object.__setattr__(self, "ratio2", self.s2 / math.sqrt(self.rank))
+    @property
+    def ratio1(self) -> float:
+        return self.s1 / self.rank
+
+    @property
+    def ratio2(self) -> float:
+        return self.s2 / math.sqrt(self.rank)
 
 
 def report(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, n: int) -> NormReport:

@@ -159,3 +159,92 @@ def test_combine_rejects_overlapping_ranges():
     r = berg.lift_sweep(A, V, range(1, 11), 0.3)
     with pytest.raises(NonOrthogonalRanges):
         berg.unbounded_combine([r, r])
+
+
+# ---------------------------------------------------------------------------
+# reference: the dense sweep with per-step N x N projections and commutators
+# ---------------------------------------------------------------------------
+
+def _dense_sweep(a, epsilon):
+    """The sweep in natural order, every reported number from N x N products."""
+    N = a.shape[0]
+    M = float(np.max(np.abs(np.linalg.eigvalsh(a)))) or 1.0
+    U_perp = np.eye(N, dtype=complex)
+    P = np.zeros((N, N), dtype=complex)
+    K = np.zeros((N, N), dtype=complex)
+    projections, ranks, comm, bases = [], [], [], []
+    rank = stall = step = 0
+    while rank < N:
+        step += 1
+        assert stall < N
+        w = U_perp.conj().T[:, (step - 1) % N].copy()
+        if np.linalg.norm(w) <= berg._DROP_TOL:
+            stall += 1
+            continue
+        a_red = U_perp.conj().T @ a @ U_perp
+        lam, V = np.linalg.eigh((a_red + a_red.conj().T) / 2)
+        width = max(epsilon / 2 ** step, berg._MIN_CELL)
+        count = max(1, math.ceil(2 * M / width))
+        width = 2 * M / count
+        cells = {}
+        for t in range(U_perp.shape[1]):
+            cells.setdefault(berg._cell_index(float(lam[t]), M, width, count), []).append(t)
+        pieces = []
+        for c in sorted(cells):
+            Vc = V[:, cells[c]]
+            y = Vc @ (Vc.conj().T @ w)
+            if np.linalg.norm(y) > berg._DROP_TOL:
+                pieces.append(y / np.linalg.norm(y))
+        if not pieces:
+            stall += 1
+            continue
+        stall = 0
+        Y = np.column_stack(pieces)
+        q = Y.shape[1]
+        Z = U_perp @ Y
+        P = P + Z @ Z.conj().T
+        P = (P + P.conj().T) / 2
+        rank += q
+        Pperp = np.eye(N) - P
+        Qn = Z @ Z.conj().T
+        K += Qn @ a @ Pperp + Pperp @ a @ Qn
+        projections.append(P.copy())
+        ranks.append(q)
+        comm.append(float(np.linalg.svd(a @ P - P @ a, compute_uv=False)[0]))
+        bases.append(Z)
+        full_u, _, _ = np.linalg.svd(Y, full_matrices=True)
+        U_perp = U_perp @ full_u[:, q:]
+    return projections, ranks, comm, float(np.linalg.svd(K, compute_uv=False)[0]), bases
+
+
+def _close(x, y):
+    return abs(x - y) <= max(1e-9 * max(abs(x), abs(y)), 1e-12)
+
+
+_ORACLE_CASES = [pytest.param(berg.random_hermitian(dim, dim), eps, id=f"random-{dim}-eps{eps}")
+                 for dim in (8, 33, 64, 128) for eps in (0.05, 0.2)]
+_ORACLE_CASES.append(pytest.param(np.diag(np.linspace(-1, 1, 24)).astype(complex), 0.2,
+                                  id="diagonal-24"))
+
+
+@pytest.mark.parametrize("a, eps", _ORACLE_CASES)
+def test_sweep_matches_dense_reference(a, eps):
+    N = a.shape[0]
+    projections, ranks, comm, k_norm, bases = _dense_sweep(a, eps)
+    r = berg.berg_sequence(a, range(1, N + 1), eps)
+    assert r.block_ranks == tuple(ranks)
+    assert len(r.step_bases) == len(bases)
+    assert all(np.array_equal(z, zr) for z, zr in zip(r.step_bases, bases))
+    assert len(r.commutator_norms) == len(comm)
+    assert all(_close(x, y) for x, y in zip(r.commutator_norms, comm))
+    assert _close(r.perturbation_norm, k_norm)
+    # the block identity: ||[A, P_n]|| is the top singular value of B[e_n:, :e_n]
+    W = np.hstack(r.step_bases)
+    B = W.conj().T @ a @ W
+    for e, P, c in zip(np.cumsum(ranks), projections, comm):
+        block = B[e:, :e]
+        top = float(np.linalg.svd(block, compute_uv=False)[0]) if block.size else 0.0
+        assert _close(top, c)
+    assert len(r.projections) == len(projections)
+    for p, P in zip(r.projections, projections):
+        assert np.max(np.abs(p.entries - P)) <= 1e-12

@@ -292,6 +292,21 @@ def test_matrix_format_round_trip(tmp_path):
     assert np.array_equal(cli.read_matrix(f), A)
 
 
+def test_matrix_format_matches_per_entry_formatter(tmp_path):
+    def entry(z):                       # formats numpy scalars one at a time
+        re, im = float(z.real), float(z.imag)
+        return f"{re!r}{'+' if im >= 0 else '-'}{abs(im)!r}i"
+
+    A = np.array([[-0.0 + 0.0j, complex(0.0, -0.0), complex(np.nan, 1.5)],
+                  [complex(np.inf, -np.inf), complex(-1e-300, np.nan), 2.0 - 3.25j],
+                  [complex(-np.inf, 0.0), 1e308 + 1e-308j, complex(-0.0, -0.0)]])
+    old = "3\n" + "\n".join(" ".join(entry(z) for z in row) for row in A) + "\n"
+    assert cli.format_matrix(A) == old
+    f = tmp_path / "m.txt"
+    f.write_text(old)
+    np.testing.assert_array_equal(cli.read_matrix(f), A)
+
+
 def test_version_subprocess():
     res = subprocess.run([sys.executable, "-m", "foelner", "--version"],
                          capture_output=True, text=True)
@@ -523,7 +538,10 @@ def test_weyl_represent_past_the_float_range_exits_3(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("entries", ["1e308+0i 1e308+0i 1e308+0i 1e308+0i",
-                                     "nan+0i 0+0i 0+0i 1+0i"], ids=["huge", "nan"])
+                                     "nan+0i 0+0i 0+0i 1+0i",
+                                     "inf+0i 0+0i 0+0i 1+0i",
+                                     "1+infi 0+0i 0+0i 1+0i"],
+                         ids=["huge", "nan", "inf", "imaginary-inf"])
 def test_berg_matrix_past_the_cell_arithmetic_exits_3(tmp_path, capsys, entries):
     matrix = tmp_path / "m.txt"
     matrix.write_text(f"2\n{entries}\n")
