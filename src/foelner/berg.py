@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import ops
 from .errors import NonOrthogonalRanges, NotHermitian, NotNormal, NumericalFailure, RankStall
@@ -135,7 +134,7 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
     if M == 0.0:
         M = 1.0
 
-    U_perp = np.eye(N, dtype=complex)
+    U_perp = None                       # the identity until the first increment
     step_bases: list[np.ndarray] = []
     rank = 0
     stall = 0
@@ -145,15 +144,19 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
         if stall >= N:
             raise RankStall(f"no rank progress over a full cycle at rank {rank} < {N}")
         omega = order[(step - 1) % N]
-        w = U_perp.conj().T[:, omega - 1].copy()
-        if np.linalg.norm(w) <= _DROP_TOL:
-            stall += 1
-            continue
-
-        r = U_perp.shape[1]
-        a_red = U_perp.conj().T @ a @ U_perp
-        a_red = (a_red + a_red.conj().T) / 2
+        if U_perp is None:
+            w = np.zeros(N, dtype=complex)
+            w[omega - 1] = 1
+            a_red = a
+        else:
+            w = U_perp[omega - 1].conj()
+            if np.linalg.norm(w) <= _DROP_TOL:
+                stall += 1
+                continue
+            a_red = U_perp.conj().T @ a @ U_perp
+            a_red = (a_red + a_red.conj().T) / 2
         lam, V = np.linalg.eigh(a_red)
+        r = len(lam)
 
         width = max(epsilon / 2 ** step, _MIN_CELL)
         count = max(1, math.ceil(2 * M / width))
@@ -175,12 +178,12 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
         stall = 0
         Y = np.column_stack(pieces)
         q = Y.shape[1]
-        step_bases.append(U_perp @ Y)       # lift the increment to the full window
+        step_bases.append(Y if U_perp is None else U_perp @ Y)   # lifted to the window
         rank += q
 
         # shrink the unexplored complement by the new directions
         full_u, _, _ = np.linalg.svd(Y, full_matrices=True)
-        U_perp = U_perp @ full_u[:, q:]
+        U_perp = full_u[:, q:] if U_perp is None else U_perp @ full_u[:, q:]
 
     ranks = tuple(Z.shape[1] for Z in step_bases)
     ends = np.cumsum(ranks)
@@ -220,6 +223,8 @@ def normal_to_selfadjoint(Nw: ops.Window | np.ndarray, epsilon: float,
         raise NotNormal("window does not commute with its adjoint within 1e-10")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+
+    import scipy.linalg             # only this function needs it; it is slow to import
 
     T, Z = scipy.linalg.schur(a, output="complex")
     lam = np.diag(T)

@@ -27,7 +27,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__, berg, decomp, norms, ops, szego, weyl
-from .errors import FoelnerError, InvalidSpec
+from .errors import FoelnerError, InvalidSpec, ResourceLimit
 
 _SCHEMA: dict | None = None
 _VALIDATOR = None
@@ -410,6 +410,13 @@ def cmd_weyl_amenability(args, doc: dict, spec_hash: str | None) -> str:
         raise InvalidSpec(f"epsilon must be positive, got {eps}")
     F = [weyl.parse_element(t) for t in texts]
     wit = weyl.amenability_witness(F, eps)
+    dim_vn = (wit.n + 1) * (wit.n + 2) // 2
+    dim_sums = [ratio * dim_vn for ratio in wit.ratios]
+    # no integer of the report exceeds max(cap, dim_sum); str() refuses one past the
+    # digit limit (absent before Python 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(wit.cap, *dim_sums) >= 10 ** limit:
+        raise ResourceLimit(f"report integers past {limit} digits; try a larger epsilon")
     extra = {
         "command": "weyl-amenability",
         "epsilon": f"{eps.numerator}/{eps.denominator}",
@@ -418,9 +425,7 @@ def cmd_weyl_amenability(args, doc: dict, spec_hash: str | None) -> str:
     }
     lines = _meta_lines(args, spec_hash, extra)
     lines.append("element,n,dim_vn,dim_sum,ratio")
-    dim_vn = weyl.MonomialSubspace.total_degree(wit.n).dimension()
-    for text, ratio in zip(texts, wit.ratios):
-        dim_sum = ratio * dim_vn
+    for text, ratio, dim_sum in zip(texts, wit.ratios, dim_sums):
         assert dim_sum.denominator == 1
         lines.append(",".join([
             text.strip(), str(wit.n), str(dim_vn), str(dim_sum.numerator),

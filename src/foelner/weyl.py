@@ -8,8 +8,10 @@ normal ordering q^l p^k = sum_j j! C(l,j) C(k,j) i^j p^(k-j) q^(l-j) of
 Blasiak, Penson & Solomon, Phys. Lett. A 309 (2003).
 
 The growth diagnostics compare dim(a V_n + V_n) against dim V_n for the
-total-degree filtration V_n = span{p^k q^l : k + l <= n}; dimensions are
-exact ranks by fraction-free elimination over the Gaussian integers.  The
+total-degree filtration V_n = span{p^k q^l : k + l <= n}.  That ratio has a
+closed form, because the associated graded ring C[p, q] has no zero divisors
+(see foelner_ratio); MonomialSubspace gives exact dimensions of other spans
+by fraction-free elimination over the Gaussian integers.  The
 Schrodinger representation (``represent``) bridges to the numerical side: it
 is ops.compress of the element written as a spec in hermite_p and hermite_q.
 """
@@ -24,8 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import ops
-from .errors import (DegreeExceedsWindow, FoelnerError, InvalidSpec, ResourceLimit,
-                     WeightUndefined)
+from .errors import DegreeExceedsWindow, FoelnerError, InvalidSpec, WeightUndefined
 
 Monomial = tuple[int, int]   # (k, l) <-> p^k q^l
 
@@ -352,23 +353,14 @@ class MonomialSubspace:
 
 
 def _exact_rank(rows: Iterable[IntTerms]) -> int:
-    """Rank over the Gaussian rationals of sparse Gaussian-integer rows."""
-    return _eliminate(rows)[0]
-
-
-def _eliminate(rows: Iterable[IntTerms]) -> tuple[int, int]:
-    """(rank, work) of sparse Gaussian-integer rows over the Gaussian rationals.
+    """Rank over the Gaussian rationals of sparse Gaussian-integer rows.
 
     Fraction-free elimination: a row whose leading monomial already has a
     pivot becomes lead(piv)*row - lead(row)*piv, then is divided by the gcd
-    of its integer parts, which keeps the coefficients small.  work counts
-    the coefficients of the input rows and of every reduced row, a
-    deterministic measure that tracks the running time.
+    of its integer parts, which keeps the coefficients small.
     """
     pivots: dict[Monomial, IntTerms] = {}
-    work = 0
     for row in rows:
-        work += len(row)
         while row:
             lead = min(row, key=lambda m: (m[0] + m[1], m[0], m[1]))
             piv = pivots.get(lead)
@@ -380,53 +372,36 @@ def _eliminate(rows: Iterable[IntTerms]) -> tuple[int, int]:
             for m, (r, s) in piv.items():
                 u, v = acc.get(m, (0, 0))
                 acc[m] = (u - c * r + d * s, v - c * s - d * r)
-            work += len(acc)
             g = math.gcd(*(x for v in acc.values() for x in v))
             row = {m: (r // g, s // g) for m, (r, s) in acc.items() if r or s}
-    return len(pivots), work
+    return len(pivots)
 
 
-class _Growth:
-    """dim(a V_n + V_n) level by level, with a scaled to integers.
-
-    Level n needs a*m only for m in the top deg(a) degrees (the rest map
-    into V_n); those products are kept for reuse at level n + 1 and no
-    older ones, so memory stays flat.
-    """
-
-    def __init__(self, a: WeylElement):
-        self.terms = _integral(a.terms)[0]
-        self.deg = a.degree() or 0
-        self.products: dict[Monomial, IntTerms] = {}
-        self.work = 0    # elimination work over every level so far
-
-    def ratio(self, n: int) -> Fraction:
-        if self.deg == 0:
-            return Fraction(1)
-        dim_vn = (n + 1) * (n + 2) // 2
-        kept: dict[Monomial, IntTerms] = {}
-        rows = []
-        for d in range(n - self.deg + 1, n + 1):
-            for k in range(d, -1, -1):
-                m = (k, d - k)
-                kept[m] = prod = self.products.get(m) or _product(self.terms, {m: (1, 0)})
-                rows.append({t: c for t, c in prod.items() if t[0] + t[1] > n})
-        self.products = kept
-        rank, work = _eliminate(rows)
-        self.work += work
-        return Fraction(dim_vn + rank, dim_vn)
+def _excess(deg: int, n: int) -> int:
+    """dim(a V_n + V_n) - dim V_n for deg a = deg: the monomials m with
+    max(0, n - deg + 1) <= deg m <= n (see foelner_ratio)."""
+    lo = max(0, n - deg + 1)
+    return ((n + 1) * (n + 2) - lo * (lo + 1)) // 2
 
 
 def foelner_ratio(a: WeylElement, n: int) -> Fraction:
-    """dim(a V_n + V_n) / dim V_n as an exact rational."""
+    """dim(a V_n + V_n) / dim V_n as an exact rational, in closed form.
+
+    Let delta = deg a.  A product a*m with deg m <= n - delta lies in V_n, so
+    a V_n + V_n is V_n plus the parts of a*m beyond degree n for the monomials
+    m with n - delta < deg m <= n.  Normal ordering only lowers the degree, so
+    the top-degree component of a*m is sigma(a) m, sigma(a) the top homogeneous
+    part of a and the product taken in C[p, q].  These parts are linearly
+    independent: in a combination sum c_m a*m lying in V_n, let D be the
+    largest deg m with c_m != 0; its degree-(delta + D) component is
+    sigma(a) * sum_{deg m = D} c_m m, which must vanish, and C[p, q] has no
+    zero divisors.  Hence dim(a V_n + V_n) = dim V_n + #{m : max(0, n - delta
+    + 1) <= deg m <= n}, and the ratio is 1 for a scalar (delta = 0).
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _Growth(a).ratio(n)
-
-
-# Elimination work (see _eliminate) amenability_witness may spend; one unit
-# took 1.5-6 microseconds on one core of a 2-core x86 VM.
-WITNESS_BUDGET = 500_000
+    dim_vn = (n + 1) * (n + 2) // 2
+    return Fraction(dim_vn + _excess(a.degree() or 0, n), dim_vn)
 
 
 @dataclass(frozen=True)
@@ -440,14 +415,17 @@ class AmenabilityWitness:
 
 
 def amenability_witness(F: Sequence[WeylElement], epsilon) -> AmenabilityWitness:
-    """Smallest n (searched upward from 0) with all ratios <= 1 + epsilon.
+    """Smallest n with foelner_ratio(a, n) <= 1 + epsilon for every a in F.
 
-    The search is capped at ceil((delta + 2) / (sqrt(1 + eps) - 1)), where
-    delta is the largest total degree in F; that level always works because
-    dim V_{n+delta} / dim V_n falls below 1 + eps there.  Before each level
-    the elimination work spent so far (see _eliminate) is checked against
-    WITNESS_BUDGET; past it, ResourceLimit is raised.  For F = [p] that
-    happens at n = 1000, i.e. for eps below about 1/500.
+    By the closed form of foelner_ratio, the ratio is 2 for n <= delta - 1
+    and 1 + delta (2n + 3 - delta) / ((n + 1)(n + 2)) from n = delta - 1 on,
+    which strictly decreases in n and grows with delta.  So the element of
+    largest degree delta decides, and the level is found in integers: the
+    larger root of num (n + 1)(n + 2) = den delta (2n + 3 - delta), for
+    eps = num/den, rounded down, then steps up to the exact boundary.  cap
+    is the smallest n with ((n + K) / n)^2 <= 1 + eps, K = delta + 2,
+    computed exactly; the witness never exceeds it, since dim(a V_n + V_n)
+    <= dim V_{n + delta} and dim V_{n + delta} / dim V_n <= ((n + K) / n)^2.
     """
     if not F:
         raise ValueError("need at least one element")
@@ -455,18 +433,27 @@ def amenability_witness(F: Sequence[WeylElement], epsilon) -> AmenabilityWitness
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     delta = max((a.degree() or 0) for a in F)
-    cap = math.ceil((delta + 2) / (math.sqrt(1 + float(eps)) - 1))
-    target = 1 + eps
-    growth = [_Growth(a) for a in F]
-    for n in range(cap + 1):
-        if sum(g.work for g in growth) > WITNESS_BUDGET:
-            raise ResourceLimit(f"no witness below level {n} within the work budget "
-                                f"({WITNESS_BUDGET} units); try a larger epsilon")
-        rats = tuple(g.ratio(n) for g in growth)
-        if all(r <= target for r in rats):
-            return AmenabilityWitness(n=n, cap=cap, epsilon=eps, ratios=rats)
-    raise FoelnerError("no witness level up to the degree-bound cap; "
-                       "this contradicts the growth estimate")
+    num, den = eps.numerator, eps.denominator
+    K = delta + 2
+    t = K * K * den * (num + den)     # cap is the least n >= (K den + sqrt(t)) / num
+    s = math.isqrt(t)
+    cap = -(-(K * den + s + (s * s != t)) // num)
+
+    def fits(n: int) -> bool:         # ratio at level n <= 1 + num/den
+        return 2 * den * _excess(delta, n) <= num * (n + 1) * (n + 2)
+
+    n = 0
+    if not fits(0):                   # then eps < 1 <= delta and the root lies past delta
+        disc = (num - 2 * den * delta) ** 2 - 4 * num * den * delta * (delta - 1)
+        # at most the least fitting level, and within 3 of it
+        n = max(1, (2 * den * delta - num + math.isqrt(disc)) // (2 * num) - 1)
+        while not fits(n):
+            n += 1
+    if n > cap:
+        raise FoelnerError("witness level past the degree-bound cap; "
+                           "this contradicts the growth estimate")
+    return AmenabilityWitness(n=n, cap=cap, epsilon=eps,
+                              ratios=tuple(foelner_ratio(x, n) for x in F))
 
 
 # ---------------------------------------------------------------------------

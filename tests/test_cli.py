@@ -230,16 +230,46 @@ def test_weyl_amenability_rejects_nonpositive_epsilon(tmp_path, capsys, source):
     assert "epsilon must be positive" in err
 
 
-def test_weyl_amenability_over_budget_exits_3(tmp_path, capsys):
-    # the witness for p at eps = 1/2000 sits near level 4000, far past the budget
-    out_file = tmp_path / "w.csv"
-    start = time.perf_counter()
+def test_weyl_amenability_small_epsilon_finds_the_witness(tmp_path, capsys):
+    # p at eps = 1/2000: 2/(n + 2) <= 1/2000 first at n = 3998
     code, out, err = run(["weyl-amenability", "--elements", "p", "--epsilon", "1/2000",
-                          "-o", out_file], capsys)
-    assert time.perf_counter() - start < 30
+                          "--no-timestamp"], capsys)
+    assert code == 0, err
+    meta = {l.split()[1]: l.split()[2] for l in out.splitlines()
+            if l.startswith("#") and len(l.split()) == 3}
+    assert meta["witness-n"] == "3998"
+    assert meta["cap"] == "12002"
+    assert out.splitlines()[-1] == "p,3998,7998000,8001999,2001/2000"
+
+
+def test_weyl_amenability_epsilon_below_float_resolution_exits_0(tmp_path, capsys):
+    # 1 + 1e-20 rounds to 1.0 as a float; the witness and the cap are exact integers
+    code, out, err = run(["weyl-amenability", "--elements", "p", "--epsilon",
+                          "1/" + "1" + "0" * 20, "--no-timestamp"], capsys)
+    assert code == 0, err
+    meta = {l.split()[1]: l.split()[2] for l in out.splitlines()
+            if l.startswith("#") and len(l.split()) == 3}
+    assert meta["witness-n"] == str(2 * 10**20 - 2)
+    assert meta["cap"] == str(6 * 10**20 + 2)
+
+
+def test_weyl_amenability_past_the_digit_limit_exits_3(tmp_path, capsys):
+    # dim V_n near 2 * 10^5998 would need more digits than str() of an int allows
+    out_file = tmp_path / "w.csv"
+    code, out, err = run(["weyl-amenability", "--elements", "p", "--epsilon",
+                          "1/" + "1" + "0" * 2999, "-o", out_file], capsys)
     assert code == 3
+    assert out == ""
     assert "ResourceLimit" in err
     assert not out_file.exists()
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # only berg.normal_to_selfadjoint needs scipy.linalg; it imports it itself
+    code = ("import sys, foelner.cli; "
+            "sys.exit(int(any(m == 'scipy.linalg' or m.startswith('scipy.linalg.') "
+            "for m in sys.modules)))")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 @pytest.mark.parametrize("weight", ["const:nan", "const:inf", "pow:nan", "pow:-inf",

@@ -5,8 +5,9 @@ strategies that follow src/foelner/schema.json: every operator kind nested in
 sums, scales and products, weight rules that are well formed or not, huge and
 tiny coefficients, canonical, sparse and blocks projections whose index lists
 may be out of order, Hermitian and other Toeplitz symbols, matrix files,
-p, q elements well formed or not, and small experiments (n <= 64, window <=
-256, search_limit <= 64, dim <= 12, degree <= 8).  Each document is checked
+p, q elements well formed or not, small experiments (n <= 64, window <= 256,
+search_limit <= 64, dim <= 12, degree <= 8 per factor) and amenability
+epsilons down to 1/10^30.  Each document is checked
 against the schema first.  A run must exit 0, 2 or 3 without a traceback,
 and a report that exits 0 must hold only finite numbers.
 """
@@ -128,13 +129,18 @@ def _element(draw, max_terms=3):
     return text.strip()
 
 
-# amenability searches stay cheap for low degrees and epsilon >= 1/4
+# amenability witnesses are closed forms, so any degree and any rational epsilon is cheap
 _SMALL_ELEMENT = st.builds(
     lambda c, k, l, rest: "*".join([c, *(["p^%d" % k] if k else []),
                                      *(["q^%d" % l] if l else [])]) + rest,
     st.sampled_from(["1", "2", "i", "1/3", "1" + "0" * 400]),
     st.integers(0, 2), st.integers(0, 1),
     st.sampled_from(["", " + q", " - p*q", " + i", " + 0"]))
+_WITNESS_EPSILON = st.one_of(
+    st.sampled_from(["1", "1/2", "1/4", "3", "0", "7/9", "1/2000", "1/" + "1" + "0" * 30]),
+    st.builds("{}/{}".format, st.integers(1, 10**6), st.integers(1, 10**30)),
+    st.builds(str, st.integers(1, 10**6)),
+    st.floats(1e-30, 4.0))
 
 
 def _experiment(draw, command):
@@ -156,11 +162,10 @@ def _experiment(draw, command):
         return {"ns": draw(st.lists(st.integers(1, 64), min_size=1, max_size=4)),
                 "ps": draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))}
     if command == "weyl-amenability":
-        exp = {"elements": draw(st.lists(st.one_of(_SMALL_ELEMENT, _element(1).filter(
-            lambda t: "^8" not in t and "^3" not in t)), min_size=1, max_size=3))}
+        exp = {"elements": draw(st.lists(st.one_of(_SMALL_ELEMENT, _element(1)),
+                                         min_size=1, max_size=3))}
         if draw(st.booleans()):
-            exp["epsilon"] = draw(st.one_of(st.sampled_from(["1", "1/2", "1/4", "3", "0"]),
-                                            st.floats(0.25, 4.0)))
+            exp["epsilon"] = draw(_WITNESS_EPSILON)
         return exp
     if command == "weyl-represent":
         return {"element": draw(_element()), "window": draw(st.integers(1, 64))}

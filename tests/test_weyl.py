@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foelner import ops, weyl
 from foelner.errors import DegreeExceedsWindow, InvalidSpec
@@ -184,6 +186,49 @@ def test_witness_validation():
         weyl.amenability_witness([P], Fraction(0))
 
 
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 6),
+                                 Fraction(1, 10), Fraction(1, 20), Fraction(1, 2000),
+                                 Fraction(7, 9), Fraction(5, 4), Fraction(3), Fraction(8),
+                                 Fraction(1, 10**20), Fraction(10**20 + 1, 10**20)])
+def test_cap_is_the_least_level_of_the_degree_bound(eps):
+    # cap = least n with ((n + K) / n)^2 <= 1 + eps, K = delta + 2, decided by squaring
+    a, b = eps.numerator, eps.denominator
+    for delta in range(9):
+        K = delta + 2
+        cap = weyl.amenability_witness([mono(delta, 0)], eps).cap
+
+        def holds(n):
+            return n > 0 and b * (n + K) ** 2 <= (a + b) * n * n
+        assert holds(cap) and not holds(cap - 1), (eps, delta, cap)
+
+
+_ELEMENTS = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda m: sum(m) <= 4),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=5).map(
+    lambda terms: WeylElement({m: GaussianRational(Fraction(re), Fraction(im))
+                               for m, (re, im) in terms.items()}))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_ELEMENTS, st.integers(0, 12))
+def test_closed_form_ratio_matches_elimination(a, n):
+    assert weyl.foelner_ratio(a, n) == _ratio_all_monomials(a, n), (weyl.to_text(a), n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(_ELEMENTS, min_size=1, max_size=3),
+       st.sampled_from([Fraction(1, d) for d in (1, 2, 3, 5, 8, 13, 40, 100)]
+                       + [Fraction(7, 9), Fraction(3, 2), Fraction(5)]))
+def test_witness_matches_a_linear_scan(F, eps):
+    n = 0
+    while any(weyl.foelner_ratio(a, n) > 1 + eps for a in F):
+        n += 1
+    w = weyl.amenability_witness(F, eps)
+    assert w.n == n
+    assert w.ratios == tuple(weyl.foelner_ratio(a, n) for a in F)
+    assert w.n <= w.cap
+
+
 # ---------------------------------------------------------------- oracles
 # The exact core computes on Gaussian integers with a closed-form normal
 # ordering and fraction-free rank; these references do the same work the
@@ -321,11 +366,9 @@ def test_ratio_matches_fraction_reference():
     }
     for text, a in cases.items():
         assert weyl.parse_element(text) == a
-        growth = weyl._Growth(a)           # reuses products across levels
         for n in range(13):
             want = _ref_ratio(a, n)
             assert weyl.foelner_ratio(a, n) == want, (text, n)
-            assert growth.ratio(n) == want, (text, n)
 
 
 # ---------------------------------------------------------------- windows
