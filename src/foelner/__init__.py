@@ -8,9 +8,7 @@ from .errors import (
     FoelnerError,
     InvalidSpec,
     NonHermitianCompression,
-    NonOrthogonalRanges,
     NotHermitian,
-    NotNormal,
     NotQuasidiagonalAlongFamily,
     NumericalFailure,
     RankStall,
@@ -52,14 +50,8 @@ from .decomp import (
 )
 from .berg import (
     BergResult,
-    SpectralPartition,
     berg_sequence,
-    dyadic_partition,
-    lift_sweep,
-    normal_to_selfadjoint,
     random_hermitian,
-    spectral_interval_bases,
-    unbounded_combine,
 )
 from .szego import (
     EmpiricalSpectralMeasure,

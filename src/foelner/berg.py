@@ -10,10 +10,6 @@ bases side by side, unitary once the sweep exhausts the window): with
 B = W*AW and e_n the rank after step n, ||[A, P_n]|| is the largest singular
 value of the block B[e_n:, :e_n], and K is the part of B off its diagonal
 blocks, Hermitian, so ||K|| is its largest |eigenvalue|.
-
-Also here: an exact encoding of a normal window into a single Hermitian
-window whose spectral projections generate the same algebra, and the diagonal
-recombination of per-interval sweeps into one increasing projection family.
 """
 
 from __future__ import annotations
@@ -26,36 +22,12 @@ from typing import Sequence
 import numpy as np
 
 from . import ops
-from .errors import NonOrthogonalRanges, NotHermitian, NotNormal, NumericalFailure, RankStall
+from .errors import NotHermitian, NumericalFailure, RankStall
 
 _HERMITIAN_TOL = 1e-12
-_NORMAL_TOL = 1e-10
 _DROP_TOL = 1e-10
 _MIN_CELL = 1e-12
 _EDGE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SpectralPartition:
-    """Uniform half-open cells [a, b) covering [-M, M], the last cell closed."""
-
-    bound: float
-    level: int
-    cells: tuple[tuple[float, float], ...]
-
-    @property
-    def width(self) -> float:
-        return self.cells[0][1] - self.cells[0][0]
-
-
-def dyadic_partition(M: float, n: int, epsilon: float) -> SpectralPartition:
-    """Partition [-M, M] into ceil(2M * 2^n / eps) equal cells."""
-    if M <= 0 or epsilon <= 0 or n < 0:
-        raise ValueError("M and epsilon must be positive, n >= 0")
-    count = math.ceil(2 * M * 2 ** n / epsilon)
-    width = 2 * M / count
-    cells = tuple((-M + t * width, -M + (t + 1) * width) for t in range(count))
-    return SpectralPartition(bound=float(M), level=n, cells=cells)
 
 
 def _cell_index(lam: float, M: float, width: float, count: int) -> int:
@@ -202,129 +174,3 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
         step_bases=tuple(step_bases),
     )
 
-
-# ---------------------------------------------------------------------------
-# normal windows -> one Hermitian generator
-# ---------------------------------------------------------------------------
-
-def normal_to_selfadjoint(Nw: ops.Window | np.ndarray, epsilon: float,
-                          max_levels: int = 60) -> tuple[ops.Window, list[ops.Window]]:
-    """Encode a normal window into a Hermitian one with the same invariant cells.
-
-    Square cells of diameter eps/2^n tile the plane per level n; each occupied
-    cell contributes its spectral projection E_m, and levels stop once every
-    cell isolates a single eigenvalue (1e-12 resolution).  The output is
-    A = sum_m 3^{-m} (2 E_m - 1), whose spectral projections separate exactly
-    the same cells, plus the enumerated E_m list.
-    """
-    a = _as_array(Nw)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a @ a.conj().T - a.conj().T @ a))) > _NORMAL_TOL * scale:
-        raise NotNormal("window does not commute with its adjoint within 1e-10")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-
-    import scipy.linalg             # only this function needs it; it is slow to import
-
-    T, Z = scipy.linalg.schur(a, output="complex")
-    lam = np.diag(T)
-    n_dim = a.shape[0]
-
-    enumerated: list[np.ndarray] = []
-    for level in range(1, max_levels + 1):
-        side = (epsilon / 2 ** level) / math.sqrt(2)
-        groups: dict[tuple[int, int], list[int]] = {}
-        for t in range(n_dim):
-            key = (int(math.floor((lam[t].real + _EDGE_TOL) / side)),
-                   int(math.floor((lam[t].imag + _EDGE_TOL) / side)))
-            groups.setdefault(key, []).append(t)
-        separated = True
-        for key in sorted(groups):
-            idx = groups[key]
-            Zc = Z[:, idx]
-            enumerated.append(Zc @ Zc.conj().T)
-            vals = lam[idx]
-            if np.max(np.abs(vals - vals[0])) > 1e-12:
-                separated = False
-        if separated:
-            break
-
-    out = -np.eye(n_dim, dtype=complex) * sum(3.0 ** -(m + 1) for m in range(len(enumerated)))
-    for m, E in enumerate(enumerated):
-        out = out + 3.0 ** -(m + 1) * 2 * E
-    out = (out + out.conj().T) / 2
-    return ops.Window(n_dim, out), [ops.Window(n_dim, E) for E in enumerated]
-
-
-# ---------------------------------------------------------------------------
-# combining per-interval sweeps
-# ---------------------------------------------------------------------------
-
-def spectral_interval_bases(A: ops.Window | np.ndarray,
-                            edges: Sequence[float]) -> list[np.ndarray]:
-    """Orthonormal eigenbases for eigenvalues in [e_t, e_{t+1}) (last closed)."""
-    lam, V = np.linalg.eigh(ops.hermitian_part(_as_array(A), _HERMITIAN_TOL, NotHermitian,
-                                               "window is not Hermitian within 1e-12"))
-    es = [float(e) for e in edges]
-    if len(es) < 2 or any(b <= a_ for a_, b in zip(es, es[1:])):
-        raise ValueError("edges must be strictly increasing with >= 2 entries")
-    out = []
-    for t in range(len(es) - 1):
-        hi_closed = t == len(es) - 2
-        mask = (lam >= es[t]) & ((lam <= es[t + 1]) if hi_closed else (lam < es[t + 1]))
-        out.append(V[:, mask])
-    return out
-
-
-def lift_sweep(A: ops.Window | np.ndarray, V: np.ndarray, basis_order: Sequence[int],
-               epsilon: float) -> BergResult:
-    """Run a sweep on the compression V*AV and express it in window coordinates."""
-    a = _as_array(A)
-    N = a.shape[0]
-    comp = V.conj().T @ a @ V
-    res = berg_sequence(comp, basis_order, epsilon)
-    return BergResult(
-        dim=N,
-        block_ranks=res.block_ranks,
-        commutator_norms=res.commutator_norms,
-        perturbation_norm=res.perturbation_norm,
-        step_bases=tuple(V @ Z for Z in res.step_bases),
-    )
-
-
-def unbounded_combine(per_interval: Sequence[BergResult],
-                      schedule: str = "diagonal") -> ops.ProjectionFamily:
-    """Merge per-interval sweeps into one increasing family on the window.
-
-    With the diagonal schedule, the k-th combined increment is
-    E_k = sum over interval n and step m with n + m = k + 1 of the (n, m)
-    increment, so every interval is eventually exhausted even when there are
-    many.  Interval ranges must be mutually orthogonal.
-    """
-    if schedule != "diagonal":
-        raise ValueError("only the diagonal schedule is implemented")
-    if not per_interval:
-        raise ValueError("need at least one interval result")
-    dims = {res.dim for res in per_interval}
-    if len(dims) != 1:
-        raise ValueError("interval results live in different window dimensions")
-    ranges = [W @ W.conj().T for W in (np.hstack(res.step_bases) for res in per_interval)]
-    for s in range(len(ranges)):
-        for t in range(s + 1, len(ranges)):
-            if float(np.max(np.abs(ranges[s] @ ranges[t]))) > _NORMAL_TOL:
-                raise NonOrthogonalRanges(f"interval ranges {s + 1} and {t + 1} overlap")
-
-    deepest = max(n + len(res.step_bases) for n, res in enumerate(per_interval, start=1))
-    bases: list[np.ndarray] = []
-    acc: list[np.ndarray] = []
-    for k in range(1, deepest):
-        for n, res in enumerate(per_interval, start=1):
-            m = k + 1 - n
-            if 1 <= m <= len(res.step_bases):
-                acc.append(res.step_bases[m - 1])
-        if acc:
-            bases.append(np.hstack(acc))
-            acc = [bases[-1]]
-    if not bases:
-        raise ValueError("interval results contain no increments")
-    return ops.ProjectionFamily.explicit(bases)

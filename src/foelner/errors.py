@@ -46,16 +46,8 @@ class NotHermitian(FoelnerError):
     """An operation required a Hermitian window and did not get one."""
 
 
-class NotNormal(FoelnerError):
-    """An operation required a normal window and did not get one."""
-
-
 class RankStall(FoelnerError):
     """A projection-building sweep stopped making progress before exhaustion."""
-
-
-class NonOrthogonalRanges(FoelnerError):
-    """Per-interval projection ranges overlap and cannot be combined."""
 
 
 class NonHermitianCompression(FoelnerError):

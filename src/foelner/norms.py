@@ -186,9 +186,8 @@ def report_sequence(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
     """Norm reports along increasing family indices.
 
     s2 is the square root of the correctly rounded sum of the squared real
-    and imaginary parts of the commutator's entries (a dense Frobenius norm
-    for explicit families).  A coordinate family takes one grid pass for all
-    of ns (see _grid).  Raises NumericalFailure when u, s1 or s2 is not
+    and imaginary parts of the commutator's entries.  One grid pass serves
+    all of ns (see _grid).  Raises NumericalFailure when u, s1 or s2 is not
     finite.
     """
     ns = list(ns)
@@ -198,25 +197,13 @@ def report_sequence(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
 
 
 def _reports(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int]) -> list[NormReport]:
-    if fam.kind == "explicit":
-        norms = (_explicit_norms(spec, fam, n) for n in ns)
-    else:
-        norms = _per_grid(spec, fam, ns, full=True)
     out = []
-    for n, (u, s1, s2) in zip(ns, norms):
+    for n, (u, s1, s2) in zip(ns, _per_grid(spec, fam, ns, full=True)):
         if not (math.isfinite(u) and math.isfinite(s1) and math.isfinite(s2)):
             raise NumericalFailure(f"seminorms of [T, R_{n}] are not finite: "
                                    f"u={u}, s1={s1}, s2={s2}")
         out.append(NormReport(n=n, rank=fam.rank(n), u=u, s1=s1, s2=s2))
     return out
-
-
-def _explicit_norms(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
-                    n: int) -> tuple[float, float, float]:
-    """u, s1, s2 of the dense commutator window of an explicit family."""
-    w = ops.commutator_window(spec, fam, n)
-    sv = _svdvals(w.entries)
-    return float(sv[0]) if sv.size else 0.0, float(sv.sum()), float(np.linalg.norm(w.entries))
 
 
 def u_sequence(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,

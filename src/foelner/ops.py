@@ -641,13 +641,11 @@ class ProjectionFamily:
       canonical -- P_n = projection onto span{e_1..e_n}
       sparse    -- R_n = projection onto {e_{k_1}..e_{k_n}}, k strictly increasing
       blocks    -- R_n = projection onto the union of the first n index blocks
-      explicit  -- R_n = V_n V_n* for stored orthonormal bases V_n
     """
 
     kind: str
     rule: Callable[[int], int] | None = None
     blocks: tuple[tuple[int, int], ...] = ()   # half-open 1-based (lo, hi] intervals
-    bases: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
         # the rule's values so far: a run over n = 1..N calls the rule N times
@@ -678,23 +676,10 @@ class ProjectionFamily:
         ivals = tuple((bs[i], bs[i + 1]) for i in range(len(bs) - 1))
         return cls(kind="blocks", blocks=ivals)
 
-    @classmethod
-    def explicit(cls, bases: Sequence[np.ndarray], tol: float = 1e-12) -> "ProjectionFamily":
-        mats = []
-        for V in bases:
-            V = np.asarray(V, dtype=complex)
-            if V.ndim != 2:
-                raise InvalidSpec("each explicit basis must be a 2-d array of columns")
-            g = V.conj().T @ V
-            if np.max(np.abs(g - np.eye(V.shape[1]))) > tol:
-                raise InvalidSpec("explicit basis columns are not orthonormal")
-            mats.append(V)
-        return cls(kind="explicit", bases=tuple(mats))
-
     # -- queries -----------------------------------------------------------
 
     def indices(self, n: int) -> list[int]:
-        """Coordinate index set of the n-th projection (not for explicit kind)."""
+        """Coordinate index set of the n-th projection; InvalidSpec for an unknown kind."""
         if n < 1:
             raise ValueError("n must be >= 1")
         if self.kind == "canonical":
@@ -714,13 +699,9 @@ class ProjectionFamily:
             for lo, hi in self.blocks[:n]:
                 out.extend(range(lo + 1, hi + 1))
             return out
-        raise InvalidSpec("explicit families have no coordinate index set")
+        raise InvalidSpec(f"unknown projection family kind {self.kind!r}")
 
     def rank(self, n: int) -> int:
-        if self.kind == "explicit":
-            if n > len(self.bases):
-                raise SelectorOutOfRange(f"family has {len(self.bases)} members, asked for {n}")
-            return self.bases[n - 1].shape[1]
         if self.kind == "blocks":
             if n > len(self.blocks):
                 raise SelectorOutOfRange(f"family has {len(self.blocks)} blocks, asked for {n}")
@@ -730,18 +711,6 @@ class ProjectionFamily:
 
 def projection_window(fam: ProjectionFamily, n: int, N: int) -> Window:
     """The n-th projection of the family as a dense N x N window."""
-    if fam.kind == "explicit":
-        if n > len(fam.bases):
-            raise SelectorOutOfRange(f"family has {len(fam.bases)} members, asked for {n}")
-        V = fam.bases[n - 1]
-        if V.shape[0] > N:
-            raise WindowTooSmall(f"explicit basis lives in dimension {V.shape[0]} > {N}")
-        check_dense(N * N, f"a dense {N} x {N} projection window")
-        m = V @ V.conj().T
-        a = np.zeros((N, N), dtype=complex)
-        # entrywise-exact Hermitian symmetrization of the BLAS product
-        a[: V.shape[0], : V.shape[0]] = (m + m.conj().T) / 2
-        return Window(N, a)
     idx = fam.indices(n)
     if idx and idx[-1] > N:
         raise WindowTooSmall(f"projection touches index {idx[-1]} > window {N}")
@@ -765,7 +734,7 @@ def _commutator_entries(spec: OperatorSpec, fam: ProjectionFamily, ns: Sequence[
     r(j) <= n < r(i) and row entries with sign - for r(i) <= n < r(j).
     Canonical families read the columns (rows) of the union of the per-n
     boundary ranges [_first_past(n), n]; sparse and blocks families read
-    their largest index set, which explicit families lack (InvalidSpec).
+    their largest index set (InvalidSpec for an unknown kind).
     """
     top = ns[-1]
     grid = _as_index(ns)
@@ -847,19 +816,9 @@ def capture_bound(spec: OperatorSpec, n: int) -> int:
 def commutator_window(spec: OperatorSpec, fam: ProjectionFamily, n: int) -> Window:
     """[T, R_n] as a dense window that captures every nonzero entry.
 
-    For a coordinate family the window dimension is the largest index the
-    commutator or the projection touches (capture_bound(spec, n) for the
-    canonical family).
+    The window dimension is the largest index the commutator or the
+    projection touches (capture_bound(spec, n) for the canonical family).
     """
-    if fam.kind == "explicit":
-        if n > len(fam.bases):
-            raise SelectorOutOfRange(f"family has {len(fam.bases)} members, asked for {n}")
-        V = fam.bases[n - 1]
-        N = V.shape[0]
-        m = max(N, _col_hi(spec, N), _row_hi(spec, N))
-        T = compress(spec, m).entries
-        R = projection_window(fam, n, m).entries
-        return Window(m, T @ R - R @ T)
     e = commutator_triplets(spec, fam, n)
     m = max([fam.indices(n)[-1], *e["i"].tolist(), *e["j"].tolist()])
     # before the build: a sparse family's indices may pass int64, which no shape holds

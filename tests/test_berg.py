@@ -4,28 +4,7 @@ import numpy as np
 import pytest
 
 from foelner import berg, ops
-from foelner.errors import NonOrthogonalRanges, NotHermitian, NotNormal
-
-
-def test_dyadic_partition_counts():
-    p = berg.dyadic_partition(1.0, 3, 0.3)
-    assert len(p.cells) == math.ceil(2 * 8 / 0.3)
-    assert p.cells[0][0] == -1.0
-    assert p.cells[-1][1] == pytest.approx(1.0)
-    widths = {round(b - a, 15) for a, b in p.cells}
-    assert len(widths) == 1
-    # consecutive cells tile the interval
-    for (_, b), (a2, _) in zip(p.cells, p.cells[1:]):
-        assert a2 == pytest.approx(b)
-
-
-def test_dyadic_partition_validation():
-    with pytest.raises(ValueError):
-        berg.dyadic_partition(0.0, 1, 0.1)
-    with pytest.raises(ValueError):
-        berg.dyadic_partition(1.0, -1, 0.1)
-    with pytest.raises(ValueError):
-        berg.dyadic_partition(1.0, 1, 0.0)
+from foelner.errors import NotHermitian
 
 
 def test_sweep_diagonal_is_free():
@@ -95,70 +74,6 @@ def test_random_hermitian_contract():
     assert not np.array_equal(A, berg.random_hermitian(40, 10))
     B = berg.random_hermitian(12, 0, spectrum_radius=2.5)
     assert np.max(np.abs(np.linalg.eigvalsh(B))) == pytest.approx(2.5, abs=1e-12)
-
-
-def test_normal_encoding_cyclic_shift():
-    N = np.zeros((8, 8), dtype=complex)
-    for j in range(8):
-        N[(j + 1) % 8, j] = 1.0
-    Aw, cells = berg.normal_to_selfadjoint(N, 0.5)
-    a = Aw.entries
-    assert np.max(np.abs(a - a.conj().T)) == 0.0
-    assert np.max(np.abs(a @ N - N @ a)) < 1e-10
-    for E in cells:
-        e = E.entries
-        assert np.max(np.abs(e @ e - e)) < 1e-10
-        assert np.max(np.abs(e @ N - N @ e)) < 1e-10
-    # the shift has 8 distinct eigenvalues, all eventually isolated
-    ranks = sorted(int(round(np.trace(E.entries).real)) for E in cells)
-    assert ranks[-1] <= 8 and ranks[0] >= 1
-
-
-def test_normal_encoding_rejects_nonnormal():
-    J = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NotNormal):
-        berg.normal_to_selfadjoint(J, 0.5)
-
-
-def test_interval_pipeline():
-    A = berg.random_hermitian(24, 7)
-    bases = berg.spectral_interval_bases(A, [-1.0, 0.0, 1.0])
-    assert sum(V.shape[1] for V in bases) == 24
-    for V in bases:
-        assert np.max(np.abs(V.conj().T @ V - np.eye(V.shape[1]))) < 1e-12
-    res = [berg.lift_sweep(A, V, range(1, V.shape[1] + 1), 0.2) for V in bases]
-    fam = berg.unbounded_combine(res)
-    assert fam.kind == "explicit"
-    steps = len(fam.bases)
-    ranks = [fam.rank(n) for n in range(1, steps + 1)]
-    assert ranks == sorted(ranks)
-    assert ranks[-1] == 24
-    prev = None
-    for n in range(1, steps + 1):
-        W = ops.projection_window(fam, n, 24).entries
-        assert np.max(np.abs(W @ W - W)) < 1e-10
-        if prev is not None:
-            assert np.max(np.abs(prev @ W - prev)) < 1e-10
-        prev = W
-    assert np.max(np.abs(prev - np.eye(24))) < 1e-10
-
-
-def test_interval_edges_validation():
-    A = berg.random_hermitian(6, 1)
-    with pytest.raises(ValueError):
-        berg.spectral_interval_bases(A, [0.0])
-    with pytest.raises(ValueError):
-        berg.spectral_interval_bases(A, [1.0, -1.0])
-    with pytest.raises(NotHermitian):
-        berg.spectral_interval_bases(np.array([[0.0, 1.0], [0.0, 0.0]]), [-1.0, 1.0])
-
-
-def test_combine_rejects_overlapping_ranges():
-    A = berg.random_hermitian(10, 2)
-    V = berg.spectral_interval_bases(A, [-1.0, 1.0])[0]
-    r = berg.lift_sweep(A, V, range(1, 11), 0.3)
-    with pytest.raises(NonOrthogonalRanges):
-        berg.unbounded_combine([r, r])
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,10 @@ def test_weyl_amenability_past_the_digit_limit_exits_3(tmp_path, capsys):
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # only berg.normal_to_selfadjoint needs scipy.linalg; it imports it itself
+    # the package needs no scipy.linalg (slow to import): numpy.linalg serves every kernel
+    sources = sorted((REPO / "src" / "foelner").glob("*.py"))
+    assert sources
+    assert not [p.name for p in sources if "scipy.linalg" in p.read_text()]
     code = ("import sys, foelner.cli; "
             "sys.exit(int(any(m == 'scipy.linalg' or m.startswith('scipy.linalg.') "
             "for m in sys.modules)))")

@@ -241,7 +241,7 @@ def test_commutator_matches_dense_formula(n):
 
 
 def test_triplets_need_a_coordinate_family():
-    fam = ProjectionFamily.explicit([np.eye(3)[:, :1]])
+    fam = ProjectionFamily(kind="bogus")
     with pytest.raises(InvalidSpec):
         ops.commutator_triplets(OperatorSpec.hermite_q(), fam, 1)
     with pytest.raises(InvalidSpec):
@@ -285,14 +285,10 @@ def test_projection_window_too_small():
 
 
 def test_projection_window_idempotent_hermitian():
-    rng = np.random.default_rng(5)
-    g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-    v, _ = np.linalg.qr(g)
     fams = [
         (ProjectionFamily.canonical(), 4, 9),
         (ProjectionFamily.sparse([3, 5, 11]), 2, 11),
         (ProjectionFamily.from_boundaries([0, 2, 7]), 2, 8),
-        (ProjectionFamily.explicit([v]), 1, 6),
     ]
     for fam, n, N in fams:
         w = ops.projection_window(fam, n, N).entries
@@ -318,12 +314,6 @@ def test_blocks_validation():
     assert fam.rank(1) == 2
     with pytest.raises(SelectorOutOfRange):
         fam.indices(3)
-
-
-def test_explicit_family_rejects_skew_basis():
-    v = np.array([[1.0, 0.5], [0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(InvalidSpec):
-        ProjectionFamily.explicit([v])
 
 
 def test_window_validation():
