@@ -32,7 +32,6 @@ from .ops import (
     row_support,
 )
 from .norms import (
-    ClassifyPolicy,
     NormReport,
     Verdict,
     classify,

@@ -134,11 +134,7 @@ def parse_projection(doc: dict | None) -> ops.ProjectionFamily:
 # ---------------------------------------------------------------------------
 
 def _num(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+    return str(x) if isinstance(x, int) else repr(float(x))
 
 
 def _meta_lines(args, spec_hash: str | None, extra: dict | None = None) -> list[str]:

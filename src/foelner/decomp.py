@@ -38,15 +38,12 @@ def select_subsequence(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
     if search_limit < 1:
         raise ValueError("search_limit must be >= 1")
     picked: list[int] = []
-    # one pass over n = 1..search_limit: n is picked when its norm is below the
-    # threshold of the next position; u comes in doubling chunks of n
-    n, size = 1, 1
-    while n <= search_limit:
-        chunk = range(n, min(n + size, search_limit + 1))
-        for m, u in zip(chunk, norms.u_sequence(spec, fam, chunk)):
-            if u < math.ldexp(epsilon, -(len(picked) + 2)):
-                picked.append(m)
-        n, size = chunk.stop, 2 * size
+    # one grid pass over n = 1..search_limit: n is picked when its norm is
+    # below the threshold of the next position
+    ns = range(1, search_limit + 1)
+    for n, u in zip(ns, norms.u_sequence(spec, fam, ns)):
+        if u < math.ldexp(epsilon, -(len(picked) + 2)):
+            picked.append(n)
     if not picked:
         raise NotQuasidiagonalAlongFamily(
             f"no rank n <= {search_limit} has ||[T, P_n]||_u < {epsilon / 4}")

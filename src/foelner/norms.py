@@ -402,31 +402,17 @@ def _segments(i, j, v, src, seg, S, full):
 # trend classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassifyPolicy:
-    """Fixed thresholds for the limit-trend heuristic.
-
-    The classifier inspects the last-quarter tail of the sequence against the
-    earlier head.  Values are means for a geometrically growing index grid;
-    the verdict is a diagnostic, not a proof.
-
-      zero_tol   -- tail entirely below this is "zero" outright
-      decay_tol  -- tail_max / head_max at or below this (with a
-                    non-increasing tail) is also "zero"
-      rel_tol    -- tail spread for "positive" plateau detection
-      slack      -- monotonicity slack (relative) for tail trends
-      growth     -- tail_max / head_max at or above this (with a
-                    non-decreasing tail) is "diverges"
-      min_samples -- fewer samples than this raises TooFewSamples
-    """
-
-    zero_tol: float = 1e-2
-    decay_tol: float = 0.25
-    rel_tol: float = 0.05
-    slack: float = 0.10
-    growth: float = 2.0
-    tail_fraction: float = 0.25
-    min_samples: int = 8
+# Thresholds of the limit-trend heuristic, which reads the last quarter of the
+# sequence (its tail, at least two values) against the earlier head.  Values
+# are means over a geometrically growing index grid; the verdict is a
+# diagnostic, not a proof.
+_ZERO_TOL = 1e-2        # a tail entirely below this is "zero" outright
+_DECAY_TOL = 0.25       # tail_max / head_max at or below this, tail non-increasing: also "zero"
+_REL_TOL = 0.05         # tail spread, relative to its mean, of a "positive" plateau
+_SLACK = 0.10           # relative monotonicity slack of tail trends
+_GROWTH = 2.0           # tail_max / head_max at or above this, tail non-decreasing: "diverges"
+_TAIL_FRACTION = 0.25
+_MIN_SAMPLES = 8        # fewer samples raise TooFewSamples
 
 
 @dataclass(frozen=True)
@@ -436,28 +422,27 @@ class Verdict:
     evidence: dict = field(default_factory=dict)
 
 
-def _non_increasing(vals: Sequence[float], slack: float) -> bool:
-    return all(b <= a * (1 + slack) + 1e-300 for a, b in zip(vals, vals[1:]))
+def _non_increasing(vals: Sequence[float]) -> bool:
+    return all(b <= a * (1 + _SLACK) + 1e-300 for a, b in zip(vals, vals[1:]))
 
 
-def _non_decreasing(vals: Sequence[float], slack: float) -> bool:
-    return all(b >= a * (1 - slack) for a, b in zip(vals, vals[1:]))
+def _non_decreasing(vals: Sequence[float]) -> bool:
+    return all(b >= a * (1 - _SLACK) for a, b in zip(vals, vals[1:]))
 
 
-def classify(ratios: Sequence[float], policy: ClassifyPolicy | None = None) -> Verdict:
+def classify(ratios: Sequence[float]) -> Verdict:
     """Classify the limiting trend of a nonnegative ratio sequence.
 
     Rules are applied in order: zero (absolute smallness, or sustained decay
     far below the head), positive plateau, divergence, else inconclusive.
     """
-    policy = policy or ClassifyPolicy()
     vals = [float(v) for v in ratios]
-    if len(vals) < policy.min_samples:
-        raise TooFewSamples(f"need at least {policy.min_samples} samples, got {len(vals)}")
+    if len(vals) < _MIN_SAMPLES:
+        raise TooFewSamples(f"need at least {_MIN_SAMPLES} samples, got {len(vals)}")
     if any(v < 0 or not math.isfinite(v) for v in vals):
         raise ValueError("ratios must be finite and nonnegative")
 
-    tail_len = max(2, math.ceil(len(vals) * policy.tail_fraction))
+    tail_len = max(2, math.ceil(len(vals) * _TAIL_FRACTION))
     tail = vals[-tail_len:]
     head = vals[:-tail_len]
     head_max = max(head)
@@ -472,14 +457,12 @@ def classify(ratios: Sequence[float], policy: ClassifyPolicy | None = None) -> V
         "samples": len(vals),
     }
 
-    if tail_max < policy.zero_tol:
+    if tail_max < _ZERO_TOL:
         return Verdict("tends_to_zero", evidence=ev)
-    if head_max > 0 and _non_increasing(tail, policy.slack) \
-            and tail_max <= policy.decay_tol * head_max:
+    if head_max > 0 and _non_increasing(tail) and tail_max <= _DECAY_TOL * head_max:
         return Verdict("tends_to_zero", evidence=ev)
-    if tail_mean >= policy.zero_tol and (tail_max - tail_min) <= policy.rel_tol * tail_mean:
+    if tail_mean >= _ZERO_TOL and (tail_max - tail_min) <= _REL_TOL * tail_mean:
         return Verdict("tends_to_positive", limit=tail_mean, evidence=ev)
-    if head_max > 0 and _non_decreasing(tail, policy.slack) \
-            and tail_max >= policy.growth * head_max:
+    if head_max > 0 and _non_decreasing(tail) and tail_max >= _GROWTH * head_max:
         return Verdict("diverges", evidence=ev)
     return Verdict("inconclusive", evidence=ev)

@@ -11,13 +11,14 @@ each primitive kind is a short tuple of elementary terms (a, b, w) meaning
 e_j -> w(j) e_{a*j + b}, a in {1, 2}.  One array kernel (``_gather``)
 evaluates the table over a whole array of column or row indices at once;
 sums, scalings and products merge their children's arrays, a product by a
-sparse join over the intermediate index.  Column and row supports, finite
-sections P_N T P_N (``sparse_window``), the monotone reach bounds behind
-capture windows and the propagation all follow from the terms.  A dense
-window over ``DENSE_CELLS`` cells is refused before allocation; ``compress``
-(and so ``weyl.represent``) refuses it before the kernel runs.
-Commutators against coordinate projections are assembled exactly
-from the kernel: for a coordinate projection R with index set K,
+sparse join over the intermediate index.  Every spec also carries one
+affine enclosure of its support, built once per node from its terms or its
+children: the rows of column j lie in [al*j + lo, ah*j + hi].  The reach
+bounds behind capture windows and the propagation are closed forms on it.
+A dense window over ``DENSE_CELLS`` cells is refused before allocation;
+``compress`` (and so ``weyl.represent``) refuses it before the kernel runs.
+Commutators against coordinate projections are assembled exactly from the
+kernel: for a coordinate projection R with index set K,
 
     [T, R]_(i,j) = T_(i,j) * (1_K(j) - 1_K(i)),
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -152,8 +153,8 @@ class OperatorSpec:
     """Symbolic description of a band-structured operator.
 
     Construction validates the kind, weight rule, bands, factor and children
-    once and builds the primitive terms with their reach (a, min b, max b),
-    so entry evaluation can stay unchecked and fast.  Terms and reach are
+    once and builds the primitive terms and the support enclosure (see
+    _enclosure), so entry evaluation can stay unchecked and fast.  Both are
     kept on the instance outside the dataclass fields, so equality and
     hashing see only the fields.
     """
@@ -253,14 +254,40 @@ class OperatorSpec:
         object.__setattr__(self, "bands", tuple(sorted(bands)))
         object.__setattr__(self, "factor", c)
         terms = build(self) if build else None
-        offsets = [b for _, b, _ in terms or ()]
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_reach",
-                           (terms[0][0], min(offsets), max(offsets)) if offsets else None)
+        object.__setattr__(self, "_reach", _enclosure(self))
 
     def __reduce__(self):
         # the terms hold closures; pickle the fields and rebuild them
         return type(self), (self.kind, self.weight, self.bands, self.factor, self.children)
+
+
+def _enclosure(spec: OperatorSpec) -> tuple[int, int, int, int] | None:
+    """(al, ah, lo, hi): the rows of column j lie in [al*j + lo, ah*j + hi].
+
+    None for the zero operator.  A primitive reads its terms, a scale its
+    child; a sum takes the hull of its children, and a product composes its
+    factors right to left.
+    """
+    terms = spec._terms
+    if terms is not None:
+        offsets = [b for _, b, _ in terms]
+        return (terms[0][0], terms[0][0], min(offsets), max(offsets)) if terms else None
+    reaches = [ch._reach for ch in spec.children]
+    if spec.kind == "scale":
+        return reaches[0]
+    if spec.kind == "sum":
+        reaches = [r for r in reaches if r is not None]
+        if not reaches:
+            return None
+        als, ahs, los, his = zip(*reaches)
+        return min(als), max(ahs), min(los), max(his)
+    if None in reaches:
+        return None
+    al, ah, lo, hi = reaches[-1]
+    for fl, fh, flo, fhi in reversed(reaches[:-1]):
+        al, ah, lo, hi = fl * al, fh * ah, fl * lo + flo, fh * hi + fhi
+    return al, ah, lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +379,7 @@ def _raw_gather(spec: OperatorSpec, ts: np.ndarray, top: int,
     m = len(ts)
     if not terms or not m:
         return _NO_ENTRIES
-    a, lo, hi = spec._reach
+    _, a, lo, hi = spec._reach
     ts = _fit(ts, a * top + max(hi, -lo))
     outs = []
     for a, b, w in terms if col else terms[::-1]:
@@ -456,56 +483,26 @@ def row_support(spec: OperatorSpec, i: int) -> dict[int, complex]:
 
 def _col_hi(spec: OperatorSpec, j: int) -> int:
     """Monotone upper bound for max(row index) over columns 1..j.  0 = empty."""
-    reach = spec._reach
-    if reach is None:
-        return _composite_hi(spec, j, _col_hi, reversed(spec.children))
-    a, _, b = reach
-    h = a * j + b
-    return h if h >= 1 else 0
+    if spec._reach is None:
+        return 0
+    _, ah, _, hi = spec._reach
+    return max(ah * j + hi, 0)
 
 
 def _row_hi(spec: OperatorSpec, i: int) -> int:
     """Monotone upper bound for max(column index) over rows 1..i.  0 = empty."""
-    reach = spec._reach
-    if reach is None:
-        return _composite_hi(spec, i, _row_hi, spec.children)
-    a, b, _ = reach
-    h = (i - b) // a
-    return h if h >= 1 else 0
-
-
-def _composite_hi(spec: OperatorSpec, t: int, hi: Callable,
-                  chain: Iterable[OperatorSpec]) -> int:
-    """Reach bound of a sum, scale or product; 0 for a primitive without terms."""
-    k = spec.kind
-    if k == "sum":
-        return max(hi(ch, t) for ch in spec.children)
-    if k == "scale":
-        return hi(spec.children[0], t)
-    if k != "product":
+    if spec._reach is None:
         return 0
-    for ch in chain:
-        t = hi(ch, t)
-        if t == 0:
-            return 0
-    return t
+    al, _, lo, _ = spec._reach
+    return max((i - lo) // al, 0)
 
 
 def propagation(spec: OperatorSpec) -> int | None:
-    """Max |row - column| over nonzero entries; None when unbounded."""
-    reach = spec._reach
-    if reach is not None:
-        a, lo, hi = reach
-        return max(abs(lo), abs(hi)) if a == 1 else None
-    k = spec.kind
-    if k == "scale":
-        return propagation(spec.children[0])
-    if k not in ("sum", "product"):
+    """Bound on |row - column| over nonzero entries; None when unbounded."""
+    if spec._reach is None:
         return 0
-    parts = [propagation(ch) for ch in spec.children]
-    if any(p is None for p in parts):
-        return None
-    return max(parts) if k == "sum" else sum(parts)
+    al, ah, lo, hi = spec._reach
+    return max(abs(lo), abs(hi)) if al == ah == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -523,30 +520,18 @@ def _first_past(spec: OperatorSpec, n, col: bool):
     """Smallest t >= 1 whose reach bound (_col_hi, or _row_hi) passes n; None if none.
 
     n is an int, or an index array of them (then t is an array too; None
-    does not depend on n).  Closed form for a primitive; a sum takes its
-    children's least, and a product inverts its chain of monotone bounds
-    from the outermost factor in.
+    does not depend on n).
     """
-    reach = spec._reach
-    if reach is not None:
-        a, lo, hi = reach
-        t = (n - hi) // a + 1 if col else a * (n + 1) + lo
-        return np.maximum(t, 1) if isinstance(t, np.ndarray) else max(1, t)
-    if spec.kind == "scale":
-        return _first_past(spec.children[0], n, col)
-    if spec.kind == "sum":
-        starts = [t for t in (_first_past(ch, n, col) for ch in spec.children) if t is not None]
-        if not starts:
-            return None
-        return np.minimum.reduce(starts) if isinstance(n, np.ndarray) else min(starts)
-    if spec.kind != "product":
-        return None                    # a primitive without terms
-    t = n + 1
-    for ch in spec.children if col else spec.children[::-1]:
-        t = _first_past(ch, t - 1, col)
-        if t is None:
-            return None
-    return t
+    if spec._reach is None:
+        return None
+    al, ah, lo, hi = spec._reach
+    # an int64 n stays below _NATIVE, so t stays in int64 while the enclosure does
+    big = isinstance(n, np.ndarray) and max(ah, al, abs(lo), abs(hi)) >= _NATIVE
+    m = n.astype(object) if big else n
+    t = (m - hi) // ah + 1 if col else al * (m + 1) + lo
+    if big:
+        t = np.minimum(t, n + 1).astype(n.dtype)    # past n + 1, [t, n] is as empty
+    return np.maximum(t, 1) if isinstance(t, np.ndarray) else max(1, t)
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,14 @@ def _trace_moments(spec: ops.OperatorSpec, n: int, ps: Sequence[int]) -> dict[in
     for e in range(1, max(ps) + 1 if ps else 0):
         power = T if power is None else power @ T
         if e in ps:
-            out[e] = float(power.diagonal().sum().real) / n
+            tr = float(power.diagonal().sum().real)
+            if math.isfinite(tr):
+                out[e] = tr / n
+            else:
+                # the trace overflows though the mean may not: sum the diagonal
+                # scaled by 2^-k (exact), then scale the mean back
+                k = n.bit_length()
+                out[e] = float(np.ldexp(power.diagonal().real, -k).sum() / n * 2.0 ** k)
     if 0 in ps:
         out[0] = 1.0
     return out

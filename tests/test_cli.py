@@ -481,7 +481,7 @@ _HUGE_DIAGONAL = {"kind": "diagonal", "weight": "const:1e200"}
     ("szego", {"operator": {"kind": "toeplitz", "bands": {"0": 1e308}},
                "experiment": {"ns": [1], "ps": [2]}}, 3, "NumericalFailure"),
     ("szego", {"operator": {"kind": "toeplitz", "bands": {"0": 1e307}},
-               "experiment": {"ns": [64], "ps": [1]}}, 3, "NumericalFailure"),
+               "experiment": {"ns": [64], "ps": [1]}}, 0, ""),
     ("szego", {"operator": {"kind": "toeplitz", "bands": {"0": 1e300}},
                "experiment": {"ns": [64], "ps": [1]}}, 0, ""),
 ], ids=["indices_past_their_end", "product_overflow", "halmos_product_overflow",

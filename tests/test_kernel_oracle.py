@@ -272,6 +272,19 @@ def test_first_past_is_where_the_reach_bound_passes_n(spec, n, col):
         assert hi(t) > n and (t == 1 or hi(t - 1) <= n)
 
 
+@_SETTINGS
+@given(SPECS)
+def test_support_lies_in_the_enclosure(spec):
+    # the rows of column j lie in [al*j + lo, ah*j + hi]; no enclosure: no entries
+    for j in range(1, 61):
+        rows = ref_col_support(spec, j)
+        if spec._reach is None:
+            assert not rows
+        else:
+            al, ah, lo, hi = spec._reach
+            assert all(al * j + lo <= i <= ah * j + hi for i in rows)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(SPECS, st.integers(1, 30))
 def test_sparse_window_matches_reference(spec, N):

@@ -5,7 +5,7 @@ import pytest
 
 from foelner import norms, ops
 from foelner.errors import FoelnerError, TooFewSamples, WeightUndefined
-from foelner.norms import ClassifyPolicy, classify, report, report_sequence, seminorm
+from foelner.norms import classify, report, report_sequence, seminorm
 from foelner.ops import OperatorSpec, ProjectionFamily
 
 CANON = ProjectionFamily.canonical()
@@ -173,12 +173,6 @@ def test_classify_rejects_bad_values():
         classify([1.0] * 9 + [-0.5])
     with pytest.raises(ValueError):
         classify([1.0] * 9 + [math.inf])
-
-
-def test_classify_policy_override():
-    # with a huge zero_tol everything small is zero
-    v = classify([0.5] * 10, ClassifyPolicy(zero_tol=1.0))
-    assert v.kind == "tends_to_zero"
 
 
 def test_classify_evidence_fields():

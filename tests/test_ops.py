@@ -190,6 +190,20 @@ def test_propagation():
     assert ops.propagation(OperatorSpec.weighted_shift("log")) == 1
     assert ops.propagation(OperatorSpec.toeplitz({-3: 1, 2: 1})) == 3
     assert ops.propagation(OperatorSpec.dilation_shift()) is None
+    # the offsets of a product compose, so S S* stays on the diagonal
+    s = OperatorSpec.weighted_shift("sqrt")
+    assert ops.propagation(OperatorSpec.product(s, OperatorSpec.adjoint_weighted_shift("sqrt"))) == 0
+    assert ops.propagation(OperatorSpec.sum(OperatorSpec.dilation_shift(), s)) is None
+
+
+def test_enclosure_past_int64():
+    # 64 dilations after a shift: column j lands in row 2^64 (j + 1), so the
+    # enclosure's slopes and offsets leave int64 while the grid does not
+    spec = OperatorSpec.product(*[OperatorSpec.dilation_shift("const:1")] * 64,
+                                OperatorSpec.weighted_shift("const:1"))
+    assert spec._reach == (2 ** 64, 2 ** 64, 2 ** 64, 2 ** 64)
+    assert ops.capture_bound(spec, 3) == 2 ** 66
+    assert u_sequence(spec, ProjectionFamily.canonical(), range(1, 9)) == [1.0] * 8
 
 
 _BUILTINS = [
