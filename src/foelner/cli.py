@@ -8,6 +8,8 @@ merged experiment is validated against the same schema.  Exit codes: 0 success,
 computation failure (error class name on stderr).
 Reports are buffered and written only after the computation finishes, then
 renamed into place, so a failing run never leaves a partial file behind.
+Each subcommand imports the numeric modules it computes with, so loading
+this module (and running weyl-amenability) loads no numpy.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 
-from . import __version__, berg, decomp, norms, ops, szego, weyl
+from . import __version__, weyl
 from .errors import FoelnerError, InvalidSpec, ResourceLimit
 
 _SCHEMA: dict | None = None
@@ -88,6 +89,7 @@ def _cnum_to_json(c: complex):
 
 def parse_operator(doc: dict) -> ops.OperatorSpec:
     """Spec from its JSON object; the keys follow the OperatorSpec fields."""
+    from . import ops
     children = [doc["child"]] if "child" in doc else doc.get("children", [])
     bands = {int(off): _parse_cnum(v) for off, v in doc.get("bands", {}).items()}
     return ops.OperatorSpec(kind=doc["kind"], weight=doc.get("weight"),
@@ -115,6 +117,7 @@ _SPARSE_RULES = {"pow2": lambda n: 2 ** n, "squares": lambda n: n * n}
 
 
 def parse_projection(doc: dict | None) -> ops.ProjectionFamily:
+    from . import ops
     if doc is None:
         return ops.ProjectionFamily.canonical()
     kind = doc["kind"]
@@ -228,6 +231,7 @@ def _need_operator(doc: dict) -> ops.OperatorSpec:
 # ---------------------------------------------------------------------------
 
 def format_matrix(a: np.ndarray) -> str:
+    import numpy as np
     rows = np.asarray(a, dtype=complex).tolist()
     lines = [str(len(rows))] + [" ".join(_fmt_entry(z) for z in row) for row in rows]
     return "\n".join(lines) + "\n"
@@ -239,6 +243,7 @@ def _fmt_entry(z: complex) -> str:
 
 
 def read_matrix(path: str) -> np.ndarray:
+    import numpy as np
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -266,6 +271,7 @@ def read_matrix(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_norms(args, doc: dict, spec_hash: str | None) -> str:
+    from . import norms
     spec = _need_operator(doc)
     fam = parse_projection(doc.get("projection"))
     ns = _grid_from(_experiment(args, doc), start=10, end=1000, geometric=10.0)
@@ -275,6 +281,7 @@ def cmd_norms(args, doc: dict, spec_hash: str | None) -> str:
 
 
 def cmd_classify(args, doc: dict, spec_hash: str | None) -> str:
+    from . import norms
     spec = _need_operator(doc)
     fam = parse_projection(doc.get("projection"))
     ns = _grid_from(_experiment(args, doc), start=16, end=10_000, geometric=2.0)
@@ -292,6 +299,8 @@ def cmd_classify(args, doc: dict, spec_hash: str | None) -> str:
 
 
 def cmd_halmos(args, doc: dict, spec_hash: str | None) -> str:
+    import numpy as np
+    from . import decomp
     spec = _need_operator(doc)
     fam = parse_projection(doc.get("projection"))
     exp = _experiment(args, doc)
@@ -300,8 +309,15 @@ def cmd_halmos(args, doc: dict, spec_hash: str | None) -> str:
     limit = int(exp.get("search_limit", 10_000))
     boundaries = decomp.select_subsequence(spec, fam, eps, search_limit=limit)
     d = decomp.halmos_decompose(spec, boundaries, N, eps)
-    diff = d.sparse_block_diagonal + d.sparse_perturbation - d.sparse_window
-    recon = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+    # B + K - W per (i, j), in that order (np.add.at adds in index order)
+    B, K, W = d.sparse_block_diagonal, d.sparse_perturbation, d.sparse_window
+    key = np.concatenate([e["i"] * (N + 1) + e["j"] for e in (B, K, W)])
+    order = np.argsort(key, kind="stable")      # three sorted runs: one merge
+    key = key[order]
+    diff = np.zeros(len(key), complex)          # one slot per distinct key, from slot 0
+    np.add.at(diff, np.cumsum(np.diff(key, prepend=key[:1]) != 0),
+              np.concatenate((B["v"], K["v"], -W["v"]))[order])
+    recon = float(np.max(np.abs(diff), initial=0.0))
     report = {
         "meta": _meta_obj(args, spec_hash),
         "command": "halmos",
@@ -317,6 +333,7 @@ def cmd_halmos(args, doc: dict, spec_hash: str | None) -> str:
 
 
 def cmd_sparse(args, doc: dict, spec_hash: str | None) -> str:
+    from . import decomp, norms
     spec = _need_operator(doc)
     proj_doc = doc.get("projection")
     exp = _experiment(args, doc)
@@ -333,6 +350,7 @@ def cmd_sparse(args, doc: dict, spec_hash: str | None) -> str:
 
 
 def cmd_berg(args, doc: dict, spec_hash: str | None) -> str:
+    from . import berg
     exp = _experiment(args, doc)
     eps = _epsilon(exp.get("epsilon", 0.05))
     matrix = exp.get("matrix")
@@ -361,6 +379,7 @@ def cmd_berg(args, doc: dict, spec_hash: str | None) -> str:
 
 
 def cmd_szego(args, doc: dict, spec_hash: str | None) -> str:
+    from . import szego
     spec = _need_operator(doc)
     exp = _experiment(args, doc)
     comp = szego.szego_compare(spec, exp.get("ns", [50, 100, 200, 400, 800, 1600]),

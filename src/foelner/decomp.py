@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse
 
 from . import norms, ops
 from .errors import InvalidSpec, NotQuasidiagonalAlongFamily, SelectorOutOfRange, WindowTooSmall
@@ -54,15 +53,17 @@ def select_subsequence(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
 class Decomposition:
     """Result of a window split T|_N = B + K along boundary ranks.
 
-    The split is held as N x N CSR matrices; `window`, `block_diagonal` and
-    `perturbation` are their dense views, built (within ops.DENSE_CELLS)
-    on first read.
+    The split is held as ops._ENTRY arrays (1-based, sorted by row then
+    column): B and K are the two masks of the window's entries.  `window`,
+    `block_diagonal` and `perturbation` are their dense dim x dim views,
+    built (within ops.DENSE_CELLS) on first read.
     """
 
     boundaries: tuple[int, ...]
-    sparse_window: scipy.sparse.csr_matrix = field(repr=False)          # T|_N
-    sparse_block_diagonal: scipy.sparse.csr_matrix = field(repr=False)  # B
-    sparse_perturbation: scipy.sparse.csr_matrix = field(repr=False)    # K
+    dim: int                                          # N
+    sparse_window: np.ndarray = field(repr=False)          # T|_N
+    sparse_block_diagonal: np.ndarray = field(repr=False)  # B
+    sparse_perturbation: np.ndarray = field(repr=False)    # K
     epsilon: float
     k_norm: float                 # ||K||_u
     offblock_residual: float      # max |B_ij| over entries linking distinct blocks
@@ -70,15 +71,15 @@ class Decomposition:
 
     @functools.cached_property
     def window(self) -> ops.Window:
-        return ops.to_window(self.sparse_window)
+        return ops.to_window(self.sparse_window, self.dim)
 
     @functools.cached_property
     def block_diagonal(self) -> ops.Window:
-        return ops.to_window(self.sparse_block_diagonal)
+        return ops.to_window(self.sparse_block_diagonal, self.dim)
 
     @functools.cached_property
     def perturbation(self) -> ops.Window:
-        return ops.to_window(self.sparse_perturbation)
+        return ops.to_window(self.sparse_perturbation, self.dim)
 
 
 def halmos_decompose(spec: ops.OperatorSpec, boundaries: Sequence[int], N: int,
@@ -105,25 +106,23 @@ def halmos_decompose(spec: ops.OperatorSpec, boundaries: Sequence[int], N: int,
     W = ops.sparse_window(spec, N)
     edges = np.asarray(bs)
 
-    def crossing(m: scipy.sparse.csr_matrix):
-        """m in COO form, and the mask of its entries that link distinct blocks."""
-        c = m.tocoo()
-        # 0-based index r lies in block t when exactly t boundaries are <= r
-        return c, (np.searchsorted(edges, c.row, side="right")
-                   != np.searchsorted(edges, c.col, side="right"))
+    def crossing(e: np.ndarray) -> np.ndarray:
+        """The mask of the entries of e that link distinct blocks."""
+        # index k lies in block t when exactly t boundaries are < k
+        return (np.searchsorted(edges, e["i"], side="left")
+                != np.searchsorted(edges, e["j"], side="left"))
 
-    Wc, cross = crossing(W)
-    B, K = (scipy.sparse.csr_matrix((Wc.data[m], (Wc.row[m], Wc.col[m])), shape=(N, N))
-            for m in (~cross, cross))
+    cross = crossing(W)
+    B, K = W[~cross], W[cross]
     # residual coupling between distinct blocks of B (vanishes by construction)
-    Bc, linked = crossing(B)
-    resid = float(np.max(np.abs(Bc.data[linked]))) if linked.any() else 0.0
+    linked = crossing(B)
+    resid = float(np.max(np.abs(B["v"][linked]))) if linked.any() else 0.0
 
-    sv = norms._triplet_svals(ops._entries(Wc.row[cross] + 1, Wc.col[cross] + 1,
-                                           Wc.data[cross]))
+    sv = norms._triplet_svals(K)
     k_norm = float(sv[0]) if sv.size else 0.0
     return Decomposition(
         boundaries=tuple(bs),
+        dim=N,
         sparse_window=W,
         sparse_block_diagonal=B,
         sparse_perturbation=K,

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from . import ops
 from .errors import NumericalFailure, TooFewSamples
@@ -82,6 +81,7 @@ def _components(e: np.ndarray) -> list[np.ndarray]:
     Rows and columns are the two sides of a bipartite graph with one edge
     per entry.
     """
+    import scipy.sparse
     from scipy.sparse.csgraph import connected_components
 
     ri, nr = _dense_ids(e["i"])

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (InvalidSpec, ResourceLimit, SelectorOutOfRange, WeightUndefined,
                      WindowTooSmall)
@@ -586,32 +585,34 @@ def check_dense(cells: int, what: str) -> None:
                             f"over the budget of {DENSE_CELLS}")
 
 
-def sparse_window(spec: OperatorSpec, N: int) -> scipy.sparse.csr_matrix:
-    """P_N T P_N as an N x N complex CSR matrix (0-based, canonical format).
+def sparse_window(spec: OperatorSpec, N: int) -> np.ndarray:
+    """P_N T P_N as an _ENTRY array: 1-based, sorted by row then column, each (i, j) once.
 
     The kernel over columns 1..N, keeping rows <= N; memory is O(nnz).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    cols = np.arange(N)
-    pos, rows, vals = _gather(spec, cols + 1, N, True)
+    cols = np.arange(1, N + 1)
+    pos, rows, vals = _gather(spec, cols, N, True)
     keep = rows <= N
-    return scipy.sparse.csr_matrix(
-        (vals[keep].astype(complex), (rows[keep].astype(np.int64) - 1, cols[pos][keep])),
-        shape=(N, N))
+    rows, cols, vals = rows[keep].astype(np.int64), cols[pos][keep], vals[keep]
+    # column by column, each row once: a stable sort by row gives row-major order
+    order = np.argsort(rows, kind="stable")
+    return _entries(rows[order], cols[order], vals[order])
 
 
-def to_window(m: scipy.sparse.spmatrix) -> Window:
-    """Dense view of a square sparse matrix, refused past the dense budget."""
-    N = m.shape[0]
+def to_window(e: np.ndarray, N: int) -> Window:
+    """The entries e (each (i, j) once) as a dense N x N window, refused past the dense budget."""
     check_dense(N * N, f"a dense {N} x {N} window")
-    return Window(N, m.toarray())
+    a = np.zeros((N, N), complex)
+    a[e["i"] - 1, e["j"] - 1] = e["v"]
+    return Window(N, a)
 
 
 def compress(spec: OperatorSpec, N: int) -> Window:
     """P_N T P_N as a dense N x N window, refused past the dense budget before any work."""
     check_dense(N * N, f"a dense {N} x {N} window")
-    return to_window(sparse_window(spec, N))
+    return to_window(sparse_window(spec, N), N)
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +700,8 @@ def projection_window(fam: ProjectionFamily, n: int, N: int) -> Window:
     idx = fam.indices(n)
     if idx and idx[-1] > N:
         raise WindowTooSmall(f"projection touches index {idx[-1]} > window {N}")
-    k = np.array(idx, dtype=np.int64) - 1
-    return to_window(scipy.sparse.coo_matrix((np.ones(len(k)), (k, k)), shape=(N, N)))
+    k = np.array(idx, dtype=np.int64)
+    return to_window(_entries(k, k, np.ones(len(k))), N)
 
 
 # ---------------------------------------------------------------------------
@@ -808,4 +809,4 @@ def commutator_window(spec: OperatorSpec, fam: ProjectionFamily, n: int) -> Wind
     m = max([fam.indices(n)[-1], *e["i"].tolist(), *e["j"].tolist()])
     # before the build: a sparse family's indices may pass int64, which no shape holds
     check_dense(m * m, f"a dense {m} x {m} commutator window")
-    return to_window(scipy.sparse.coo_matrix((e["v"], (e["i"] - 1, e["j"] - 1)), shape=(m, m)))
+    return to_window(e, m)

@@ -107,31 +107,82 @@ class SzegoComparison:
 
 @np.errstate(over="ignore", invalid="ignore")   # szego_compare checks the moments
 def _trace_moments(spec: ops.OperatorSpec, n: int, ps: Sequence[int]) -> dict[int, float]:
-    """Empirical moments via traces of banded powers: (1/n) tr(T_n^p).
+    """Empirical moments via traces of banded powers: (1/n) tr(T_n^p), T Toeplitz.
 
     Equal to the eigenvalue average but free of eigensolver noise, so
     moments that vanish by symmetry come out exactly zero.  The powers are
-    sparse products of the sparse window: O(n) work for a banded T.
+    those of the CSR matrix of the window, bit for bit (_times).  A row of
+    a power depends only on the same row of the one before, and the rows at
+    least h = max(ps) * (band reach) from both edges read only full rows of
+    T, so they are alike: the powers run on the edge rows and one inner row.
     """
-    T = ops.sparse_window(spec, n)
-    if not T.data.imag.any():
-        T = T.real
-    out: dict[int, float] = {}
-    power = None
-    for e in range(1, max(ps) + 1 if ps else 0):
-        power = T if power is None else power @ T
+    top = max(ps, default=0)
+    # no band inside the window is the zero band: every product drops it
+    coeffs = SymbolPolynomial.from_spec(spec).coeffs
+    bands = sorted((-off, c) for off, c in coeffs if abs(off) < n) or [(0, 0j)]
+    d = np.array([b for b, _ in bands])                  # column - row, ascending
+    t = np.array([c for _, c in bands])
+    t = t if t.imag.any() else t.real
+    h = top * int(np.abs(d).max())
+    rows = np.arange(n) if n <= 2 * h + 1 else np.r_[0:h + 1, n - h:n]
+    # band form: offset d[0] + r in row r of the values, over `rows`; a key
+    # orders the entries of a row as stored (T: ascending), inf where none
+    vals = np.zeros((d[-1] - d[0] + 1, len(rows)), t.dtype)
+    keys = np.full(vals.shape, np.inf)
+    for q, dq in enumerate(d):
+        inside = (rows + dq >= 0) & (rows + dq < n)
+        vals[dq - d[0], inside], keys[dq - d[0], inside] = t[q], q
+    power, out = (int(d[0]), vals, keys), {}
+    for e in range(1, top + 1):
+        power = _times(power, d, t, rows, n) if e > 1 else power
         if e in ps:
-            tr = float(power.diagonal().sum().real)
+            lo, vals, _ = power
+            diagonal = vals[-lo] if 0 <= -lo < len(vals) else np.zeros(len(rows), t.dtype)
+            if len(rows) < n:      # the inner row stands for the n - 2h middle rows
+                diagonal = np.concatenate((diagonal[:h], np.full(n - 2 * h, diagonal[h]),
+                                           diagonal[h + 1:]))
+            tr = float(diagonal.sum().real)
             if math.isfinite(tr):
                 out[e] = tr / n
             else:
                 # the trace overflows though the mean may not: sum the diagonal
                 # scaled by 2^-k (exact), then scale the mean back
                 k = n.bit_length()
-                out[e] = float(np.ldexp(power.diagonal().real, -k).sum() / n * 2.0 ** k)
+                out[e] = float(np.ldexp(diagonal.real, -k).sum() / n * 2.0 ** k)
     if 0 in ps:
         out[0] = 1.0
     return out
+
+
+def _times(power, d: np.ndarray, t: np.ndarray, rows: np.ndarray, n: int):
+    """power @ T in band form, rounded, summed and ordered as CSR SpGEMM does it.
+
+    As in the classic csr_matmat loop, entry (i, k) of the power meets row k
+    of T (column offsets d, values t) column by column, in the order row i
+    stores them; an entry of the product sums its terms in that arrival
+    order from 0, exact zeros are dropped, and a row stores its entries in
+    reverse order of first arrival.  The key of a term, (key of its power
+    entry) * m + (position in T's row), is its arrival order in the row.
+    """
+    lo, V, K = power
+    m, na = len(d), len(V)
+    width = na + d[-1] - d[0]
+    keys = np.full((m, width, len(rows)), np.inf)
+    vals = np.zeros((m, width, len(rows)), V.dtype)
+    for q in range(m):
+        keys[q, d[q] - d[0]:d[q] - d[0] + na] = K * m + q
+        vals[q, d[q] - d[0]:d[q] - d[0] + na] = ops._cmul(t[q], V)
+    c = lo + d[0] + np.arange(width)
+    keys[:, (rows + c[:, None] < 0) | (rows + c[:, None] >= n)] = np.inf
+    vals[keys == np.inf] = 0       # a term that does not exist adds exactly 0, never 0 * inf
+    acc = np.zeros((width, len(rows)), V.dtype)
+    for v in np.take_along_axis(vals, np.argsort(keys, axis=0), axis=0):
+        acc += v
+    first = keys.min(axis=0)
+    stored = (first < np.inf) & (acc != 0)
+    rank = np.argsort(np.argsort(np.where(stored, -first, np.inf), axis=0), axis=0)
+    keep = np.abs(c) < n           # offsets past the window hold nothing
+    return int(c[keep][0]) if keep.any() else 0, acc[keep], np.where(stored, rank, np.inf)[keep]
 
 
 def szego_compare(spec: ops.OperatorSpec, ns: Sequence[int],

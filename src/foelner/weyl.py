@@ -13,7 +13,8 @@ closed form, because the associated graded ring C[p, q] has no zero divisors
 (see foelner_ratio); MonomialSubspace gives exact dimensions of other spans
 by fraction-free elimination over the Gaussian integers.  The
 Schrodinger representation (``represent``) bridges to the numerical side: it
-is ops.compress of the element written as a spec in hermite_p and hermite_q.
+is ops.compress of the element written as a spec in hermite_p and hermite_q,
+and the only function here that loads numpy (through ops).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from . import ops
 from .errors import DegreeExceedsWindow, FoelnerError, InvalidSpec, WeightUndefined
 
 Monomial = tuple[int, int]   # (k, l) <-> p^k q^l
@@ -468,6 +468,7 @@ def represent(x: WeylElement, N: int) -> ops.Window:
     reads whole columns of each product, so every entry of the window is
     that of the operator, with no enlarged window.
     """
+    from . import ops
     if N < 1:
         raise ValueError("N must be >= 1")
     d = x.degree() or 0

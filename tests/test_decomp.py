@@ -187,7 +187,7 @@ def test_sparse_split_matches_dense_reference(name, bs):
     assert np.array_equal(d.perturbation.entries, K)
     assert np.array_equal(d.block_diagonal.entries, W - K)
     assert np.array_equal(d.block_diagonal.entries + d.perturbation.entries, W)
-    assert d.sparse_perturbation.nnz == np.count_nonzero(K)
+    assert len(d.sparse_perturbation) == np.count_nonzero(K)
     assert d.offblock_residual == 0.0
     want = np.linalg.svd(K, compute_uv=False)[0]
     assert d.k_norm == pytest.approx(want, rel=1e-12, abs=1e-300)

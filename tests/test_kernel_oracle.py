@@ -7,7 +7,10 @@ draws specs of every kind, nested in sums, scales and products to depth 2,
 and canonical, sparse and blocks families, including sparse indices past
 int64.  Capture bounds and commutator windows are checked against the
 reference triplets, the grid pass of norms against reports built per n from
-commutator_triplets, and select_subsequence against a per-n scan.
+commutator_triplets, and select_subsequence against a per-n scan.  scipy's
+CSR matrices, which the package no longer uses on any window path, stay the
+oracle for its sparse windows: the halmos split and the trace moments of
+szego equal their CSR counterparts bit for bit.
 """
 
 import math
@@ -19,10 +22,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from foelner import cli, decomp, norms, ops
+from foelner import cli, decomp, norms, ops, szego
 from foelner.errors import NotQuasidiagonalAlongFamily, ResourceLimit
 from foelner.ops import OperatorSpec, ProjectionFamily
 
@@ -85,6 +89,16 @@ def _ref_composite(spec, t, support, chain):
         if not vec:
             return {}
     return vec
+
+
+def ref_window(spec, N):
+    """P_N T P_N as a dense array, column by column."""
+    want = np.zeros((N, N), dtype=complex)
+    for j in range(1, N + 1):
+        for i, v in ref_col_support(spec, j).items():
+            if i <= N:
+                want[i - 1, j - 1] = v
+    return want
 
 
 def ref_commutator(spec, fam, n):
@@ -288,14 +302,87 @@ def test_support_lies_in_the_enclosure(spec):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(SPECS, st.integers(1, 30))
 def test_sparse_window_matches_reference(spec, N):
-    want = np.zeros((N, N), dtype=complex)
-    for j in range(1, N + 1):
-        for i, v in ref_col_support(spec, j).items():
-            if i <= N:
-                want[i - 1, j - 1] = v
+    want = ref_window(spec, N)
     m = ops.sparse_window(spec, N)
-    assert m.nnz == np.count_nonzero(want)
-    assert np.array_equal(m.toarray(), want)
+    assert np.all(np.diff(m["i"] * (N + 1) + m["j"]) > 0)
+    assert len(m) == np.count_nonzero(want)
+    assert np.array_equal(ops.to_window(m, N).entries, want)
+
+
+def _csr_entries(m):
+    """The stored entries of a CSR matrix in storage order, 1-based, as an _ENTRY array."""
+    c = m.tocoo()
+    return ops._entries(c.row.astype(np.int64) + 1, c.col.astype(np.int64) + 1, c.data)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(SPECS, st.integers(2, 30), st.lists(st.integers(1, 40), min_size=1, max_size=6))
+def test_halmos_split_matches_csr(spec, N, bs):
+    assume(min(bs) < N)
+    W = scipy.sparse.csr_matrix(ref_window(spec, N))
+    c = W.tocoo()
+    edges = np.array(sorted(set(bs)))
+    cross = (np.searchsorted(edges, c.row, side="right")
+             != np.searchsorted(edges, c.col, side="right"))
+    B, K = (scipy.sparse.csr_matrix((c.data[m], (c.row[m], c.col[m])), shape=(N, N))
+            for m in (~cross, cross))
+    d = decomp.halmos_decompose(spec, bs, N, 0.5)
+    assert d.dim == N
+    for got, want in ((d.sparse_window, W), (d.sparse_block_diagonal, B),
+                      (d.sparse_perturbation, K)):
+        want = _csr_entries(want)
+        assert np.array_equal(got["i"], want["i"]) and np.array_equal(got["j"], want["j"])
+        assert np.array_equal(got["v"], want["v"])
+
+
+def csr_trace_moments(spec, n, ps):
+    """szego._trace_moments as scipy's CSR powers give it: power.diagonal().sum()."""
+    T = scipy.sparse.csr_matrix(ref_window(spec, n))
+    if not T.data.imag.any():
+        T = T.real
+    out, power = {}, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in range(1, max(ps) + 1):
+            power = T if power is None else power @ T
+            if e in ps:
+                tr = float(power.diagonal().sum().real)
+                if math.isfinite(tr):
+                    out[e] = tr / n
+                else:
+                    k = n.bit_length()
+                    out[e] = float(np.ldexp(power.diagonal().real, -k).sum() / n * 2.0 ** k)
+    if 0 in ps:
+        out[0] = 1.0
+    return out
+
+
+# simple values cancel exactly (CSR drops the zeros); wide ones round and overflow
+_BAND_VALUE = st.one_of(_SMALL, st.floats(-1e3, 1e3),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _hermitian_toeplitz(draw):
+    complex_bands = draw(st.booleans())
+    bands = {0: draw(_BAND_VALUE)} if draw(st.booleans()) else {}
+    for d in draw(st.sets(st.integers(1, 3), min_size=1)):
+        c = complex(draw(_BAND_VALUE), draw(_BAND_VALUE) if complex_bands else 0.0)
+        bands[d], bands[-d] = c, c.conjugate()
+    return OperatorSpec.toeplitz(bands)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_hermitian_toeplitz(), st.integers(1, 60), st.sets(st.integers(0, 5), min_size=1))
+# T^2 is exactly 0 at offsets +-2 inside (2*2 - 2*1*2): CSR drops those
+# entries, which reorders the rows of T^3 and moves the bits of tr(T^5)
+@example(OperatorSpec.toeplitz({1: 2, -1: 2, 2: 0.5824992988419392, -2: 0.5824992988419392,
+                                3: -1, -3: -1}), 19, {5})
+def test_trace_moments_match_csr_powers(spec, n, ps):
+    ps = sorted(ps)
+    got, want = szego._trace_moments(spec, n, ps), csr_trace_moments(spec, n, ps)
+    assert list(got) == list(want)
+    # == throughout: the products round and sum as CSR SpGEMM does
+    assert all(got[p] == want[p] or (math.isnan(got[p]) and math.isnan(want[p])) for p in ps)
 
 
 # ---------------------------------------------------------------------------

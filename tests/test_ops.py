@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from foelner import ops
 from foelner.errors import (
@@ -163,9 +162,11 @@ def test_sparse_window_matches_entrywise_reference(spec):
     want = np.array([[ops.entry(spec, i, j) for j in range(1, N + 1)]
                      for i in range(1, N + 1)])
     m = ops.sparse_window(spec, N)
-    assert m.shape == (N, N) and m.has_canonical_format
-    assert m.nnz == np.count_nonzero(want)
-    assert np.array_equal(m.toarray(), want)
+    assert np.all((m["i"] >= 1) & (m["i"] <= N) & (m["j"] >= 1) & (m["j"] <= N))
+    # sorted by row then column, each (i, j) once
+    assert np.all(np.diff(m["i"] * (N + 1) + m["j"]) > 0)
+    assert len(m) == np.count_nonzero(want)
+    assert np.array_equal(ops.to_window(m, N).entries, want)
     assert np.array_equal(ops.compress(spec, N).entries, want)
 
 
@@ -377,7 +378,7 @@ _OVER = math.isqrt(ops.DENSE_CELLS) + 1      # smallest square window over the b
 
 @pytest.mark.parametrize("build", [
     lambda n: ops.compress(OperatorSpec.hermite_q(), n),
-    lambda n: ops.to_window(scipy.sparse.identity(n, dtype=complex, format="csr")),
+    lambda n: ops.to_window(ops._entries(np.arange(1, n + 1), np.arange(1, n + 1), np.ones(n)), n),
     lambda n: ops.projection_window(ProjectionFamily.canonical(), 1, n),
     lambda n: ops.commutator_window(OperatorSpec.weighted_shift("inverse"),
                                     ProjectionFamily.sparse([n - 1]), 1),
