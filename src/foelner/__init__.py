@@ -10,10 +10,9 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "errors": ("DegreeExceedsWindow", "FoelnerError", "InvalidSpec", "NonHermitianCompression",
-               "NotHermitian", "NotQuasidiagonalAlongFamily", "NumericalFailure", "RankStall",
-               "ResourceLimit", "SelectorOutOfRange", "TooFewSamples", "WeightUndefined",
-               "WindowTooSmall"),
+    "errors": ("FoelnerError", "InvalidSpec", "NonHermitianCompression", "NotHermitian",
+               "NotQuasidiagonalAlongFamily", "NumericalFailure", "RankStall", "ResourceLimit",
+               "SelectorOutOfRange", "TooFewSamples", "WeightUndefined", "WindowTooSmall"),
     "ops": ("OperatorSpec", "ProjectionFamily", "Window", "capture_bound", "col_support",
             "commutator_window", "compress", "entry", "projection_window", "propagation",
             "row_support"),

@@ -116,7 +116,8 @@ def operator_to_json(spec: ops.OperatorSpec) -> dict:
 _SPARSE_RULES = {"pow2": lambda n: 2 ** n, "squares": lambda n: n * n}
 
 
-def parse_projection(doc: dict | None) -> ops.ProjectionFamily:
+def parse_projection(doc: dict | None, selector: list[int] | None = None) -> ops.ProjectionFamily:
+    """The family a projection document names; a selector picks blocks of a blocks family."""
     from . import ops
     if doc is None:
         return ops.ProjectionFamily.canonical()
@@ -128,7 +129,8 @@ def parse_projection(doc: dict | None) -> ops.ProjectionFamily:
             return ops.ProjectionFamily.sparse(_SPARSE_RULES[doc["rule"]])
         return ops.ProjectionFamily.sparse(doc["indices"])
     if kind == "blocks":
-        return ops.ProjectionFamily.from_boundaries(doc["boundaries"])
+        from . import decomp
+        return decomp.sparse_family(doc["boundaries"], selector)
     raise InvalidSpec(f"unknown projection kind {kind!r}")
 
 
@@ -303,12 +305,15 @@ def cmd_halmos(args, doc: dict, spec_hash: str | None) -> str:
     from . import decomp
     spec = _need_operator(doc)
     fam = parse_projection(doc.get("projection"))
+    if fam.kind == "sparse":
+        raise InvalidSpec("halmos splits at initial segments: "
+                          "use a canonical or blocks projection")
     exp = _experiment(args, doc)
     eps = _epsilon(exp.get("epsilon", 0.1))
     N = int(exp.get("window", 2048))
     limit = int(exp.get("search_limit", 10_000))
-    boundaries = decomp.select_subsequence(spec, fam, eps, search_limit=limit)
-    d = decomp.halmos_decompose(spec, boundaries, N, eps)
+    picks = decomp.select_subsequence(spec, fam, eps, search_limit=limit)
+    d = decomp.halmos_decompose(spec, [fam.rank(n) for n in picks], N, eps)
     # B + K - W per (i, j), in that order (np.add.at adds in index order)
     B, K, W = d.sparse_block_diagonal, d.sparse_perturbation, d.sparse_window
     key = np.concatenate([e["i"] * (N + 1) + e["j"] for e in (B, K, W)])
@@ -333,16 +338,13 @@ def cmd_halmos(args, doc: dict, spec_hash: str | None) -> str:
 
 
 def cmd_sparse(args, doc: dict, spec_hash: str | None) -> str:
-    from . import decomp, norms
+    from . import norms
     spec = _need_operator(doc)
     proj_doc = doc.get("projection")
     exp = _experiment(args, doc)
     if proj_doc is None or proj_doc["kind"] == "canonical":
         raise InvalidSpec("sparse needs a sparse or blocks projection in the spec file")
-    if proj_doc["kind"] == "blocks" and "selector" in exp:
-        fam = decomp.sparse_family(proj_doc["boundaries"], exp["selector"])
-    else:
-        fam = parse_projection(proj_doc)
+    fam = parse_projection(proj_doc, exp.get("selector"))
     ns = _grid_from(exp, start=1, end=10, step=1)
     rows = norms.report_sequence(spec, fam, ns)
     lines = _meta_lines(args, spec_hash, {"command": "sparse"}) + _norm_csv(rows)

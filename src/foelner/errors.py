@@ -52,7 +52,3 @@ class RankStall(FoelnerError):
 
 class NonHermitianCompression(FoelnerError):
     """A compression expected to be Hermitian (real spectrum) is not."""
-
-
-class DegreeExceedsWindow(FoelnerError):
-    """A polynomial's degree is too large for the requested window."""

@@ -653,15 +653,6 @@ class ProjectionFamily:
                 return _s[n - 1]
         return cls(kind="sparse", rule=rule)
 
-    @classmethod
-    def from_boundaries(cls, boundaries: Sequence[int]) -> "ProjectionFamily":
-        """Blocks family from 0 = b_0 < b_1 < ... ; block i is (b_{i-1}, b_i]."""
-        bs = [int(b) for b in boundaries]
-        if not bs or bs[0] != 0 or any(b <= a for a, b in zip(bs, bs[1:])):
-            raise InvalidSpec("boundaries must start at 0 and strictly increase")
-        ivals = tuple((bs[i], bs[i + 1]) for i in range(len(bs) - 1))
-        return cls(kind="blocks", blocks=ivals)
-
     # -- queries -----------------------------------------------------------
 
     def indices(self, n: int) -> list[int]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DegreeExceedsWindow, FoelnerError, InvalidSpec, WeightUndefined
+from .errors import FoelnerError, InvalidSpec, WeightUndefined
 
 Monomial = tuple[int, int]   # (k, l) <-> p^k q^l
 
@@ -221,7 +221,24 @@ def multiply(x: WeylElement, y: WeylElement) -> WeylElement:
 # text syntax
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[pqi*^+-])")
+_FACTOR = re.compile(r"\s*(?:(\d+(?:/\d+)?)|(i)|([pq])(?:\s*\^\s*(\d+))?)\s*")
+
+
+def _factor(text: str) -> WeylElement:
+    """One factor of element text as an element; InvalidSpec if it is none."""
+    m = _FACTOR.fullmatch(text)
+    if not m:
+        raise InvalidSpec(f"bad factor {text.strip()[:20]!r} in element expression")
+    num, unit, var, power = m.groups()
+    if var:
+        k = int(power or 1)
+        return WeylElement({(k, 0) if var == "p" else (0, k): _ONE})
+    if unit:
+        return WeylElement.imaginary_unit()
+    try:
+        return WeylElement({(0, 0): GaussianRational(Fraction(num))})
+    except ZeroDivisionError:
+        raise InvalidSpec(f"zero denominator in coefficient {num!r}") from None
 
 
 def parse_element(text: str) -> WeylElement:
@@ -232,89 +249,42 @@ def parse_element(text: str) -> WeylElement:
     with an optional ^power.  Factors multiply left to right, so "q*p"
     normal-orders to p*q + i.
     """
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise InvalidSpec(f"bad element syntax near {text[pos:pos + 10]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    if not tokens:
+    if not text.strip():
         raise InvalidSpec("empty element expression")
-
-    t = 0
-
-    def peek() -> str | None:
-        return tokens[t] if t < len(tokens) else None
-
-    def take() -> str:
-        nonlocal t
-        tok = tokens[t]
-        t += 1
-        return tok
-
-    def parse_factor() -> WeylElement:
-        tok = peek()
-        if tok is None:
-            raise InvalidSpec("dangling operator in element expression")
-        take()
-        if tok == "i":
-            return WeylElement.imaginary_unit()
-        if tok in ("p", "q"):
-            power = 1
-            if peek() == "^":
-                take()
-                exp = peek()
-                if exp is None or not exp.isdigit():
-                    raise InvalidSpec("^ must be followed by a nonnegative integer")
-                take()
-                power = int(exp)
-            return WeylElement({(power, 0) if tok == "p" else (0, power): _ONE})
-        if not tok[0].isdigit():
-            raise InvalidSpec(f"unexpected token {tok!r} in element expression")
-        try:
-            return WeylElement({(0, 0): GaussianRational(Fraction(tok))})
-        except ZeroDivisionError:
-            raise InvalidSpec(f"zero denominator in coefficient {tok!r}") from None
-
-    def parse_term() -> WeylElement:
-        out = parse_factor()
-        while peek() == "*":
-            take()
-            out = multiply(out, parse_factor())
-        return out
-
-    sign = 1
-    if peek() in ("+", "-"):
-        sign = -1 if take() == "-" else 1
-    result = parse_term().scaled(sign)
-    while peek() in ("+", "-"):
-        sgn = -1 if take() == "-" else 1
-        result = result + parse_term().scaled(sgn)
-    if t != len(tokens):
-        raise InvalidSpec(f"trailing tokens {tokens[t:]!r} in element expression")
+    # numbers and powers are unsigned, so every + and - separates two terms;
+    # blank text before the first sign makes that sign a leading one
+    parts = re.split(r"([+-])", text)
+    parts = parts[1:] if len(parts) > 1 and not parts[0].strip() else ["+"] + parts
+    # every factor is read before any product, so junk costs no arithmetic
+    terms = [(sign, [_factor(f) for f in term.split("*")])
+             for sign, term in zip(parts[::2], parts[1::2])]
+    result = WeylElement.zero()
+    for sign, factors in terms:
+        product = functools.reduce(multiply, factors)
+        result = result + (product if sign == "+" else -product)
     return result
 
 
 def to_text(x: WeylElement) -> str:
-    """Canonical text form, highest total degree first."""
+    """Text in the grammar of parse_element, highest total degree first.
+
+    A coefficient a + bi of a monomial m is written as the terms a*m and
+    b*i*m, real part first, with a coefficient of +-1 before a factor left
+    out, so parse_element(to_text(x)) == x.
+    """
     if x.is_zero():
         return "0"
-    parts = []
+    terms = []
     for (k, l) in sorted(x.terms, key=lambda m: (-(m[0] + m[1]), -m[0])):
         c = x.terms[(k, l)]
-        mono = "*".join(
-            ([f"p^{k}" if k > 1 else "p"] if k else [])
-            + ([f"q^{l}" if l > 1 else "q"] if l else []))
-        cs = str(c)
-        parts.append({"1": mono, "-1": f"-{mono}"}.get(cs, f"{cs}*{mono}") if mono else cs)
-    out = parts[0]
-    for piece in parts[1:]:
-        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-    return out
+        mono = (([f"p^{k}" if k > 1 else "p"] if k else [])
+                + ([f"q^{l}" if l > 1 else "q"] if l else []))
+        for coef, factors in ((c.re, mono), (c.im, ["i"] + mono)):
+            if coef:
+                shown = [] if abs(coef) == 1 and factors else [str(abs(coef))]
+                terms.append(("-" if coef < 0 else "+", "*".join(shown + factors)))
+    (sign, first), *rest = terms
+    return ("-" if sign == "-" else "") + first + "".join(f" {s} {t}" for s, t in rest)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +441,6 @@ def represent(x: WeylElement, N: int) -> ops.Window:
     from . import ops
     if N < 1:
         raise ValueError("N must be >= 1")
-    d = x.degree() or 0
-    if d >= N:
-        raise DegreeExceedsWindow(f"degree {d} needs a window larger than {N}")
     S = ops.OperatorSpec
     p, q = S.hermite_p(), S.hermite_q()
     terms = []

@@ -156,6 +156,24 @@ def test_halmos_json_report(tmp_path, capsys):
     assert doc["ok"] is True
 
 
+def test_halmos_splits_a_blocks_family_at_its_ranks(tmp_path, capsys):
+    # the search picks family indices 2, 3, 4; the split is at their ranks
+    doc = {"operator": {"kind": "weighted_shift", "weight": "inverse"},
+           "projection": {"kind": "blocks", "boundaries": [0, 5, 10, 20, 40, 60]},
+           "experiment": {"epsilon": 0.5, "window": 64, "search_limit": 5}}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, out, _ = run(["halmos", spec, "--no-timestamp"], capsys)
+    assert code == 0
+    got = json.loads(out)
+    assert (got["boundaries"], got["k_norm"], got["ok"]) == ([10, 20, 40], 0.1, True)
+    # sparse projections are not initial segments: refused before the search
+    doc["projection"] = {"kind": "sparse", "indices": [2, 4, 8, 16, 32]}
+    spec.write_text(json.dumps(doc))
+    code, out, err = run(["halmos", spec, "--no-timestamp"], capsys)
+    assert (code, out) == (2, "") and err.startswith("InvalidSpec: halmos splits")
+
+
 def test_sparse_table(tmp_path, capsys):
     code, out, _ = run(["sparse", REPO / "specs" / "sparse_pow2.json",
                         "--n-start", "1", "--n-end", "8", "--no-timestamp"], capsys)
@@ -309,7 +327,7 @@ print(" ".join(sorted(set(namespace) - {"__builtins__"})))
 
 # what `from foelner import *` bound when the package imported every module eagerly
 _STAR_NAMES = """
-AmenabilityWitness BergResult Decomposition DegreeExceedsWindow EmpiricalSpectralMeasure
+AmenabilityWitness BergResult Decomposition EmpiricalSpectralMeasure
 FoelnerError GaussianRational InvalidSpec MonomialSubspace NonHermitianCompression NormReport
 NotHermitian NotQuasidiagonalAlongFamily NumericalFailure OperatorSpec ProjectionFamily
 RankStall ResourceLimit SelectorOutOfRange SymbolPolynomial SzegoComparison SzegoRow

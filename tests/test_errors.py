@@ -14,11 +14,10 @@ def test_every_error_derives_from_the_base():
     assert {cls.__name__ for cls in classes} == {
         "FoelnerError", "InvalidSpec", "WeightUndefined", "ResourceLimit", "WindowTooSmall",
         "NumericalFailure", "TooFewSamples", "NotQuasidiagonalAlongFamily",
-        "SelectorOutOfRange", "NotHermitian", "RankStall", "NonHermitianCompression",
-        "DegreeExceedsWindow"}
+        "SelectorOutOfRange", "NotHermitian", "RankStall", "NonHermitianCompression"}
 
 
 def test_errors_are_reexported_at_package_level():
     for name in ("InvalidSpec", "WindowTooSmall", "TooFewSamples",
-                 "NotQuasidiagonalAlongFamily", "DegreeExceedsWindow"):
+                 "NotQuasidiagonalAlongFamily"):
         assert getattr(foelner, name) is getattr(errors, name)

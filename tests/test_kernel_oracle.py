@@ -179,7 +179,7 @@ def _families(draw):
     if kind == "squares":
         return ProjectionFamily.sparse(lambda t: t * t), draw(st.integers(1, 40))
     cuts = sorted(draw(st.sets(st.integers(1, 80), min_size=1, max_size=12)))
-    fam = ProjectionFamily.from_boundaries([0] + cuts)
+    fam = decomp.sparse_family([0] + cuts)
     return fam, draw(st.integers(1, len(cuts)))
 
 
@@ -413,7 +413,7 @@ def _family_grids(draw):
         fam, top = ProjectionFamily.sparse(lambda t: 2 ** t), 40
     else:
         cuts = sorted(draw(st.sets(st.integers(1, 100), min_size=1, max_size=15)))
-        fam, top = ProjectionFamily.from_boundaries([0] + cuts), len(cuts)
+        fam, top = decomp.sparse_family([0] + cuts), len(cuts)
     start = draw(st.integers(1, top))
     end = draw(st.integers(start, top))
     shape = draw(st.sampled_from(["step", "geometric", "single"]))
@@ -475,7 +475,7 @@ def test_select_subsequence_on_sparse_and_blocks_families():
     shift, diagonal = OperatorSpec.weighted_shift("inverse"), OperatorSpec.diagonal("log")
     for spec, fam, limit in (
             (shift, ProjectionFamily.sparse(range(1, 300)), 150),
-            (shift, ProjectionFamily.from_boundaries(range(0, 400, 3)), 120),
+            (shift, decomp.sparse_family(range(0, 400, 3)), 120),
             # every u is 0, so every n is picked
             (diagonal, ProjectionFamily.sparse(lambda t: 2 ** t), 60)):
         want = ref_select(spec, fam, 0.5, limit)

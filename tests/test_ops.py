@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from foelner import ops
+from foelner import decomp, ops
 from foelner.errors import (
     InvalidSpec,
     ResourceLimit,
@@ -288,7 +288,7 @@ def test_projection_window_examples():
     sp = ProjectionFamily.sparse(lambda n: 2 ** n)
     assert np.allclose(ops.projection_window(sp, 2, 5).entries,
                        np.diag([0, 1, 0, 1, 0]))
-    bl = ProjectionFamily.from_boundaries([0, 3, 5])
+    bl = decomp.sparse_family([0, 3, 5])
     assert np.allclose(ops.projection_window(bl, 2, 6).entries,
                        np.diag([1, 1, 1, 1, 1, 0]))
 
@@ -303,7 +303,7 @@ def test_projection_window_idempotent_hermitian():
     fams = [
         (ProjectionFamily.canonical(), 4, 9),
         (ProjectionFamily.sparse([3, 5, 11]), 2, 11),
-        (ProjectionFamily.from_boundaries([0, 2, 7]), 2, 8),
+        (decomp.sparse_family([0, 2, 7]), 2, 8),
     ]
     for fam, n, N in fams:
         w = ops.projection_window(fam, n, N).entries
@@ -320,11 +320,12 @@ def test_sparse_family_must_increase():
 
 
 def test_blocks_validation():
+    # the leading 0 is optional: both lists cut (0, 1] and (1, 2]
+    assert decomp.sparse_family([1, 2]) == decomp.sparse_family([0, 1, 2])
+    assert decomp.sparse_family([1, 2]).blocks == ((0, 1), (1, 2))
     with pytest.raises(InvalidSpec):
-        ProjectionFamily.from_boundaries([1, 2])     # must start at 0
-    with pytest.raises(InvalidSpec):
-        ProjectionFamily.from_boundaries([0, 4, 4])
-    fam = ProjectionFamily.from_boundaries([0, 2, 6])
+        decomp.sparse_family([0, 4, 4])
+    fam = decomp.sparse_family([0, 2, 6])
     assert fam.indices(2) == [1, 2, 3, 4, 5, 6]
     assert fam.rank(1) == 2
     with pytest.raises(SelectorOutOfRange):

@@ -1,4 +1,5 @@
 import functools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foelner import ops, weyl
-from foelner.errors import DegreeExceedsWindow, InvalidSpec
-from foelner.weyl import GaussianRational, WeylElement
+from foelner.errors import InvalidSpec
+from foelner.weyl import _ONE, GaussianRational, WeylElement, multiply
 
 P = WeylElement.p()
 Q = WeylElement.q()
@@ -60,7 +61,7 @@ def test_normal_ordering_q2p2():
     got = (Q * Q) * (P * P)
     want = mono(2, 2) + WeylElement({(1, 1): GaussianRational(Fraction(0), Fraction(4))}) - mono(0, 0, 2)
     assert got == want
-    assert weyl.to_text(got) == "p^2*q^2 + 4i*p*q - 2"
+    assert weyl.to_text(got) == "p^2*q^2 + 4*i*p*q - 2"
 
 
 def test_degree_and_zero():
@@ -106,13 +107,155 @@ def test_parse_round_trip():
 
 
 def test_parse_errors():
-    for bad in ("", "p^", "z", "2*", "p q", "i*", "3/0"):
+    for bad in ("", "p^", "z", "2*", "p q", "i*", "3/0", "p^-1", "+", "--p", "p-", "1 / 2",
+                "p2", "p^2^3", "i^2", "(1+2i)*p"):
         with pytest.raises(InvalidSpec):
             weyl.parse_element(bad)
 
 
 def test_parse_power_zero_is_scalar():
     assert weyl.parse_element("p^0") == ONE
+
+
+# The recursive-descent parser that the split-and-match reader replaced,
+# verbatim but for its name: the reference for what the grammar accepts.
+_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[pqi*^+-])")
+
+
+def _ref_parse_element(text: str) -> WeylElement:
+    """Parse "2*p^2*q - i*q^3" style expressions into normal form.
+
+    Grammar: signed terms joined by +/-; a term is '*'-separated factors;
+    a factor is an integer, a rational a/b, the imaginary unit i, or p/q
+    with an optional ^power.  Factors multiply left to right, so "q*p"
+    normal-orders to p*q + i.
+    """
+    tokens: list[str] = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise InvalidSpec(f"bad element syntax near {text[pos:pos + 10]!r}")
+            break
+        tokens.append(m.group(1))
+        pos = m.end()
+    if not tokens:
+        raise InvalidSpec("empty element expression")
+
+    t = 0
+
+    def peek() -> str | None:
+        return tokens[t] if t < len(tokens) else None
+
+    def take() -> str:
+        nonlocal t
+        tok = tokens[t]
+        t += 1
+        return tok
+
+    def parse_factor() -> WeylElement:
+        tok = peek()
+        if tok is None:
+            raise InvalidSpec("dangling operator in element expression")
+        take()
+        if tok == "i":
+            return WeylElement.imaginary_unit()
+        if tok in ("p", "q"):
+            power = 1
+            if peek() == "^":
+                take()
+                exp = peek()
+                if exp is None or not exp.isdigit():
+                    raise InvalidSpec("^ must be followed by a nonnegative integer")
+                take()
+                power = int(exp)
+            return WeylElement({(power, 0) if tok == "p" else (0, power): _ONE})
+        if not tok[0].isdigit():
+            raise InvalidSpec(f"unexpected token {tok!r} in element expression")
+        try:
+            return WeylElement({(0, 0): GaussianRational(Fraction(tok))})
+        except ZeroDivisionError:
+            raise InvalidSpec(f"zero denominator in coefficient {tok!r}") from None
+
+    def parse_term() -> WeylElement:
+        out = parse_factor()
+        while peek() == "*":
+            take()
+            out = multiply(out, parse_factor())
+        return out
+
+    sign = 1
+    if peek() in ("+", "-"):
+        sign = -1 if take() == "-" else 1
+    result = parse_term().scaled(sign)
+    while peek() in ("+", "-"):
+        sgn = -1 if take() == "-" else 1
+        result = result + parse_term().scaled(sgn)
+    if t != len(tokens):
+        raise InvalidSpec(f"trailing tokens {tokens[t:]!r} in element expression")
+    return result
+
+
+_FACTORS = st.sampled_from(["p", "q", "i", "2", "0", "1/2", "7/3", "3/0", "p^2", "q ^ 3", "p^0"])
+# single characters for random edits and random strings: the grammar's own,
+# whitespace, junk, a non-ASCII decimal digit and a no-break space
+_CHARS = st.sampled_from(list("pqi*^+-/0127 \tx(") + ["\u0663", "\u00a0"])
+
+
+@st.composite
+def _near_grammar(draw):
+    """Signed terms of factors, then up to two one-character edits."""
+    text = draw(st.sampled_from(["", "-", "+", " - "]))
+    text += " + ".join("*".join(draw(st.lists(_FACTORS, min_size=1, max_size=3)))
+                       for _ in range(draw(st.integers(1, 3))))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_CHARS) + text[at + draw(st.integers(0, 1)):]
+    return text
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_near_grammar(), st.lists(_CHARS, max_size=12).map("".join)))
+def test_reader_matches_the_recursive_descent_parser(text):
+    try:
+        want = _ref_parse_element(text)
+    except InvalidSpec:
+        with pytest.raises(InvalidSpec):
+            weyl.parse_element(text)
+    else:
+        assert weyl.parse_element(text) == want
+
+
+_COEFFICIENTS = st.one_of(st.sampled_from([0, 1, -1]), st.fractions(-5, 5, max_denominator=6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                       st.tuples(_COEFFICIENTS, _COEFFICIENTS), max_size=5))
+def test_to_text_reads_back(terms):
+    x = WeylElement({m: GaussianRational(Fraction(re), Fraction(im))
+                     for m, (re, im) in terms.items()})
+    assert weyl.parse_element(weyl.to_text(x)) == x
+
+
+def test_to_text_writes_each_part_of_a_coefficient_as_a_term():
+    x = WeylElement({(1, 0): GaussianRational(Fraction(1), Fraction(2)),
+                     (0, 0): GaussianRational(Fraction(-1, 2), Fraction(-3, 4))})
+    assert weyl.to_text(x) == "p + 2*i*p - 1/2 - 3/4*i"
+    assert weyl.to_text(weyl.parse_element("-i*q^3 + q*p")) == "-i*q^3 + p*q + i"
+
+
+@pytest.mark.parametrize("text", ["p*" * 20000 + "x", "q*p*q - p^", "q*p + 3/0", "q*p -- p"],
+                         ids=["long-junk", "dangling-power", "zero-denominator", "double-sign"])
+def test_invalid_text_does_no_arithmetic(monkeypatch, text):
+    calls = []
+    monkeypatch.setattr(weyl, "multiply", lambda x, y: calls.append(1) or multiply(x, y))
+    with pytest.raises(InvalidSpec):
+        weyl.parse_element(text)
+    assert not calls
+    weyl.parse_element("q*p*q")
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------- growth
@@ -425,10 +568,12 @@ def test_represent_identity_and_commutator():
     assert np.array_equal(W, 1j * np.eye(6))
 
 
-def test_represent_window_too_small():
-    with pytest.raises(DegreeExceedsWindow):
-        weyl.represent(weyl.parse_element("p^3"), 3)
-    assert weyl.represent(weyl.parse_element("p^3"), 4).dim == 4
+def test_represent_small_windows_are_corners_of_a_large_one():
+    # the kernel reads whole columns, so a window below the degree is exact too
+    x = weyl.parse_element("2*p^2*q - i*q^3 + p^5")
+    big = weyl.represent(x, 12).entries
+    for N in range(1, 7):
+        assert np.array_equal(weyl.represent(x, N).entries, big[:N, :N])
 
 
 def test_represent_is_a_homomorphism_on_interior():
