@@ -546,7 +546,28 @@ def _oracle_cases():
     return cases
 
 
-@pytest.mark.parametrize("x, N", _oracle_cases(), ids=lambda v: str(v))
+def _case_id(v):
+    """Case id with one Gaussian coefficient per monomial, e.g. '(2-i)*p*q + 3'.
+
+    The ids are written here rather than by to_text, so they stay short and
+    do not change when the text form of elements does.
+    """
+    if not isinstance(v, WeylElement):
+        return str(v)
+    if v.is_zero():
+        return "WeylElement('0')"
+    parts = []
+    for (k, l) in sorted(v.terms, key=lambda m: (-(m[0] + m[1]), -m[0])):
+        mono = "*".join(([f"p^{k}" if k > 1 else "p"] if k else [])
+                        + ([f"q^{l}" if l > 1 else "q"] if l else []))
+        cs = str(v.terms[(k, l)])
+        parts.append({"1": mono, "-1": f"-{mono}"}.get(cs, f"{cs}*{mono}") if mono else cs)
+    text = parts[0] + "".join(f" - {s[1:]}" if s.startswith("-") else f" + {s}"
+                              for s in parts[1:])
+    return f"WeylElement({text!r})"
+
+
+@pytest.mark.parametrize("x, N", _oracle_cases(), ids=_case_id)
 def test_represent_matches_dense_powers(x, N):
     got = weyl.represent(x, N).entries
     want = _dense_represent(x, N)
