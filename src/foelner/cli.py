@@ -9,7 +9,8 @@ computation failure (error class name on stderr).
 Reports are buffered and written only after the computation finishes, then
 renamed into place, so a failing run never leaves a partial file behind.
 Each subcommand imports the numeric modules it computes with, so loading
-this module (and running weyl-amenability) loads no numpy.
+this module (and running weyl-amenability) loads no numpy, and a valid
+document loads no jsonschema.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import uuid
 from datetime import datetime, timezone
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-
-import jsonschema
 
 from . import __version__, weyl
 from .errors import FoelnerError, InvalidSpec, ResourceLimit
@@ -42,16 +42,79 @@ def spec_schema() -> dict:
     return _SCHEMA
 
 
+# draft 2020-12 types: 1.0 is an integer, a bool is neither a number nor an integer
+_TYPES = {"object": lambda x: isinstance(x, dict), "array": lambda x: isinstance(x, list),
+          "string": lambda x: isinstance(x, str),
+          "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+          "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                                or isinstance(x, float) and x.is_integer())}
+
+# the keywords schema.json may use: those _conforms checks, the `$defs` a `$ref` names,
+# and two annotations
+SCHEMA_KEYWORDS = frozenset({
+    "$schema", "title", "$defs", "$ref", "type", "enum", "const", "oneOf", "required",
+    "properties", "additionalProperties", "patternProperties", "items", "minItems",
+    "maxItems", "minLength", "minProperties", "minimum", "exclusiveMinimum", "pattern"})
+
+
+def _same(a, b) -> bool:
+    """JSON equality of two scalars: 1 == 1.0, but True is not 1."""
+    return (isinstance(a, bool), a) == (isinstance(b, bool), b)
+
+
+def _conforms(x, node: dict) -> bool:
+    """Whether x meets the schema node, for the keywords of SCHEMA_KEYWORDS.
+
+    Each keyword checks only the JSON type it is about, as in draft 2020-12;
+    `additionalProperties` may only be false, and a `$ref` names a `#/$defs/` entry.
+    """
+    if "$ref" in node and not _conforms(x, spec_schema()["$defs"][node["$ref"][len("#/$defs/"):]]):
+        return False
+    if ("type" in node and not _TYPES[node["type"]](x)
+            or "enum" in node and not any(_same(x, v) for v in node["enum"])
+            or "const" in node and not _same(x, node["const"])
+            or "oneOf" in node and sum(_conforms(x, s) for s in node["oneOf"]) != 1):
+        return False
+    if isinstance(x, dict):
+        if len(x) < node.get("minProperties", 0) or not all(k in x for k in node.get("required", ())):
+            return False
+        props, patterns = node.get("properties", {}), node.get("patternProperties", {})
+        for key, value in x.items():
+            subs = [props[key]] if key in props else []
+            subs += [s for pattern, s in patterns.items() if re.search(pattern, key)]
+            if not subs and node.get("additionalProperties", True) is False:
+                return False
+            if not all(_conforms(value, s) for s in subs):
+                return False
+    elif isinstance(x, list):
+        if not node.get("minItems", 0) <= len(x) <= node.get("maxItems", len(x)):
+            return False
+        return "items" not in node or all(_conforms(v, node["items"]) for v in x)
+    elif isinstance(x, str):
+        return len(x) >= node.get("minLength", 0) and (
+            "pattern" not in node or re.search(node["pattern"], x) is not None)
+    elif _TYPES["number"](x):
+        # written as the refusals are, so NaN passes both bounds as it does in jsonschema
+        return not ("minimum" in node and x < node["minimum"]
+                    or "exclusiveMinimum" in node and x <= node["exclusiveMinimum"])
+    return True
+
+
 def validate_document(doc) -> None:
     """Raise InvalidSpec with the error jsonschema.validate would raise for doc.
 
-    The validator is built on the first call and kept; unlike
-    jsonschema.validate it does not check the schema against its meta-schema
-    each time (the tests check the shipped schema once).
+    `_conforms` decides; jsonschema is imported only for a document it refuses,
+    to word the refusal, and has the last word: a document jsonschema finds
+    no error in is accepted.  The validator is built on the first refusal and
+    kept; unlike jsonschema.validate it does not check the schema against its
+    meta-schema each time (the tests check the shipped schema once).
     """
     global _VALIDATOR
+    schema = spec_schema()
+    if _conforms(doc, schema):
+        return
+    import jsonschema
     if _VALIDATOR is None:
-        schema = spec_schema()
         _VALIDATOR = jsonschema.validators.validator_for(schema)(schema)
     exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
     if exc is not None:
@@ -125,6 +188,9 @@ def parse_projection(doc: dict | None, selector: list[int] | None = None) -> ops
     if kind == "canonical":
         return ops.ProjectionFamily.canonical()
     if kind == "sparse":
+        if selector is not None:
+            raise InvalidSpec("experiment.selector picks blocks of a blocks projection, "
+                              "and this projection is sparse")
         if "rule" in doc:
             return ops.ProjectionFamily.sparse(_SPARSE_RULES[doc["rule"]])
         return ops.ProjectionFamily.sparse(doc["indices"])
@@ -461,18 +527,6 @@ def cmd_weyl_represent(args, doc: dict, spec_hash: str | None) -> str:
     return "\n".join(head) + "\n" + format_matrix(w.entries)
 
 
-_COMMANDS = {
-    "norms": cmd_norms,
-    "classify": cmd_classify,
-    "halmos": cmd_halmos,
-    "sparse": cmd_sparse,
-    "berg": cmd_berg,
-    "szego": cmd_szego,
-    "weyl-amenability": cmd_weyl_amenability,
-    "weyl-represent": cmd_weyl_represent,
-}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
@@ -482,64 +536,67 @@ def integer_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def float_or_text(text: str) -> float | str:
+    """A float where text reads as one ("1e-3"), else the text ("1/10") for the schema to judge."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+_GRID_FLAGS = (("--n-start", {"type": int}), ("--n-end", {"type": int}),
+               ("--n-step", {"type": int}), ("--n-geometric", {"type": float, "metavar": "BASE"}))
+
+# subcommand -> (its function, help line, its flags past the spec file, -o and --no-timestamp)
+_SUBCOMMANDS = {
+    "norms": (cmd_norms, "seminorm and ratio table over an n grid", _GRID_FLAGS),
+    "classify": (cmd_classify, "norms plus a trend verdict per ratio", _GRID_FLAGS),
+    "halmos": (cmd_halmos, "block diagonal + small perturbation split", (
+        ("--epsilon", {"type": float_or_text}),
+        ("--window", {"type": int, "metavar": "N"}),
+        ("--search-limit", {"type": int}))),
+    "sparse": (cmd_sparse, "ratio table along a sparse projection family", _GRID_FLAGS),
+    "berg": (cmd_berg, "nested projections for a Hermitian matrix", (
+        ("--matrix", {"help": "matrix file: dimension line, then a+bi rows"}),
+        ("--dim", {"type": int, "help": "size of the seeded random Hermitian input"}),
+        ("--seed", {"type": int}),
+        ("--epsilon", {"type": float_or_text}))),
+    "szego": (cmd_szego, "eigenvalue moments of compressions vs symbol", (
+        ("--ns", {"type": integer_list, "help": "comma-separated window sizes"}),
+        ("--ps", {"type": integer_list, "help": "comma-separated moment orders"}))),
+    "weyl-amenability": (cmd_weyl_amenability, "exact growth witness for p/q words", (
+        ("--elements", {"type": lambda text: text.split(","),
+                        "help": "comma-separated elements, e.g. 'p,q,p*q'"}),
+        ("--epsilon", {"help": "rational like 1/10"}))),
+    "weyl-represent": (cmd_weyl_represent, "matrix window of a p/q element", (
+        ("--element", {"help": "element text, e.g. 'p^2*q - i*q^3'"}),
+        ("--window", {"type": int, "metavar": "N"}))),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The CLI parser; when argv[0] names a subcommand, only its subparser gets arguments.
+
+    Every subcommand is still listed, so the top-level help and errors are
+    those of the full parser, and the named one parses as it would there.
+    """
     p = argparse.ArgumentParser(
         prog="foelner",
         description="Commutator seminorms, block decompositions, and exact "
                     "growth certificates for band-structured operators.")
     p.add_argument("--version", action="version", version=f"foelner {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-
-    def common(sp):
+    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    for name, (_, help_line, flags) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        if named not in (None, name):
+            continue
         sp.add_argument("spec", nargs="?", help="JSON spec file")
         sp.add_argument("-o", "--output", help="write the report here instead of stdout")
         sp.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp header for byte-stable output")
-
-    def grid(sp):
-        sp.add_argument("--n-start", type=int)
-        sp.add_argument("--n-end", type=int)
-        sp.add_argument("--n-step", type=int)
-        sp.add_argument("--n-geometric", type=float, metavar="BASE")
-
-    sp = sub.add_parser("norms", help="seminorm and ratio table over an n grid")
-    common(sp); grid(sp)
-
-    sp = sub.add_parser("classify", help="norms plus a trend verdict per ratio")
-    common(sp); grid(sp)
-
-    sp = sub.add_parser("halmos", help="block diagonal + small perturbation split")
-    common(sp)
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--window", type=int, metavar="N")
-    sp.add_argument("--search-limit", type=int)
-
-    sp = sub.add_parser("sparse", help="ratio table along a sparse projection family")
-    common(sp); grid(sp)
-
-    sp = sub.add_parser("berg", help="nested projections for a Hermitian matrix")
-    common(sp)
-    sp.add_argument("--matrix", help="matrix file: dimension line, then a+bi rows")
-    sp.add_argument("--dim", type=int, help="size of the seeded random Hermitian input")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--epsilon", type=float)
-
-    sp = sub.add_parser("szego", help="eigenvalue moments of compressions vs symbol")
-    common(sp)
-    sp.add_argument("--ns", type=integer_list, help="comma-separated window sizes")
-    sp.add_argument("--ps", type=integer_list, help="comma-separated moment orders")
-
-    sp = sub.add_parser("weyl-amenability", help="exact growth witness for p/q words")
-    common(sp)
-    sp.add_argument("--elements", type=lambda text: text.split(","),
-                    help="comma-separated elements, e.g. 'p,q,p*q'")
-    sp.add_argument("--epsilon", help="rational like 1/10")
-
-    sp = sub.add_parser("weyl-represent", help="matrix window of a p/q element")
-    common(sp)
-    sp.add_argument("--element", help="element text, e.g. 'p^2*q - i*q^3'")
-    sp.add_argument("--window", type=int, metavar="N")
-
+        for flag, kwargs in flags:
+            sp.add_argument(flag, **kwargs)
     return p
 
 
@@ -555,13 +612,14 @@ def _write_atomic(target: Path, text: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         if args.spec is not None:
             doc, spec_hash = load_spec_file(args.spec)
         else:
             doc, spec_hash = {}, None
-        text = _COMMANDS[args.command](args, doc, spec_hash)
+        text = _SUBCOMMANDS[args.command][0](args, doc, spec_hash)
     except InvalidSpec as exc:
         print(f"InvalidSpec: {exc}", file=sys.stderr)
         return 2

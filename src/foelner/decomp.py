@@ -29,13 +29,16 @@ def select_subsequence(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
 
     Position i counts from 1, so the thresholds eps/4, eps/8, ... sum to a
     ||K|| budget strictly below eps for the decomposition built on top.
-    Raises NotQuasidiagonalAlongFamily when no first rank is admissible
-    within the search limit.
+    The search stops at the search limit or at a blocks family's last
+    member, whichever comes first.  Raises NotQuasidiagonalAlongFamily when
+    no first rank is admissible there.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if search_limit < 1:
         raise ValueError("search_limit must be >= 1")
+    if fam.kind == "blocks":
+        search_limit = min(search_limit, len(fam.blocks))
     picked: list[int] = []
     # one grid pass over n = 1..search_limit: n is picked when its norm is
     # below the threshold of the next position

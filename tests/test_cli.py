@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -167,6 +168,12 @@ def test_halmos_splits_a_blocks_family_at_its_ranks(tmp_path, capsys):
     assert code == 0
     got = json.loads(out)
     assert (got["boundaries"], got["k_norm"], got["ok"]) == ([10, 20, 40], 0.1, True)
+    # the default search limit stops at the family's fifth and last member
+    del doc["experiment"]["search_limit"]
+    spec.write_text(json.dumps(doc))
+    limited = run(["halmos", spec, "--search-limit", "5", "--no-timestamp"], capsys)
+    assert run(["halmos", spec, "--no-timestamp"], capsys) == limited
+    assert json.loads(limited[1])["boundaries"] == [10, 20, 40]
     # sparse projections are not initial segments: refused before the search
     doc["projection"] = {"kind": "sparse", "indices": [2, 4, 8, 16, 32]}
     spec.write_text(json.dumps(doc))
@@ -191,6 +198,16 @@ def test_sparse_rejects_canonical_projection(tmp_path, capsys):
     f.write_text(json.dumps(doc))
     code, _, err = run(["sparse", f], capsys)
     assert code == 2
+
+
+def test_sparse_refuses_a_selector_on_a_sparse_projection(tmp_path, capsys):
+    doc = json.loads((REPO / "specs" / "sparse_pow2.json").read_text())
+    doc["experiment"]["selector"] = [1, 3]
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(["sparse", f], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("InvalidSpec: experiment.selector ")
 
 
 def test_berg_seed_determinism(tmp_path, capsys):
@@ -288,7 +305,7 @@ import foelner.cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert foelner.cli.main(sys.argv[1:]) == 0
-print(" ".join(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})))
+print(" ".join(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy", "jsonschema"})))
 """
 
 
@@ -304,11 +321,13 @@ def test_subcommand_loads_only_what_it_needs(argv):
     sources = sorted((REPO / "src" / "foelner").glob("*.py"))
     assert sources
     assert not [p.name for p in sources if "scipy.linalg" in p.read_text()]
-    # no window path loads scipy; the CLI itself and the exact Weyl core load no numpy
+    # no window path loads scipy; the CLI itself and the exact Weyl core load no numpy;
+    # a valid document loads no jsonschema
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     res = subprocess.run([sys.executable, "-c", _LOAD_SCRIPT, *argv], cwd=REPO, env=env,
                          capture_output=True, text=True, check=True)
-    forbidden = {"numpy", "scipy"} if argv[:1] in ((), ("weyl-amenability",)) else {"scipy"}
+    forbidden = {"scipy", "jsonschema"} | ({"numpy"} if argv[:1] in ((), ("weyl-amenability",))
+                                          else set())
     assert not set(res.stdout.split()) & forbidden
 
 
@@ -422,6 +441,57 @@ def test_version_subprocess():
                                        else __import__("foelner").__version__)
 
 
+def _load_workloads():
+    # registered under its own name: its dataclasses look their module up
+    name = "benchmark_workloads"
+    spec = importlib.util.spec_from_file_location(name, REPO / "benchmark" / "workloads.py")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_subparser_alone_parses_as_the_full_parser(tmp_path):
+    workloads = _load_workloads()
+    argvs = [list(case.argv) for w in workloads.WORKLOADS
+             for case in workloads.build(w, 1, tmp_path / w)]
+    argvs += [["halmos", "--epsilon", "1/10"], ["weyl-amenability", "--elements", "p,q"]]
+    assert {a[0] for a in argvs} == set(cli._SUBCOMMANDS)
+    for argv in argvs:
+        assert cli.build_parser(argv).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+def test_a_subparser_alone_keeps_every_help_and_usage_error(capsys):
+    def printed(parser, argv):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        return exc.value.code, capsys.readouterr()
+
+    full = cli.build_parser()
+    for argv in [["--help"], ["nope"], []]:
+        expected = printed(full, argv)
+        assert expected[0] in (0, 2) and "".join(expected[1])
+        for name in cli._SUBCOMMANDS:
+            assert printed(cli.build_parser([name]), argv) == expected
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert capsys.readouterr() == expected[1]
+    for name in cli._SUBCOMMANDS:
+        with pytest.raises(SystemExit):
+            cli.main([name, "--help"])
+        assert capsys.readouterr() == printed(full, [name, "--help"])[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["halmos", REPO / "specs" / "halmos_inverse.json", "--window", "256"],
+    ["berg", REPO / "specs" / "berg_seeded.json"],
+], ids=["halmos", "berg"])
+def test_epsilon_flag_reads_a_rational(capsys, argv):
+    reports = [run([*argv, "--epsilon", eps, "--no-timestamp"], capsys)
+               for eps in ("1/10", "0.1", "1e-1")]
+    assert reports[0][0] == 0 and json.loads(reports[0][1])["epsilon"] == 0.1
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_flag_overrides_spec_experiment(tmp_path, capsys):
     # CLI flags win over the experiment block
     code, out, _ = run(["norms", REPO / "specs" / "shift_sqrt_norms.json",
@@ -532,6 +602,34 @@ def test_rejection_message_is_that_of_jsonschema_validate(doc):
     with pytest.raises(InvalidSpec) as got:
         cli.validate_document(doc)
     assert str(got.value) == f"spec rejected at {path}: {exc.value.message}"
+
+
+def _keywords(node):
+    """The keywords of a schema node and of every schema below it."""
+    if isinstance(node, list):
+        return set().union(*map(_keywords, node))
+    if not isinstance(node, dict):
+        return set()
+    subs = [v for k, v in node.items() if k not in ("properties", "patternProperties", "$defs")]
+    maps = [node.get(k, {}) for k in ("properties", "patternProperties", "$defs")]
+    return set(node) | _keywords(subs) | _keywords([v for m in maps for v in m.values()])
+
+
+def test_schema_uses_only_the_checked_keywords():
+    schema = cli.spec_schema()
+    assert _keywords(schema) <= cli.SCHEMA_KEYWORDS
+    text = json.dumps(schema)
+    # the shapes _conforms assumes of two of them
+    assert text.count('"additionalProperties"') == text.count('"additionalProperties": false')
+    assert text.count('"$ref"') == text.count('"$ref": "#/$defs/')
+
+
+def test_jsonschema_has_the_last_word(monkeypatch):
+    # a document the built-in check refuses but jsonschema accepts is accepted
+    monkeypatch.setattr(cli, "_conforms", lambda doc, node: False)
+    cli.validate_document({"experiment": {"window": 3}})
+    with pytest.raises(InvalidSpec, match="spec rejected at experiment/window"):
+        cli.validate_document({"experiment": {"window": 0}})
 
 
 _BIG = {"kind": "toeplitz", "bands": {"0": 1e308, "1": 1e308}}

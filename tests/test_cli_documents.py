@@ -9,15 +9,20 @@ p, q elements well formed or not, small experiments (n <= 64, window <= 256,
 search_limit <= 64, dim <= 12, degree <= 8 per factor) and amenability
 epsilons down to 1/10^30.  Each document is checked
 against the schema first.  A run must exit 0, 2 or 3 without a traceback,
-and a report that exits 0 must hold only finite numbers.
+and a report that exits 0 must hold only finite numbers.  The same documents,
+mutated at random places (ints as floats, bools, empty arrays, both `rule`
+and `indices`, ...), must get the same valid/invalid verdict from the CLI's
+built-in schema check as from jsonschema.
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
 from fractions import Fraction
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -265,3 +270,113 @@ def test_schema_valid_documents_keep_the_exit_contract(spec_dir, command_doc):
         return
     for x in _report_numbers(command, out.getvalue()):
         assert math.isfinite(x), out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the built-in schema check against jsonschema
+# ---------------------------------------------------------------------------
+
+_VALUES = [True, False, None, 0, 1, -1, 2.5, math.nan, "", "x", "pow2", "creation", [], {}]
+_TEXT_EDGES = ["", "x", "1/10", "0.5", "01", "-1", "1.5"]
+_NUMBER_EDGES = [0, 1, -1, 0.0, 1.0, True, False, math.nan, math.inf]
+# keys to add, each with values that may make its dict valid or not
+_EXTRA_KEYS = {"rule": ["pow2", "x"], "indices": [[1, 2], [0]], "selector": [[1], []],
+               "weight": ["log", ""], "kind": ["sparse", "x"], "x": [1],
+               "0": [1, [1, 2, 3]], "01": [1], "-1": [[1, 2]], "epsilon": ["1/10", 0]}
+# mutation -> the values it applies to
+_TARGETS = {"edge": lambda v: isinstance(v, (int, float, str)), "resize": lambda v: isinstance(v, list),
+            "add key": lambda v: isinstance(v, dict), "delete": lambda v: True,
+            "replace": lambda v: True}
+
+
+def _nodes(x, path=()):
+    """(path, value) of x and of every value inside it."""
+    yield path, x
+    inside = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for k, v in inside:
+        yield from _nodes(v, (*path, k))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A drawn document with one to three values moved to an edge, resized, added or deleted."""
+    doc = copy.deepcopy(draw(_documents())[1])   # st.just values are shared
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(sorted(_TARGETS)))
+        targets = [(p, v) for p, v in _nodes(doc) if _TARGETS[how](v) and (p or how != "delete")]
+        if not targets:
+            continue
+        path, old = draw(st.sampled_from(targets))
+        if how == "edge":
+            new = draw(st.sampled_from(_TEXT_EDGES if isinstance(old, str)
+                                       else [float(old), old + 0.5, *_NUMBER_EDGES]))
+        elif how == "resize":
+            new = draw(st.sampled_from([[], old[:1], old + old[:1], [*old, True]]))
+        elif how == "add key":
+            key = draw(st.sampled_from(sorted(_EXTRA_KEYS)))
+            new = {**old, key: draw(st.sampled_from(_EXTRA_KEYS[key]))}
+        else:
+            new = None if how == "delete" else draw(st.sampled_from(_VALUES))
+        new = copy.deepcopy(new)                 # later mutations write into it
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if not path:
+            doc = new
+        elif how == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
+    return doc
+
+
+@pytest.fixture(scope="module")
+def jsonschema_validator():
+    schema = cli.spec_schema()
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_documents().map(lambda pair: pair[1]), _mutated_documents()))
+def test_built_in_check_agrees_with_jsonschema(jsonschema_validator, doc):
+    assert cli._conforms(doc, cli.spec_schema()) == jsonschema_validator.is_valid(doc)
+
+
+def _scale(factor):
+    return {"operator": {"kind": "scale", "factor": factor, "child": {"kind": "creation"}}}
+
+
+# each keyword at the edge where a looser reading would change the verdict
+@pytest.mark.parametrize("doc", [
+    {}, [], None, {"projection": {"kind": "sparse", "rule": "pow2"}},
+    {"projection": {"kind": "sparse", "rule": "pow2", "indices": [1]}},
+    {"projection": {"kind": "sparse"}}, {"projection": {"kind": "blocks", "boundaries": [0]}},
+    {"experiment": {"window": 1.0}}, {"experiment": {"window": 1e308}},
+    {"experiment": {"window": True}}, {"experiment": {"window": 1.5}},
+    {"experiment": {"window": 0}}, {"experiment": {"n_start": math.nan}},
+    {"experiment": {"n_geometric": 1}}, {"experiment": {"n_geometric": 1.0000001}},
+    {"experiment": {"n_geometric": math.nan}}, {"experiment": {"epsilon": 0}},
+    {"experiment": {"epsilon": False}}, {"experiment": {"epsilon": "x"}},
+    {"experiment": {"epsilon": "1/10"}}, {"experiment": {"epsilon": "1/10\n"}},
+    {"experiment": {"epsilon": ""}}, {"experiment": {"elements": ["p", ""]}},
+    {"experiment": {"selector": []}}, {"experiment": {"ns": [1, True]}},
+    _scale([1, 2]), _scale([1, 2, 3]), _scale([1]), _scale([1, True]), _scale(True),
+    {"operator": {"kind": "toeplitz", "bands": {"-1": 1}}},
+    {"operator": {"kind": "toeplitz", "bands": {"01": 1}}},
+    {"operator": {"kind": "toeplitz", "bands": {"x": 1}}},
+    {"operator": {"kind": "toeplitz", "bands": {}}},
+    {"operator": {"kind": "creation", "weight": "log"}}, {"operator": {"kind": "diagonal"}},
+    {"operator": {"kind": "diagonal", "weight": ""}}, {"operator": {"kind": True}},
+    {"operator": {"kind": "sum", "children": []}},
+])
+def test_built_in_check_agrees_with_jsonschema_at_the_edges(jsonschema_validator, doc):
+    assert cli._conforms(doc, cli.spec_schema()) == jsonschema_validator.is_valid(doc)
+
+
+# enum and const compare as JSON values: 1 == 1.0, but a bool equals only itself
+@pytest.mark.parametrize("node, x", [
+    ({"enum": [1]}, True), ({"enum": [1]}, 1.0), ({"enum": [True]}, 1), ({"const": 0}, False),
+    ({"const": False}, 0), ({"const": False}, False), ({"const": "a"}, "a"),
+    ({"enum": ["a"]}, ["a"])])
+def test_enum_and_const_tell_bools_from_numbers(node, x):
+    assert cli._conforms(x, node) == jsonschema.Draft202012Validator(node).is_valid(x)
