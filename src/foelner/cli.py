@@ -182,15 +182,13 @@ _SPARSE_RULES = {"pow2": lambda n: 2 ** n, "squares": lambda n: n * n}
 def parse_projection(doc: dict | None, selector: list[int] | None = None) -> ops.ProjectionFamily:
     """The family a projection document names; a selector picks blocks of a blocks family."""
     from . import ops
-    if doc is None:
-        return ops.ProjectionFamily.canonical()
-    kind = doc["kind"]
+    kind = "canonical" if doc is None else doc["kind"]
+    if selector is not None and kind != "blocks":
+        raise InvalidSpec("experiment.selector picks blocks of a blocks projection, "
+                          f"and this projection is {kind}")
     if kind == "canonical":
         return ops.ProjectionFamily.canonical()
     if kind == "sparse":
-        if selector is not None:
-            raise InvalidSpec("experiment.selector picks blocks of a blocks projection, "
-                              "and this projection is sparse")
         if "rule" in doc:
             return ops.ProjectionFamily.sparse(_SPARSE_RULES[doc["rule"]])
         return ops.ProjectionFamily.sparse(doc["indices"])
@@ -338,21 +336,29 @@ def read_matrix(path: str) -> np.ndarray:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_norms(args, doc: dict, spec_hash: str | None) -> str:
+# the grid defaults (start, end, step, geometric) of the two table subcommands
+_TABLE_GRIDS = {"norms": (10, 1000, None, 10.0), "sparse": (1, 10, 1, None)}
+
+
+def cmd_table(args, doc: dict, spec_hash: str | None) -> str:
+    """norms and sparse: the ratio table over an n grid; sparse refuses a canonical projection."""
     from . import norms
     spec = _need_operator(doc)
-    fam = parse_projection(doc.get("projection"))
-    ns = _grid_from(_experiment(args, doc), start=10, end=1000, geometric=10.0)
-    rows = norms.report_sequence(spec, fam, ns)
-    lines = _meta_lines(args, spec_hash, {"command": "norms"}) + _norm_csv(rows)
+    exp = _experiment(args, doc)
+    if args.command == "sparse" and doc.get("projection", {}).get("kind", "canonical") == "canonical":
+        raise InvalidSpec("sparse needs a sparse or blocks projection in the spec file")
+    fam = parse_projection(doc.get("projection"), exp.get("selector"))
+    rows = norms.report_sequence(spec, fam, _grid_from(exp, *_TABLE_GRIDS[args.command]))
+    lines = _meta_lines(args, spec_hash, {"command": args.command}) + _norm_csv(rows)
     return "\n".join(lines) + "\n"
 
 
 def cmd_classify(args, doc: dict, spec_hash: str | None) -> str:
     from . import norms
     spec = _need_operator(doc)
-    fam = parse_projection(doc.get("projection"))
-    ns = _grid_from(_experiment(args, doc), start=16, end=10_000, geometric=2.0)
+    exp = _experiment(args, doc)
+    fam = parse_projection(doc.get("projection"), exp.get("selector"))
+    ns = _grid_from(exp, start=16, end=10_000, geometric=2.0)
     rows = norms.report_sequence(spec, fam, ns)
     report = {
         "meta": _meta_obj(args, spec_hash),
@@ -370,11 +376,14 @@ def cmd_halmos(args, doc: dict, spec_hash: str | None) -> str:
     import numpy as np
     from . import decomp
     spec = _need_operator(doc)
-    fam = parse_projection(doc.get("projection"))
+    exp = _experiment(args, doc)
+    fam = parse_projection(doc.get("projection"), exp.get("selector"))
     if fam.kind == "sparse":
         raise InvalidSpec("halmos splits at initial segments: "
                           "use a canonical or blocks projection")
-    exp = _experiment(args, doc)
+    if "selector" in exp:
+        raise InvalidSpec("halmos splits at initial segments, and the unions of the blocks "
+                          "a selector keeps are not: drop experiment.selector")
     eps = _epsilon(exp.get("epsilon", 0.1))
     N = int(exp.get("window", 2048))
     limit = int(exp.get("search_limit", 10_000))
@@ -401,20 +410,6 @@ def cmd_halmos(args, doc: dict, spec_hash: str | None) -> str:
         "ok": d.ok,
     }
     return _json_text(report)
-
-
-def cmd_sparse(args, doc: dict, spec_hash: str | None) -> str:
-    from . import norms
-    spec = _need_operator(doc)
-    proj_doc = doc.get("projection")
-    exp = _experiment(args, doc)
-    if proj_doc is None or proj_doc["kind"] == "canonical":
-        raise InvalidSpec("sparse needs a sparse or blocks projection in the spec file")
-    fam = parse_projection(proj_doc, exp.get("selector"))
-    ns = _grid_from(exp, start=1, end=10, step=1)
-    rows = norms.report_sequence(spec, fam, ns)
-    lines = _meta_lines(args, spec_hash, {"command": "sparse"}) + _norm_csv(rows)
-    return "\n".join(lines) + "\n"
 
 
 def cmd_berg(args, doc: dict, spec_hash: str | None) -> str:
@@ -466,11 +461,7 @@ def cmd_szego(args, doc: dict, spec_hash: str | None) -> str:
 
 def _as_fraction(v) -> Fraction:
     try:
-        if isinstance(v, str):
-            return Fraction(v)
-        if isinstance(v, int):
-            return Fraction(v)
-        return Fraction(str(v))
+        return Fraction(v if isinstance(v, (str, int)) else str(v))
     except (ValueError, ZeroDivisionError):
         raise InvalidSpec(f"cannot read {v!r} as an exact rational") from None
 
@@ -549,13 +540,13 @@ _GRID_FLAGS = (("--n-start", {"type": int}), ("--n-end", {"type": int}),
 
 # subcommand -> (its function, help line, its flags past the spec file, -o and --no-timestamp)
 _SUBCOMMANDS = {
-    "norms": (cmd_norms, "seminorm and ratio table over an n grid", _GRID_FLAGS),
+    "norms": (cmd_table, "seminorm and ratio table over an n grid", _GRID_FLAGS),
     "classify": (cmd_classify, "norms plus a trend verdict per ratio", _GRID_FLAGS),
     "halmos": (cmd_halmos, "block diagonal + small perturbation split", (
         ("--epsilon", {"type": float_or_text}),
         ("--window", {"type": int, "metavar": "N"}),
         ("--search-limit", {"type": int}))),
-    "sparse": (cmd_sparse, "ratio table along a sparse projection family", _GRID_FLAGS),
+    "sparse": (cmd_table, "ratio table along a sparse projection family", _GRID_FLAGS),
     "berg": (cmd_berg, "nested projections for a Hermitian matrix", (
         ("--matrix", {"help": "matrix file: dimension line, then a+bi rows"}),
         ("--dim", {"type": int, "help": "size of the seeded random Hermitian input"}),

@@ -66,31 +66,36 @@ def _distinct(x: np.ndarray) -> bool:
     return not np.count_nonzero(xs[1:] == xs[:-1])
 
 
-def _compact(e: np.ndarray) -> np.ndarray:
-    """Dense matrix of the entries with empty rows/columns removed."""
-    ri, nr = _dense_ids(e["i"])
-    ci, nc = _dense_ids(e["j"])
-    a = np.zeros((nr, nc), dtype=complex)
-    a[ri, ci] = e["v"]
-    return a
+def _blocks(e: np.ndarray) -> Iterator[np.ndarray]:
+    """The dense block of each connected component of the entries' row/column graph.
 
-
-def _components(e: np.ndarray) -> list[np.ndarray]:
-    """The entries grouped by connected component of their row/column graph.
-
-    Rows and columns are the two sides of a bipartite graph with one edge
-    per entry.
+    Rows and columns are the two sides of a bipartite graph with one edge per
+    entry.  Each row takes the least label of the rows it shares a column with,
+    each label the least of its rows', then every row the label of its label,
+    until no label moves.  A block has its rows and columns in index order.
     """
-    import scipy.sparse
-    from scipy.sparse.csgraph import connected_components
-
     ri, nr = _dense_ids(e["i"])
     ci, nc = _dense_ids(e["j"])
-    graph = scipy.sparse.coo_matrix((np.ones(len(e)), (ri, nr + ci)), shape=(nr + nc,) * 2)
-    _, label = connected_components(graph, directed=False)
-    label = label[ri]
-    order = np.argsort(label, kind="stable")
-    return np.split(e[order], np.flatnonzero(np.diff(label[order])) + 1)
+    label, old = np.arange(nr), None
+    while old is None or not np.array_equal(label, old):
+        low = np.full(nc, nr)
+        np.minimum.at(low, ci, label[ri])
+        old, label = label, label.copy()
+        np.minimum.at(label, ri, low[ci])
+        np.minimum.at(label, old, label)    # else a long chain takes a round per row
+        label = label[label]
+    comp, k = _dense_ids(label)
+    ccomp = comp[low]       # a label is a row of its component, and low holds labels
+    rows, cols = np.bincount(comp, minlength=k), np.bincount(ccomp, minlength=k)
+    # a row's (column's) position among its component's: its rank by component, less theirs
+    rpos = np.argsort(np.argsort(comp, kind="stable")) - (np.cumsum(rows) - rows)[comp]
+    cpos = np.argsort(np.argsort(ccomp, kind="stable")) - (np.cumsum(cols) - cols)[ccomp]
+    ec = comp[ri]
+    parts = np.split(np.argsort(ec, kind="stable"), np.cumsum(np.bincount(ec))[:-1])
+    for t, at in enumerate(parts):
+        a = np.zeros((rows[t], cols[t]), dtype=complex)
+        a[rpos[ri[at]], cpos[ci[at]]] = e["v"][at]
+        yield a
 
 
 def _triplet_svals(entries) -> np.ndarray:
@@ -107,7 +112,7 @@ def _triplet_svals(entries) -> np.ndarray:
         return np.zeros(0)
     if _distinct(e["i"]) and _distinct(e["j"]):
         return np.sort(np.abs(e["v"]))[::-1]
-    parts = [_svdvals(_compact(c)) for c in _components(e)]
+    parts = [_svdvals(a) for a in _blocks(e)]
     return np.sort(np.concatenate(parts))[::-1]
 
 
@@ -448,14 +453,8 @@ def classify(ratios: Sequence[float]) -> Verdict:
     head_max = max(head)
     tail_max, tail_min = max(tail), min(tail)
     tail_mean = sum(tail) / len(tail)
-    ev = {
-        "head_max": head_max,
-        "tail_max": tail_max,
-        "tail_min": tail_min,
-        "tail_mean": tail_mean,
-        "tail_len": tail_len,
-        "samples": len(vals),
-    }
+    ev = {"head_max": head_max, "tail_max": tail_max, "tail_min": tail_min,
+          "tail_mean": tail_mean, "tail_len": tail_len, "samples": len(vals)}
 
     if tail_max < _ZERO_TOL:
         return Verdict("tends_to_zero", evidence=ev)

@@ -632,10 +632,13 @@ class ProjectionFamily:
     kind: str
     rule: Callable[[int], int] | None = None
     blocks: tuple[tuple[int, int], ...] = ()   # half-open 1-based (lo, hi] intervals
+    size: int | None = None   # the member count of a finite family; None if endless
 
     def __post_init__(self):
         # the rule's values so far: a run over n = 1..N calls the rule N times
         object.__setattr__(self, "_prefix", [])
+        if self.kind == "blocks":
+            object.__setattr__(self, "size", len(self.blocks))
 
     @classmethod
     def canonical(cls) -> "ProjectionFamily":
@@ -651,6 +654,7 @@ class ProjectionFamily:
                 if n > len(_s):
                     raise SelectorOutOfRange(f"family has {len(_s)} indices, asked for {n}")
                 return _s[n - 1]
+            return cls(kind="sparse", rule=rule, size=len(seq))
         return cls(kind="sparse", rule=rule)
 
     # -- queries -----------------------------------------------------------

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -210,6 +211,65 @@ def test_sparse_refuses_a_selector_on_a_sparse_projection(tmp_path, capsys):
     assert err.startswith("InvalidSpec: experiment.selector ")
 
 
+def _table(text):
+    return [l for l in text.splitlines() if l and not l.startswith("#")]
+
+
+@pytest.mark.parametrize("command", ["norms", "classify"])
+def test_norms_and_classify_tabulate_the_selected_family(command, tmp_path, capsys):
+    # ten of twenty unit blocks, so classify has its eight samples
+    doc = {"operator": {"kind": "example_A"},
+           "projection": {"kind": "blocks", "boundaries": list(range(1, 21))},
+           "experiment": {"selector": list(range(2, 21, 2)), "n_start": 1, "n_end": 10, "n_step": 1}}
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    code, want, _ = run(["sparse", f, "--no-timestamp"], capsys)
+    assert code == 0
+    code, out, err = run([command, f, "--no-timestamp"], capsys)
+    assert code == 0, err
+    got = _table(out) if command == "norms" else cli._norm_csv(
+        [types.SimpleNamespace(**r) for r in json.loads(out)["rows"]])
+    assert got == _table(want)
+    del doc["experiment"]["selector"]
+    f.write_text(json.dumps(doc))
+    assert _table(run(["sparse", f, "--no-timestamp"], capsys)[1]) != got
+
+
+@pytest.mark.parametrize("command", ["norms", "classify", "halmos", "sparse"])
+@pytest.mark.parametrize("projection", [None, {"kind": "canonical"},
+                                        {"kind": "sparse", "rule": "pow2"}],
+                         ids=["absent", "canonical", "sparse"])
+def test_a_selector_needs_a_blocks_projection(command, projection, tmp_path, capsys):
+    doc = {"operator": {"kind": "weighted_shift", "weight": "inverse"},
+           "experiment": {"selector": [1, 3]}}
+    if projection is not None:
+        doc["projection"] = projection
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run([command, f], capsys)
+    assert (code, out) == (2, "")
+    kind = (projection or {"kind": "canonical"})["kind"]
+    if command == "sparse" and kind == "canonical":
+        assert err.startswith("InvalidSpec: sparse needs a sparse or blocks projection")
+    else:
+        assert err == ("InvalidSpec: experiment.selector picks blocks of a blocks projection, "
+                       f"and this projection is {kind}\n")
+
+
+def test_halmos_refuses_a_selector(tmp_path, capsys):
+    # the unions of the selected blocks are not initial segments, so there is no split
+    doc = json.loads((REPO / "specs" / "blocks_selector.json").read_text())
+    doc["experiment"] = {"selector": doc["experiment"]["selector"], "window": 64}
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(["halmos", f], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("InvalidSpec: halmos splits at initial segments, and ")
+    del doc["experiment"]["selector"]
+    f.write_text(json.dumps(doc))
+    assert run(["halmos", f], capsys)[0] != 2
+
+
 def test_berg_seed_determinism(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for dest in (a, b):
@@ -313,6 +373,7 @@ print(" ".join(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"
     (), ("weyl-amenability", "specs/weyl_growth.json"),
     ("norms", "specs/shift_sqrt_norms.json"), ("classify", "specs/hermite_classify.json"),
     ("sparse", "specs/sparse_pow2.json"), ("halmos", "specs/halmos_inverse.json"),
+    pytest.param(("sparse", "specs/hermite_squares.json"), id="sparse-components"),
     ("berg", "specs/berg_seeded.json"), ("szego", "specs/szego_cos.json"),
     ("weyl-represent", "specs/weyl_window.json"),
 ], ids=lambda argv: argv[0] if argv else "import")

@@ -148,12 +148,17 @@ _WITNESS_EPSILON = st.one_of(
     st.floats(1e-30, 4.0))
 
 
+_SELECTOR = st.lists(st.integers(1, 12), min_size=1, max_size=5)
+
+
 def _experiment(draw, command):
     """The experiment block for one subcommand."""
     if command == "halmos":
         exp = {"window": draw(st.integers(1, 256)), "search_limit": draw(st.integers(1, 64))}
         if draw(st.booleans()):
             exp["epsilon"] = draw(_EPSILON)
+        if draw(st.integers(0, 3)) == 0:
+            exp["selector"] = draw(_SELECTOR)
         return exp
     if command == "berg":
         exp = {"dim": draw(st.integers(1, 12)),
@@ -175,8 +180,8 @@ def _experiment(draw, command):
     if command == "weyl-represent":
         return {"element": draw(_element()), "window": draw(st.integers(1, 64))}
     exp = draw(_grid())
-    if command == "sparse" and draw(st.booleans()):
-        exp["selector"] = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        exp["selector"] = draw(_SELECTOR)
     return exp
 
 

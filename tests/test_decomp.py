@@ -102,6 +102,23 @@ def test_halmos_boundary_handling():
         decomp.halmos_decompose(INV, [5], 0, 0.5)
 
 
+@pytest.mark.parametrize("epsilon", [0.5, 64])
+def test_select_subsequence_stops_at_a_finite_sparse_family(epsilon):
+    # the default search limit stops at the family's fifth and last index
+    fam = ops.ProjectionFamily.sparse([2, 4, 8, 16, 32])
+    assert fam.size == 5
+
+    def picks(**limit):
+        try:
+            return decomp.select_subsequence(INV, fam, epsilon, **limit)
+        except NotQuasidiagonalAlongFamily as exc:
+            return str(exc)
+
+    assert picks() == picks(search_limit=5)
+    assert picks() == ("no rank n <= 5 has ||[T, P_n]||_u < 0.125" if epsilon == 0.5
+                       else [1, 2, 3, 4])
+
+
 def test_sparse_family_unit_blocks():
     fam = decomp.sparse_family(range(1, 20), selector=[2, 4, 8])
     assert fam.indices(1) == [2]

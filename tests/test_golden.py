@@ -13,6 +13,9 @@ goldens and review their diff:
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,7 @@ COMMANDS = {
     "composite_norms": "norms",
     "dilation_norms": "norms",
     "halmos_inverse": "halmos",
+    "hermite_squares": "sparse",
     "hermite_classify": "classify",
     "shift_log_classify": "classify",
     "shift_sqrt_norms": "norms",
@@ -68,15 +72,42 @@ def _close(got, want) -> bool:
     return got == want
 
 
+def _assert_golden(stem: str, out: Path) -> None:
+    golden = (GOLDEN / f"{stem}.txt").read_bytes()
+    if stem in LAPACK:
+        assert _close(json.loads(out.read_bytes()), json.loads(golden)), stem
+    else:
+        assert out.read_bytes() == golden, stem
+
+
 @pytest.mark.parametrize("stem", sorted(COMMANDS))
 def test_report_matches_golden(stem, tmp_path):
     out = tmp_path / f"{stem}.txt"
     _write_report(stem, out)
-    golden = (GOLDEN / f"{stem}.txt").read_bytes()
-    if stem in LAPACK:
-        assert _close(json.loads(out.read_bytes()), json.loads(golden))
-    else:
-        assert out.read_bytes() == golden
+    _assert_golden(stem, out)
+
+
+# runs every shipped spec in one process in which `import scipy` fails
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from foelner import cli
+for stem, command, spec, out in zip(*[iter(sys.argv[1:])] * 4):
+    code = cli.main([command, spec, "--no-timestamp", "-o", out])
+    assert code == 0, f"{stem} exited {code}"
+"""
+
+
+def test_every_spec_runs_without_scipy(tmp_path):
+    # the package needs numpy alone (jsonschema only to word refusals)
+    argv = [a for stem in sorted(COMMANDS) for a in (
+        stem, COMMANDS[stem], str(ROOT / "specs" / f"{stem}.json"), str(tmp_path / f"{stem}.txt"))]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", _NO_SCIPY, *argv], cwd=ROOT, env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    for stem in sorted(COMMANDS):
+        _assert_golden(stem, tmp_path / f"{stem}.txt")
 
 
 if __name__ == "__main__":

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from foelner import norms, ops
 from foelner.errors import FoelnerError, TooFewSamples, WeightUndefined
@@ -226,13 +230,72 @@ def test_triplet_svals_match_dense_svd(shapes, complex_values):
     for _ in range(5):
         trips = _block_triplets(rng, shapes, complex_values)
         e = np.asarray(trips, dtype=ops._ENTRY)
-        assert len(norms._components(e)) == len(shapes)
+        assert len(list(norms._blocks(e))) == len(shapes)
         got = norms._triplet_svals(trips)
-        want = np.linalg.svd(norms._compact(e), compute_uv=False)
+        # the whole matrix with its empty rows and columns removed
+        (rows, ri), (cols, ci) = (np.unique(x, return_inverse=True) for x in (e["i"], e["j"]))
+        compact = np.zeros((len(rows), len(cols)), complex)
+        compact[ri, ci] = e["v"]
+        want = np.linalg.svd(compact, compute_uv=False)
         assert np.all(got[:-1] >= got[1:])
         assert got.size == sum(min(h, w) for h, w in shapes)
         padded = np.concatenate([got, np.zeros(want.size - got.size)])
         np.testing.assert_allclose(padded, want, rtol=1e-12, atol=1e-12 * want[0])
+
+
+def _scipy_blocks(e):
+    """The dense block of each component of e's row/column graph, by scipy's connected_components."""
+    (rows, ri), (cols, ci) = (np.unique(x, return_inverse=True) for x in (e["i"], e["j"]))
+    graph = scipy.sparse.coo_matrix((np.ones(len(e)), (ri, len(rows) + ci)),
+                                    shape=(len(rows) + len(cols),) * 2)
+    k, label = connected_components(graph, directed=False)
+    blocks = []
+    for t in range(k):
+        at = label[ri] == t
+        (_, bi), (_, bj) = (np.unique(x[at], return_inverse=True) for x in (ri, ci))
+        a = np.zeros((bi.max() + 1, bj.max() + 1), complex)
+        a[bi, bj] = e["v"][at]
+        blocks.append(a)
+    return blocks
+
+
+@st.composite
+def _graph_entries(draw):
+    """Entries of up to three pieces on disjoint indices: random graphs, long chains and stars.
+
+    Each entry's value is its number, so equal blocks mean an equal partition.
+    """
+    pairs = []
+    for piece in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(["random", "chain", "star"]))
+        if shape == "random":
+            got = draw(st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)),
+                                min_size=1, max_size=80, unique=True))
+        else:
+            n = draw(st.integers(1, 400))
+            rows = draw(st.permutations(range(1, n + 2)))
+            if shape == "chain":        # rows[k] and rows[k + 1] share column k + 1
+                got = [(rows[k + d], k + 1) for k in range(n) for d in (0, 1)]
+            else:                       # one column holds every row
+                got = [(r, 1) for r in rows]
+        if draw(st.booleans()):
+            got = [(j, i) for i, j in got]
+        pairs += [(i + 1000 * piece, j + 1000 * piece) for i, j in got]
+    pairs = draw(st.permutations(pairs))
+    stride = draw(st.sampled_from([1, 7, 2 ** 70]))     # 2^70 takes the object-index path
+    i, j = (np.array([p[a] * stride for p in pairs], dtype=object if stride > 2 ** 62 else np.int64)
+            for a in (0, 1))
+    return ops._entries(i, j, np.arange(1.0, len(pairs) + 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_graph_entries())
+def test_blocks_partition_matches_scipy_components(e):
+    # scipy's labels are the oracle; every block must also hold its entries in index order
+    def key(blocks):
+        return sorted((a.shape, a.tobytes()) for a in blocks)
+
+    assert key(norms._blocks(e)) == key(_scipy_blocks(e))
 
 
 def test_triplet_svals_partial_permutation_is_moduli():
