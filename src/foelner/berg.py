@@ -3,13 +3,18 @@
 The sweep refines a uniform partition of the spectral interval: at step n it
 projects the next cyclic basis vector onto the unexplored complement, splits
 that vector along spectral cells of width eps/2^n, and adjoins one normalized
-piece per occupied cell.  The boundary terms between the swept part and its
-complement form a perturbation K whose operator norm is summed by the cell
-widths, staying below eps.  Both are read off the swept basis W (the step
-bases side by side, unitary once the sweep exhausts the window): with
-B = W*AW and e_n the rank after step n, ||[A, P_n]|| is the largest singular
-value of the block B[e_n:, :e_n], and K is the part of B off its diagonal
-blocks, Hermitian, so ||K|| is its largest |eigenvalue|.
+piece per occupied cell.  The complement is carried as E, an orthonormal
+eigenbasis (N-vectors) of A compressed to it, so a cell's part of e_omega is
+E_c E_c* e_omega.  Each piece lies in its own cell's eigenspace, so removing
+it leaves the compression block-diagonal over cells: a cell with a piece
+re-diagonalizes A on the piece's complement within the cell (a small eigh),
+and every other cell keeps its columns.  The boundary terms between the
+swept part and its complement form a perturbation K whose operator norm is
+summed by the cell widths, staying below eps.  Both are read off the swept
+basis W (the step bases side by side, unitary once the sweep exhausts the
+window): with B = W*AW and e_n the rank after step n, ||[A, P_n]|| is the
+largest singular value of the block B[e_n:, :e_n], and K is the part of B
+off its diagonal blocks, Hermitian, so ||K|| is its largest |eigenvalue|.
 """
 
 from __future__ import annotations
@@ -106,7 +111,7 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
     if M == 0.0:
         M = 1.0
 
-    U_perp = None                       # the identity until the first increment
+    lam, E = np.linalg.eigh(a)          # A compressed to the unexplored complement, diagonalized
     step_bases: list[np.ndarray] = []
     rank = 0
     stall = 0
@@ -116,46 +121,38 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
         if stall >= N:
             raise RankStall(f"no rank progress over a full cycle at rank {rank} < {N}")
         omega = order[(step - 1) % N]
-        if U_perp is None:
-            w = np.zeros(N, dtype=complex)
-            w[omega - 1] = 1
-            a_red = a
-        else:
-            w = U_perp[omega - 1].conj()
-            if np.linalg.norm(w) <= _DROP_TOL:
-                stall += 1
-                continue
-            a_red = U_perp.conj().T @ a @ U_perp
-            a_red = (a_red + a_red.conj().T) / 2
-        lam, V = np.linalg.eigh(a_red)
-        r = len(lam)
+        c = E[omega - 1].conj()         # E* e_omega: the complement's part of e_omega
+        if np.linalg.norm(c) <= _DROP_TOL:
+            stall += 1
+            continue
 
         width = max(epsilon / 2 ** step, _MIN_CELL)
         count = max(1, math.ceil(2 * M / width))
         width = 2 * M / count
         cells: dict[int, list[int]] = {}
-        for t in range(r):
+        for t in range(len(lam)):
             cells.setdefault(_cell_index(float(lam[t]), M, width, count), []).append(t)
 
-        pieces = []
-        for c in sorted(cells):
-            Vc = V[:, cells[c]]
-            y = Vc @ (Vc.conj().T @ w)
-            nrm = np.linalg.norm(y)
+        pieces, bases, values = [], [], []
+        for k in sorted(cells):
+            Ek, lk, ck = E[:, cells[k]], lam[cells[k]], c[cells[k]]
+            nrm = np.linalg.norm(ck)
             if nrm > _DROP_TOL:
-                pieces.append(y / nrm)
+                u = ck / nrm
+                pieces.append(Ek @ u)
+                # F spans the complement of u in the cell, where A compresses to F* diag(lk) F
+                F = np.linalg.qr(u[:, None], mode="complete")[0][:, 1:]
+                lk, G = np.linalg.eigh(F.conj().T @ (lk[:, None] * F))
+                Ek = Ek @ (F @ G)
+            bases.append(Ek)
+            values.append(lk)
         if not pieces:
             stall += 1
             continue
         stall = 0
-        Y = np.column_stack(pieces)
-        q = Y.shape[1]
-        step_bases.append(Y if U_perp is None else U_perp @ Y)   # lifted to the window
-        rank += q
-
-        # shrink the unexplored complement by the new directions
-        full_u, _, _ = np.linalg.svd(Y, full_matrices=True)
-        U_perp = full_u[:, q:] if U_perp is None else U_perp @ full_u[:, q:]
+        step_bases.append(np.column_stack(pieces))
+        rank += len(pieces)
+        E, lam = np.hstack(bases), np.concatenate(values)
 
     ranks = tuple(Z.shape[1] for Z in step_bases)
     ends = np.cumsum(ranks)

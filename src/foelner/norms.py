@@ -295,7 +295,7 @@ def _groups(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int]) ->
     start.  Sparse and blocks families are one group.
     """
     if fam.kind != "canonical":
-        return [slice(0, len(ns))]
+        return [slice(0, len(ns))] if ns else []
     groups, g = [], 0
     while g < len(ns):
         starts = [t for t in (ops._first_past(spec, ns[g], col) for col in (True, False))

@@ -648,8 +648,8 @@ class ProjectionFamily:
     def sparse(cls, rule: Callable[[int], int] | Sequence[int]) -> "ProjectionFamily":
         if not callable(rule):
             seq = [int(k) for k in rule]
-            if any(b <= a for a, b in zip(seq, seq[1:])) or (seq and seq[0] < 1):
-                raise InvalidSpec("sparse indices must be strictly increasing and >= 1")
+            if not seq or seq[0] < 1 or any(b <= a for a, b in zip(seq, seq[1:])):
+                raise InvalidSpec("sparse indices must be non-empty, strictly increasing and >= 1")
             def rule(n: int, _s=tuple(seq)) -> int:
                 if n > len(_s):
                     raise SelectorOutOfRange(f"family has {len(_s)} indices, asked for {n}")

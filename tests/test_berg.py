@@ -142,6 +142,25 @@ _ORACLE_CASES.append(pytest.param(np.diag(np.linspace(-1, 1, 24)).astype(complex
                                   id="diagonal-24"))
 
 
+def _degenerate():
+    """A seeded unitary conjugate of +-1 and six eigenvalues repeated 3 or 4 times.
+
+    With eps = 6/61 the cell count 2M 2^n / eps = 61 2^n / 3 stays a third off an
+    integer, and the repeated eigenvalues +-(6a - 61)/61 for a in {14, 16, 17, 19}
+    sit at least a fifth of a cell from every edge over the first 35 steps, so
+    each eigenspace lies in one cell and only the sweep picks a basis in it.
+    """
+    vals = np.repeat(np.array([-53, -41, -23, 23, 35, 41]) / 61, [4, 3, 4, 3, 4, 4])
+    d = np.concatenate([[-1.0], vals, [1.0]])
+    rng = np.random.default_rng(24)
+    q, _ = np.linalg.qr(rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24)))
+    a = (q * d) @ q.conj().T
+    return (a + a.conj().T) / 2
+
+
+_ORACLE_CASES.append(pytest.param(_degenerate(), 6 / 61, id="degenerate-24"))
+
+
 @pytest.mark.parametrize("a, eps", _ORACLE_CASES)
 def test_sweep_matches_dense_reference(a, eps):
     N = a.shape[0]
@@ -149,7 +168,8 @@ def test_sweep_matches_dense_reference(a, eps):
     r = berg.berg_sequence(a, range(1, N + 1), eps)
     assert r.block_ranks == tuple(ranks)
     assert len(r.step_bases) == len(bases)
-    assert all(np.array_equal(z, zr) for z, zr in zip(r.step_bases, bases))
+    assert all(z.shape == zr.shape and np.max(np.abs(z - zr)) <= 1e-12
+               for z, zr in zip(r.step_bases, bases))
     assert len(r.commutator_norms) == len(comm)
     assert all(_close(x, y) for x, y in zip(r.commutator_norms, comm))
     assert _close(r.perturbation_norm, k_norm)
@@ -163,3 +183,17 @@ def test_sweep_matches_dense_reference(a, eps):
     assert len(r.projections) == len(projections)
     for p, P in zip(r.projections, projections):
         assert np.max(np.abs(p.entries - P)) <= 1e-12
+
+
+def test_sweep_order_is_a_relabelling():
+    # visiting e_p(1), e_p(2), ... in A is the natural sweep of A with rows and columns
+    # permuted by p; eps 0.3 keeps 2M 2^n / eps = 20 2^n / 3 off an integer, so the
+    # last-ulp change of M under the permutation moves no cell count
+    a = berg.random_hermitian(40, 7)
+    p = np.random.default_rng(7).permutation(40)
+    r = berg.berg_sequence(a, p + 1, 0.3)
+    rp = berg.berg_sequence(a[np.ix_(p, p)], range(1, 41), 0.3)
+    assert r.block_ranks == rp.block_ranks
+    assert all(_close(x, y) for x, y in zip(r.commutator_norms, rp.commutator_norms))
+    assert _close(r.perturbation_norm, rp.perturbation_norm)
+    assert all(np.max(np.abs(z[p] - zp)) <= 1e-12 for z, zp in zip(r.step_bases, rp.step_bases))

@@ -269,6 +269,20 @@ def test_commutator_triplets_match_reference(spec, fam_n):
     _check_commutator(spec, *fam_n)
 
 
+@_SETTINGS
+@given(SPECS, _families())
+def test_reports_satisfy_the_norm_inequalities(spec, fam_n):
+    # s2^2 = sum sigma^2 <= u * s1 for any matrix, and rank [T, R_n] <= 2 rank R_n
+    # bounds s1 by 2 rank u and s2 by sqrt(2 rank) u
+    fam, n = fam_n
+    r = norms.report(spec, fam, n)
+    rank, slack = fam.rank(n), 1 + 1e-12
+    assert r.u <= r.s2 * slack and r.s2 <= r.s1 * slack
+    assert r.s2 ** 2 <= r.s1 * r.u * slack
+    assert r.s1 <= 2 * rank * r.u * slack
+    assert r.s2 <= math.sqrt(2 * rank) * r.u * slack
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(BIG_SPECS, st.integers(1, 1100))
 def test_commutator_triplets_past_int64_match_reference(spec, n):

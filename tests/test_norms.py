@@ -123,6 +123,14 @@ def test_report_sequence_requires_increasing():
         report_sequence(OperatorSpec.hermite_q(), CANON, [4, 4, 8])
 
 
+def test_empty_grid_gives_no_reports():
+    spec = OperatorSpec.weighted_shift("inverse")
+    for fam in (CANON, ProjectionFamily.sparse(lambda t: 2 ** t), ProjectionFamily.sparse([2, 4]),
+                ProjectionFamily(kind="blocks", blocks=((0, 2), (2, 5)))):
+        assert report_sequence(spec, fam, []) == []
+        assert norms.u_sequence(spec, fam, []) == []
+
+
 def test_u_norm_matches_report():
     spec = OperatorSpec.dilation_shift()
     assert norms.u_norm(spec, CANON, 9) == pytest.approx(report(spec, CANON, 9).u)

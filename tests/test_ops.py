@@ -314,6 +314,8 @@ def test_projection_window_idempotent_hermitian():
 def test_sparse_family_must_increase():
     with pytest.raises(InvalidSpec):
         ProjectionFamily.sparse([2, 2, 3])
+    with pytest.raises(InvalidSpec):
+        ProjectionFamily.sparse([])            # as the schema's minItems 1 refuses it
     bad = ProjectionFamily.sparse(lambda n: 5)   # constant rule
     with pytest.raises(InvalidSpec):
         bad.indices(2)
