@@ -8,13 +8,16 @@ eigenbasis (N-vectors) of A compressed to it, so a cell's part of e_omega is
 E_c E_c* e_omega.  Each piece lies in its own cell's eigenspace, so removing
 it leaves the compression block-diagonal over cells: a cell with a piece
 re-diagonalizes A on the piece's complement within the cell (a small eigh),
-and every other cell keeps its columns.  The boundary terms between the
-swept part and its complement form a perturbation K whose operator norm is
-summed by the cell widths, staying below eps.  Both are read off the swept
-basis W (the step bases side by side, unitary once the sweep exhausts the
-window): with B = W*AW and e_n the rank after step n, ||[A, P_n]|| is the
-largest singular value of the block B[e_n:, :e_n], and K is the part of B
-off its diagonal blocks, Hermitian, so ||K|| is its largest |eigenvalue|.
+and every other cell keeps its columns.  Sorted by cell, the cells that give
+a piece are grouped by size, and each size takes one stacked QR, eigh and
+product (a one-column cell gives its piece and drops out).  The boundary
+terms between the swept part and its complement form a perturbation K whose
+operator norm is summed by the cell widths, staying below eps.  Both are read
+off the swept basis W (the step bases side by side, unitary once the sweep
+exhausts the window): with B = W*AW and e_n the rank after step n,
+||[A, P_n]|| is the largest singular value of the block B[e_n:, :e_n], and K
+is the part of B off its diagonal blocks, Hermitian, so ||K|| is its largest
+|eigenvalue|.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ _MIN_CELL = 1e-12
 _EDGE_TOL = 1e-12
 
 
-def _cell_index(lam: float, M: float, width: float, count: int) -> int:
-    """Cell of an eigenvalue; edges snap upward within 1e-12, last cell closed."""
-    lam = min(max(lam, -M), M)
-    c = int(math.floor((lam + M + _EDGE_TOL) / width))
-    return min(max(c, 0), count - 1)
+def _cell_index(lam: np.ndarray, M: float, width: float, count: int) -> np.ndarray:
+    """Cells of eigenvalues, as whole floats (a count can pass 2^63); edges snap upward
+    within 1e-12, last cell closed."""
+    c = np.floor((np.clip(lam, -M, M) + M + _EDGE_TOL) / width)
+    return np.clip(c, 0, count - 1)
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,8 @@ class BergResult:
 
 def _as_array(A: ops.Window | np.ndarray) -> np.ndarray:
     a = A.entries if isinstance(A, ops.Window) else np.asarray(A, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square window")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValueError("expected a non-empty square window")
     return a
 
 
@@ -106,10 +109,7 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
     if sorted(order) != list(range(1, N + 1)):
         raise ValueError("basis_order must be a permutation of 1..N")
 
-    eigs = np.linalg.eigvalsh(a)
-    M = float(np.max(np.abs(eigs))) if N else 0.0
-    if M == 0.0:
-        M = 1.0
+    M = float(np.max(np.abs(np.linalg.eigvalsh(a)))) or 1.0
 
     lam, E = np.linalg.eigh(a)          # A compressed to the unexplored complement, diagonalized
     step_bases: list[np.ndarray] = []
@@ -129,30 +129,40 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
         width = max(epsilon / 2 ** step, _MIN_CELL)
         count = max(1, math.ceil(2 * M / width))
         width = 2 * M / count
-        cells: dict[int, list[int]] = {}
-        for t in range(len(lam)):
-            cells.setdefault(_cell_index(float(lam[t]), M, width, count), []).append(t)
-
-        pieces, bases, values = [], [], []
-        for k in sorted(cells):
-            Ek, lk, ck = E[:, cells[k]], lam[cells[k]], c[cells[k]]
-            nrm = np.linalg.norm(ck)
-            if nrm > _DROP_TOL:
-                u = ck / nrm
-                pieces.append(Ek @ u)
-                # F spans the complement of u in the cell, where A compresses to F* diag(lk) F
-                F = np.linalg.qr(u[:, None], mode="complete")[0][:, 1:]
-                lk, G = np.linalg.eigh(F.conj().T @ (lk[:, None] * F))
-                Ek = Ek @ (F @ G)
-            bases.append(Ek)
-            values.append(lk)
-        if not pieces:
+        cell = _cell_index(lam, M, width, count)
+        perm = np.argsort(cell, kind="stable")      # columns by cell, each cell in its old order
+        cell, c = cell[perm], c[perm]
+        first = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+        size = np.diff(np.r_[first, len(lam)])
+        nrm = np.empty(len(first))
+        for s in np.unique(size):                   # np.linalg.norm's sums: one dot per part
+            x = c[first[size == s][:, None] + np.arange(s)]
+            nrm[size == s] = np.sqrt(x.real[:, None] @ x.real[..., None]
+                                     + x.imag[:, None] @ x.imag[..., None])[:, 0, 0]
+        gives = nrm > _DROP_TOL
+        if not gives.any():
             stall += 1
             continue
         stall = 0
-        step_bases.append(np.column_stack(pieces))
-        rank += len(pieces)
-        E, lam = np.hstack(bases), np.concatenate(values)
+        E, lam = E[:, perm], lam[perm]
+        pieces = np.empty((N, int(gives.sum())), dtype=complex)
+        slot = np.cumsum(gives) - 1                 # piece column of each cell that gives one
+        keep = np.ones(len(lam), dtype=bool)
+        for s in np.unique(size[gives]):            # the cells of one size, stacked
+            pick = gives & (size == s)
+            cols = first[pick][:, None] + np.arange(s)
+            Ec = E[:, cols].transpose(1, 0, 2)
+            u = c[cols] / nrm[pick][:, None]
+            pieces[:, slot[pick]] = (Ec @ u[:, :, None])[:, :, 0].T
+            keep[cols[:, -1]] = False               # a cell that gives a piece loses one column
+            # F spans u's complement in the cell (none in one column), where A is F* diag(lam) F
+            F = np.linalg.qr(u[:, :, None], mode="complete")[0][:, :, 1:]
+            lam[cols[:, :-1]], G = np.linalg.eigh(
+                F.conj().transpose(0, 2, 1) @ (lam[cols][:, :, None] * F))
+            E[:, cols[:, :-1]] = (Ec @ (F @ G)).transpose(1, 0, 2)
+        step_bases.append(pieces)
+        rank += pieces.shape[1]
+        E, lam = E[:, keep], lam[keep]
 
     ranks = tuple(Z.shape[1] for Z in step_bases)
     ends = np.cumsum(ranks)

@@ -298,9 +298,13 @@ def _need_operator(doc: dict) -> ops.OperatorSpec:
 
 def format_matrix(a: np.ndarray) -> str:
     import numpy as np
-    rows = np.asarray(a, dtype=complex).tolist()
-    lines = [str(len(rows))] + [" ".join(_fmt_entry(z) for z in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    a = np.ascontiguousarray(a, dtype=complex)
+    bits = a.view(np.uint64)
+    nonzero = (bits[:, ::2] | bits[:, 1::2]) != 0     # False only where both parts are +0.0
+    tokens = np.empty(a.shape, dtype=object)
+    tokens.fill("0.0+0.0i")             # one shared str; np.full would make one per entry
+    tokens[nonzero] = [_fmt_entry(z) for z in a[nonzero].tolist()]
+    return "\n".join([str(len(a))] + [" ".join(row) for row in tokens.tolist()]) + "\n"
 
 
 def _fmt_entry(z: complex) -> str:

@@ -552,8 +552,8 @@ class Window:
 def hermitian_part(a: np.ndarray, tol: float, error: type[Exception],
                    message: str) -> np.ndarray:
     """(a + a*)/2; raises error(message) if max|a - a*| > tol * max(1, max|a_ij|)."""
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.conj().T))) > tol * scale:
+    scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
+    if float(np.max(np.abs(a - a.conj().T), initial=0.0)) > tol * scale:
         raise error(message)
     return (a + a.conj().T) / 2
 

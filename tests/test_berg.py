@@ -66,6 +66,12 @@ def test_sweep_rejects_bad_input():
         berg.berg_sequence(A, [1, 2, 3], 0.0)
 
 
+def test_sweep_refuses_an_empty_window():
+    with pytest.raises(ValueError, match="^expected a non-empty square window$"):
+        berg.berg_sequence(np.zeros((0, 0)), [], 0.1)
+    assert ops.hermitian_part(np.zeros((0, 0)), 1e-12, NotHermitian, "").shape == (0, 0)
+
+
 def test_random_hermitian_contract():
     A = berg.random_hermitian(40, 9)
     assert np.array_equal(A, A.conj().T)
@@ -87,7 +93,7 @@ def _dense_sweep(a, epsilon):
     U_perp = np.eye(N, dtype=complex)
     P = np.zeros((N, N), dtype=complex)
     K = np.zeros((N, N), dtype=complex)
-    projections, ranks, comm, bases = [], [], [], []
+    projections, ranks, comm, bases, cell_steps = [], [], [], [], []
     rank = stall = step = 0
     while rank < N:
         step += 1
@@ -102,14 +108,16 @@ def _dense_sweep(a, epsilon):
         count = max(1, math.ceil(2 * M / width))
         width = 2 * M / count
         cells = {}
-        for t in range(U_perp.shape[1]):
-            cells.setdefault(berg._cell_index(float(lam[t]), M, width, count), []).append(t)
-        pieces = []
+        for t, k in enumerate(berg._cell_index(lam, M, width, count)):
+            cells.setdefault(k, []).append(t)
+        pieces, sizes = [], []              # sizes: (columns, gives a piece) of every cell
         for c in sorted(cells):
             Vc = V[:, cells[c]]
             y = Vc @ (Vc.conj().T @ w)
-            if np.linalg.norm(y) > berg._DROP_TOL:
+            sizes.append((len(cells[c]), bool(np.linalg.norm(y) > berg._DROP_TOL)))
+            if sizes[-1][1]:
                 pieces.append(y / np.linalg.norm(y))
+        cell_steps.append(sizes)
         if not pieces:
             stall += 1
             continue
@@ -129,16 +137,19 @@ def _dense_sweep(a, epsilon):
         bases.append(Z)
         full_u, _, _ = np.linalg.svd(Y, full_matrices=True)
         U_perp = U_perp @ full_u[:, q:]
-    return projections, ranks, comm, float(np.linalg.svd(K, compute_uv=False)[0]), bases
+    k_norm = float(np.linalg.svd(K, compute_uv=False)[0])
+    return projections, ranks, comm, k_norm, bases, cell_steps
 
 
 def _close(x, y):
     return abs(x - y) <= max(1e-9 * max(abs(x), abs(y)), 1e-12)
 
 
-_ORACLE_CASES = [pytest.param(berg.random_hermitian(dim, dim), eps, id=f"random-{dim}-eps{eps}")
+# the last value of a case says it must reach every branch of the stacked cell update
+_ORACLE_CASES = [pytest.param(berg.random_hermitian(dim, dim), eps, False,
+                              id=f"random-{dim}-eps{eps}")
                  for dim in (8, 33, 64, 128) for eps in (0.05, 0.2)]
-_ORACLE_CASES.append(pytest.param(np.diag(np.linspace(-1, 1, 24)).astype(complex), 0.2,
+_ORACLE_CASES.append(pytest.param(np.diag(np.linspace(-1, 1, 24)).astype(complex), 0.2, False,
                                   id="diagonal-24"))
 
 
@@ -158,13 +169,37 @@ def _degenerate():
     return (a + a.conj().T) / 2
 
 
-_ORACLE_CASES.append(pytest.param(_degenerate(), 6 / 61, id="degenerate-24"))
+_ORACLE_CASES.append(pytest.param(_degenerate(), 6 / 61, False, id="degenerate-24"))
 
 
-@pytest.mark.parametrize("a, eps", _ORACLE_CASES)
-def test_sweep_matches_dense_reference(a, eps):
+def _blocks():
+    """Seeded random Hermitian blocks of 120 and 80 (the second of radius 1/2), side by side.
+
+    A random matrix visited in natural order has a part in every cell; here e_1 ... e_120
+    miss every cell that holds only eigenvalues of the second block.
+    """
+    a = np.zeros((200, 200), dtype=complex)
+    a[:120, :120] = berg.random_hermitian(120, 200)
+    a[120:, 120:] = berg.random_hermitian(80, 201, spectrum_radius=0.5)
+    return a
+
+
+_ORACLE_CASES.append(pytest.param(_blocks(), 0.05, True, id="blocks-200"))
+
+
+def _reaches_every_stacked_branch(sizes):
+    """Two same-size cells of two or more columns, a one-column cell (all giving pieces)
+    and a cell giving none, at one step."""
+    shared = [n for n, gives in sizes if gives and n >= 2]
+    return (len(shared) > len(set(shared)) and (1, True) in sizes
+            and any(not gives for _, gives in sizes))
+
+
+@pytest.mark.parametrize("a, eps, stacked", _ORACLE_CASES)
+def test_sweep_matches_dense_reference(a, eps, stacked):
     N = a.shape[0]
-    projections, ranks, comm, k_norm, bases = _dense_sweep(a, eps)
+    projections, ranks, comm, k_norm, bases, cell_steps = _dense_sweep(a, eps)
+    assert not stacked or any(_reaches_every_stacked_branch(s) for s in cell_steps)
     r = berg.berg_sequence(a, range(1, N + 1), eps)
     assert r.block_ranks == tuple(ranks)
     assert len(r.step_bases) == len(bases)

@@ -12,6 +12,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foelner import cli, ops
 from foelner.errors import InvalidSpec
@@ -479,19 +481,38 @@ def test_matrix_format_round_trip(tmp_path):
     assert np.array_equal(cli.read_matrix(f), A)
 
 
-def test_matrix_format_matches_per_entry_formatter(tmp_path):
-    def entry(z):                       # formats numpy scalars one at a time
-        re, im = float(z.real), float(z.imag)
-        return f"{re!r}{'+' if im >= 0 else '-'}{abs(im)!r}i"
+def entry(z):                           # formats numpy scalars one at a time
+    re, im = float(z.real), float(z.imag)
+    return f"{re!r}{'+' if im >= 0 else '-'}{abs(im)!r}i"
 
+
+def _per_entry_text(A):
+    return f"{len(A)}\n" + "\n".join(" ".join(entry(z) for z in row) for row in A) + "\n"
+
+
+def test_matrix_format_matches_per_entry_formatter(tmp_path):
     A = np.array([[-0.0 + 0.0j, complex(0.0, -0.0), complex(np.nan, 1.5)],
                   [complex(np.inf, -np.inf), complex(-1e-300, np.nan), 2.0 - 3.25j],
                   [complex(-np.inf, 0.0), 1e308 + 1e-308j, complex(-0.0, -0.0)]])
-    old = "3\n" + "\n".join(" ".join(entry(z) for z in row) for row in A) + "\n"
+    old = _per_entry_text(A)
     assert cli.format_matrix(A) == old
     f = tmp_path / "m.txt"
     f.write_text(old)
     np.testing.assert_array_equal(cli.read_matrix(f), A)
+
+
+# signed zeros, nan, infinities, subnormals and ordinary floats in either part
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310]),
+                   st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(_PARTS, _PARTS).map(lambda p: complex(*p)), min_size=n * n, max_size=n * n)
+    .map(lambda zs: np.array(zs, dtype=complex).reshape(n, n))))
+def test_matrix_format_is_the_per_entry_formatter(A):
+    assert cli.format_matrix(A) == _per_entry_text(A)
+    assert cli.format_matrix(A.T) == _per_entry_text(A.T)
 
 
 def test_version_subprocess():
