@@ -13,9 +13,8 @@ _EXPORTS = {
     "errors": ("FoelnerError", "InvalidSpec", "NonHermitianCompression", "NotHermitian",
                "NotQuasidiagonalAlongFamily", "NumericalFailure", "RankStall", "ResourceLimit",
                "SelectorOutOfRange", "TooFewSamples", "WeightUndefined", "WindowTooSmall"),
-    "ops": ("OperatorSpec", "ProjectionFamily", "Window", "capture_bound", "col_support",
-            "commutator_window", "compress", "entry", "projection_window", "propagation",
-            "row_support"),
+    "ops": ("OperatorSpec", "ProjectionFamily", "Window", "col_support", "compress", "entry",
+            "propagation", "row_support"),
     "norms": ("NormReport", "Verdict", "classify", "report", "report_sequence", "seminorm",
               "u_norm", "u_sequence"),
     "decomp": ("Decomposition", "halmos_decompose", "select_subsequence", "sparse_family"),

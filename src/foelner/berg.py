@@ -22,7 +22,6 @@ is the part of B off its diagonal blocks, Hermitian, so ||K|| is its largest
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -45,26 +44,25 @@ def _cell_index(lam: np.ndarray, M: float, width: float, count: int) -> np.ndarr
     return np.clip(c, 0, count - 1)
 
 
+def _cells(epsilon: float, M: float, step: int) -> tuple[float, int]:
+    """Width and count of the uniform cells of [-M, M] at a step: eps/2^step wide, at least
+    _MIN_CELL, then widened so that count cells span 2M exactly.  ldexp underflows toward 0
+    past step 1023, where 2 ** step no longer converts to a float."""
+    width = max(math.ldexp(epsilon, -step), _MIN_CELL)
+    count = max(1, math.ceil(2 * M / width))
+    return 2 * M / count, count
+
+
 @dataclass(frozen=True)
 class BergResult:
-    """Outcome of a sweep: nested projections plus the perturbation they cost."""
+    """Outcome of a sweep: nested projections, by their increments, plus the perturbation
+    they cost (P_n is the sum of Z Z* over the first n step bases Z)."""
 
     dim: int
     block_ranks: tuple[int, ...]               # rank added per step
     commutator_norms: tuple[float, ...]        # ||[A, P_n]||_u per step
     perturbation_norm: float                   # ||sum_n Q_n A P_n^perp + h.c.||_u
     step_bases: tuple[np.ndarray, ...]         # orthonormal basis of each increment
-
-    @functools.cached_property
-    def projections(self) -> tuple[ops.Window, ...]:
-        """P_1 <= P_2 <= ... (last = identity), dense, built from step_bases."""
-        out = []
-        P = np.zeros((self.dim, self.dim), dtype=complex)
-        for Z in self.step_bases:
-            P = P + Z @ Z.conj().T
-            P = (P + P.conj().T) / 2
-            out.append(ops.Window(self.dim, P))
-        return tuple(out)
 
 
 def _as_array(A: ops.Window | np.ndarray) -> np.ndarray:
@@ -126,9 +124,7 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
             stall += 1
             continue
 
-        width = max(epsilon / 2 ** step, _MIN_CELL)
-        count = max(1, math.ceil(2 * M / width))
-        width = 2 * M / count
+        width, count = _cells(epsilon, M, step)
         cell = _cell_index(lam, M, width, count)
         perm = np.argsort(cell, kind="stable")      # columns by cell, each cell in its old order
         cell, c = cell[perm], c[perm]

@@ -296,7 +296,8 @@ def _need_operator(doc: dict) -> ops.OperatorSpec:
 # matrix text format (shared by berg input and weyl-represent output)
 # ---------------------------------------------------------------------------
 
-def format_matrix(a: np.ndarray) -> str:
+def format_matrix(a: np.ndarray, head: list[str]) -> str:
+    """The lines head, the dimension, then one line of entries per row, joined once."""
     import numpy as np
     a = np.ascontiguousarray(a, dtype=complex)
     bits = a.view(np.uint64)
@@ -304,7 +305,7 @@ def format_matrix(a: np.ndarray) -> str:
     tokens = np.empty(a.shape, dtype=object)
     tokens.fill("0.0+0.0i")             # one shared str; np.full would make one per entry
     tokens[nonzero] = [_fmt_entry(z) for z in a[nonzero].tolist()]
-    return "\n".join([str(len(a))] + [" ".join(row) for row in tokens.tolist()]) + "\n"
+    return "\n".join([*head, str(len(a)), *(" ".join(row) for row in tokens.tolist()), ""])
 
 
 def _fmt_entry(z: complex) -> str:
@@ -519,7 +520,7 @@ def cmd_weyl_represent(args, doc: dict, spec_hash: str | None) -> str:
     w = weyl.represent(weyl.parse_element(text), int(exp.get("window", 16)))
     head = _meta_lines(args, spec_hash, {"command": "weyl-represent",
                                          "element": text.strip()})
-    return "\n".join(head) + "\n" + format_matrix(w.entries)
+    return format_matrix(w.entries, head)
 
 
 # ---------------------------------------------------------------------------

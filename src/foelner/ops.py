@@ -13,8 +13,8 @@ evaluates the table over a whole array of column or row indices at once;
 sums, scalings and products merge their children's arrays, a product by a
 sparse join over the intermediate index.  Every spec also carries one
 affine enclosure of its support, built once per node from its terms or its
-children: the rows of column j lie in [al*j + lo, ah*j + hi].  The reach
-bounds behind capture windows and the propagation are closed forms on it.
+children: the rows of column j lie in [al*j + lo, ah*j + hi].  The
+commutator boundary ranges and the propagation are closed forms on it.
 A dense window over ``DENSE_CELLS`` cells is refused before allocation;
 ``compress`` (and so ``weyl.represent``) refuses it before the kernel runs.
 Commutators against coordinate projections are assembled exactly from the
@@ -24,8 +24,7 @@ kernel: for a coordinate projection R with index set K,
 
 so the commutator is supported on the finitely many entries of T that cross
 the boundary of K.  One routine (``_commutator_entries``) finds them for a
-whole ascending grid of n at once; commutator triplets, capture bounds and
-commutator windows are its one-point grid.
+whole ascending grid of n at once; commutator triplets are its one-point grid.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (InvalidSpec, ResourceLimit, SelectorOutOfRange, WeightUndefined,
-                     WindowTooSmall)
+from .errors import InvalidSpec, ResourceLimit, SelectorOutOfRange, WeightUndefined
 
 
 class _Weight(NamedTuple):
@@ -690,15 +688,6 @@ class ProjectionFamily:
         return n
 
 
-def projection_window(fam: ProjectionFamily, n: int, N: int) -> Window:
-    """The n-th projection of the family as a dense N x N window."""
-    idx = fam.indices(n)
-    if idx and idx[-1] > N:
-        raise WindowTooSmall(f"projection touches index {idx[-1]} > window {N}")
-    k = np.array(idx, dtype=np.int64)
-    return to_window(_entries(k, k, np.ones(len(k))), N)
-
-
 # ---------------------------------------------------------------------------
 # exact commutators
 # ---------------------------------------------------------------------------
@@ -780,28 +769,3 @@ def commutator_triplets(spec: OperatorSpec, fam: ProjectionFamily, n: int) -> np
     """All nonzero entries of [T, R_n] as an _ENTRY array: the one-point grid [n]."""
     i, j, v, _, _ = _commutator_entries(spec, fam, [n])
     return _entries(i, j, v)
-
-
-def capture_bound(spec: OperatorSpec, n: int) -> int:
-    """Smallest window dimension m with [T, P_n] = P_m [T, P_n] P_m exactly.
-
-    P_n is the canonical rank-n coordinate projection, and m is the largest
-    of n and every row and column index of the entries of [T, P_n].
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    e = commutator_triplets(spec, ProjectionFamily.canonical(), n)
-    return max([n, *e["i"].tolist(), *e["j"].tolist()])
-
-
-def commutator_window(spec: OperatorSpec, fam: ProjectionFamily, n: int) -> Window:
-    """[T, R_n] as a dense window that captures every nonzero entry.
-
-    The window dimension is the largest index the commutator or the
-    projection touches (capture_bound(spec, n) for the canonical family).
-    """
-    e = commutator_triplets(spec, fam, n)
-    m = max([fam.indices(n)[-1], *e["i"].tolist(), *e["j"].tolist()])
-    # before the build: a sparse family's indices may pass int64, which no shape holds
-    check_dense(m * m, f"a dense {m} x {m} commutator window")
-    return to_window(e, m)

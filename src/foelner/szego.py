@@ -70,9 +70,6 @@ class SymbolPolynomial:
         c = self.as_dict()
         return all(abs(c.get(-d, 0) - v.conjugate()) <= tol for d, v in c.items())
 
-    def sup_bound(self) -> float:
-        return float(sum(abs(v) for _, v in self.coeffs))
-
 
 def symbol_moment(symbol: SymbolPolynomial, p: int) -> float:
     """p-th moment of the symbol distribution: constant coefficient of f^p."""

@@ -56,13 +56,6 @@ class GaussianRational:
         return GaussianRational(self.re * other.re - self.im * other.im,
                                 self.re * other.im + self.im * other.re)
 
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational((self.re * other.re + self.im * other.im) / d,
-                                (self.im * other.re - self.re * other.im) / d)
-
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 

@@ -30,26 +30,21 @@ def test_sweep_seeded_random():
     assert sum(r.block_ranks) == 32
     assert r.perturbation_norm < eps
     assert max(r.commutator_norms) < eps
-    last = r.projections[-1].entries
-    assert np.max(np.abs(last - np.eye(32))) < 1e-10
-    for p, q in zip(r.projections, r.projections[1:]):
-        assert np.max(np.abs(p.entries @ q.entries - p.entries)) < 1e-10
-    for p in r.projections:
-        e = p.entries
-        assert np.max(np.abs(e @ e - e)) < 1e-10
-        assert np.max(np.abs(e - e.conj().T)) < 1e-12
+    # W*W = I: the P_n = sum of Z Z* over the first n step bases are nested
+    # orthogonal projections, and W is square, so the last one is the identity
+    W = np.hstack(r.step_bases)
+    assert W.shape == (32, 32)
+    assert np.max(np.abs(W.conj().T @ W - np.eye(32))) < 1e-10
 
 
 def test_sweep_projections_reconstruct_a_block_version():
     # B = sum Q_n A Q_n differs from A by exactly the reported perturbation
     A = berg.random_hermitian(20, 3)
     r = berg.berg_sequence(A, range(1, 21), 0.3)
-    prev = np.zeros((20, 20), dtype=complex)
     B = np.zeros((20, 20), dtype=complex)
-    for p in r.projections:
-        Q = p.entries - prev
+    for Z in r.step_bases:
+        Q = Z @ Z.conj().T
         B += Q @ A @ Q
-        prev = p.entries
     gap = float(np.linalg.svd(A - B, compute_uv=False)[0])
     assert gap <= r.perturbation_norm + 1e-10
 
@@ -80,6 +75,34 @@ def test_random_hermitian_contract():
     assert not np.array_equal(A, berg.random_hermitian(40, 10))
     B = berg.random_hermitian(12, 0, spectrum_radius=2.5)
     assert np.max(np.abs(np.linalg.eigvalsh(B))) == pytest.approx(2.5, abs=1e-12)
+
+
+def _division_cells(epsilon, M, step):
+    """The cell width and count as the sweep took them before steps past 1023 ran."""
+    width = max(epsilon / 2 ** step, berg._MIN_CELL)
+    count = max(1, math.ceil(2 * M / width))
+    return 2 * M / count, count
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 1 / 3, 0.5, 1e-300, 5e-324, 1.7e308])
+def test_cells_match_the_division_below_step_1024(eps):
+    for M in (1.0, 0.37, 3e5):
+        for step in range(1, 1024):
+            (w, c), (w0, c0) = berg._cells(eps, M, step), _division_cells(eps, M, step)
+            assert (w.hex(), c) == (w0.hex(), c0), step
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.5])
+def test_cells_past_step_1023_floor_at_the_least_width(eps):
+    # 2 ** 1024 does not convert to a float, so the division raised at step 1024
+    with pytest.raises(OverflowError):
+        _division_cells(eps, 1.0, 1024)
+    for M in (1.0, 0.37):
+        count = math.ceil(2 * M / berg._MIN_CELL)
+        want = (2 * M / count, count)
+        assert _division_cells(eps, M, 1023) == want
+        for step in (1023, 1024, 5000):
+            assert berg._cells(eps, M, step) == want
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +238,8 @@ def test_sweep_matches_dense_reference(a, eps, stacked):
         block = B[e:, :e]
         top = float(np.linalg.svd(block, compute_uv=False)[0]) if block.size else 0.0
         assert _close(top, c)
-    assert len(r.projections) == len(projections)
-    for p, P in zip(r.projections, projections):
-        assert np.max(np.abs(p.entries - P)) <= 1e-12
+        # P_n is the sum of Z Z* over the first n step bases
+        assert np.max(np.abs(W[:, :e] @ W[:, :e].conj().T - P)) <= 1e-12
 
 
 def test_sweep_order_is_a_relabelling():

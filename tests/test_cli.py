@@ -407,18 +407,18 @@ assert not hasattr(foelner, "no_such_name")
 print(" ".join(sorted(set(namespace) - {"__builtins__"})))
 """
 
-# what `from foelner import *` bound when the package imported every module eagerly
+# what `from foelner import *` binds, as when the package imported every module eagerly
 _STAR_NAMES = """
 AmenabilityWitness BergResult Decomposition EmpiricalSpectralMeasure
 FoelnerError GaussianRational InvalidSpec MonomialSubspace NonHermitianCompression NormReport
 NotHermitian NotQuasidiagonalAlongFamily NumericalFailure OperatorSpec ProjectionFamily
 RankStall ResourceLimit SelectorOutOfRange SymbolPolynomial SzegoComparison SzegoRow
 TooFewSamples Verdict WeightUndefined WeylElement Window WindowTooSmall amenability_witness
-berg berg_sequence capture_bound classify col_support commutator_window compress decomp
-degree_monomials empirical_spectrum entry errors fitted_gap_constant foelner_ratio
-halmos_decompose moment multiply norms ops parse_element projection_window propagation
-random_hermitian report report_sequence represent row_support select_subsequence seminorm
-sparse_family symbol_moment szego szego_compare to_text u_norm u_sequence weyl
+berg berg_sequence classify col_support compress decomp degree_monomials empirical_spectrum
+entry errors fitted_gap_constant foelner_ratio halmos_decompose moment multiply norms ops
+parse_element propagation random_hermitian report report_sequence represent row_support
+select_subsequence seminorm sparse_family symbol_moment szego szego_compare to_text u_norm
+u_sequence weyl
 """.split()
 
 
@@ -477,7 +477,7 @@ def test_matrix_format_round_trip(tmp_path):
     rng = np.random.default_rng(31)
     A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     f = tmp_path / "m.txt"
-    f.write_text(cli.format_matrix(A))
+    f.write_text(cli.format_matrix(A, []))
     assert np.array_equal(cli.read_matrix(f), A)
 
 
@@ -495,7 +495,7 @@ def test_matrix_format_matches_per_entry_formatter(tmp_path):
                   [complex(np.inf, -np.inf), complex(-1e-300, np.nan), 2.0 - 3.25j],
                   [complex(-np.inf, 0.0), 1e308 + 1e-308j, complex(-0.0, -0.0)]])
     old = _per_entry_text(A)
-    assert cli.format_matrix(A) == old
+    assert cli.format_matrix(A, []) == old
     f = tmp_path / "m.txt"
     f.write_text(old)
     np.testing.assert_array_equal(cli.read_matrix(f), A)
@@ -511,8 +511,8 @@ _PARTS = st.one_of(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 
     st.tuples(_PARTS, _PARTS).map(lambda p: complex(*p)), min_size=n * n, max_size=n * n)
     .map(lambda zs: np.array(zs, dtype=complex).reshape(n, n))))
 def test_matrix_format_is_the_per_entry_formatter(A):
-    assert cli.format_matrix(A) == _per_entry_text(A)
-    assert cli.format_matrix(A.T) == _per_entry_text(A.T)
+    assert cli.format_matrix(A, []) == _per_entry_text(A)
+    assert cli.format_matrix(A.T, []) == _per_entry_text(A.T)
 
 
 def test_version_subprocess():

@@ -194,18 +194,16 @@ def _check_commutator(spec, fam, n):
     assert _as_dict(e) == want
     s2 = math.sqrt(math.fsum(x * x for v in want.values() for x in (v.real, v.imag)))
     assert norms.report(spec, fam, n).s2 == s2
-    # the capture bound and the window follow from the triplets alone
+    # the dense window over every index the commutator or R_n touches
     m = max([max(fam.indices(n)), *(k for ij in want for k in ij)])
-    if fam.kind == "canonical":
-        assert ops.capture_bound(spec, n) == m
     if m * m > ops.DENSE_CELLS:
         with pytest.raises(ResourceLimit):
-            ops.commutator_window(spec, fam, n)
+            ops.to_window(e, m)
     elif m <= 300:
         dense = np.zeros((m, m), dtype=complex)
         for (i, j), v in want.items():
             dense[i - 1, j - 1] = v
-        w = ops.commutator_window(spec, fam, n)
+        w = ops.to_window(e, m)
         assert w.dim == m
         assert np.array_equal(w.entries, dense)
 

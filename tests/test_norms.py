@@ -32,7 +32,7 @@ def test_rank_one_window_all_modes_agree():
 
 
 def test_hermite_commutator_norms():
-    w = ops.commutator_window(OperatorSpec.hermite_q(), CANON, 3)
+    w = ops.to_window(ops.commutator_triplets(OperatorSpec.hermite_q(), CANON, 3), 4)
     assert seminorm(w, "u") == pytest.approx(math.sqrt(3 / 2), abs=1e-12)
     assert seminorm(w, "s1") == pytest.approx(2 * math.sqrt(3 / 2), abs=1e-12)
     assert seminorm(w, "s2") == pytest.approx(math.sqrt(3), abs=1e-12)

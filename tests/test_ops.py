@@ -11,7 +11,6 @@ from foelner.errors import (
     ResourceLimit,
     SelectorOutOfRange,
     WeightUndefined,
-    WindowTooSmall,
 )
 from foelner.norms import seminorm, u_sequence
 from foelner.ops import OperatorSpec, ProjectionFamily
@@ -176,17 +175,6 @@ def test_compress_sum_cancellation():
     assert np.all(ops.compress(zero, 5).entries == 0)
 
 
-def test_capture_bounds():
-    assert ops.capture_bound(OperatorSpec.weighted_shift("linear"), 10) == 11
-    sq = OperatorSpec.product(OperatorSpec.weighted_shift("sqrt"),
-                              OperatorSpec.weighted_shift("sqrt"))
-    assert ops.capture_bound(sq, 10) == 12
-    assert ops.capture_bound(OperatorSpec.dilation_shift(), 10) == 20
-    assert ops.capture_bound(OperatorSpec.toeplitz({-2: 1, 2: 1}), 9) == 11
-    # diagonal commutes, nothing escapes the block
-    assert ops.capture_bound(OperatorSpec.diagonal("sqrt"), 10) == 10
-
-
 def test_propagation():
     assert ops.propagation(OperatorSpec.weighted_shift("log")) == 1
     assert ops.propagation(OperatorSpec.toeplitz({-3: 1, 2: 1})) == 3
@@ -203,7 +191,8 @@ def test_enclosure_past_int64():
     spec = OperatorSpec.product(*[OperatorSpec.dilation_shift("const:1")] * 64,
                                 OperatorSpec.weighted_shift("const:1"))
     assert spec._reach == (2 ** 64, 2 ** 64, 2 ** 64, 2 ** 64)
-    assert ops.capture_bound(spec, 3) == 2 ** 66
+    e = ops.commutator_triplets(spec, ProjectionFamily.canonical(), 3)
+    assert max([3, *e["i"].tolist(), *e["j"].tolist()]) == 2 ** 66
     assert u_sequence(spec, ProjectionFamily.canonical(), range(1, 9)) == [1.0] * 8
 
 
@@ -230,12 +219,23 @@ _BUILTINS = [
 ]
 
 
+def _commutator_window(spec, fam, n):
+    """[T, R_n] as a dense window over every index that it or R_n touches."""
+    e = ops.commutator_triplets(spec, fam, n)
+    return ops.to_window(e, max([fam.indices(n)[-1], *e["i"].tolist(), *e["j"].tolist()]))
+
+
+def _projection_window(fam, n, N):
+    """R_n as a dense N x N window: the 0/1 diagonal of its index set."""
+    return np.diag(np.isin(np.arange(1, N + 1), fam.indices(n))).astype(complex)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 21, 55, 144, 200])
 def test_capture_completeness_padding_invariance(n):
     # norms of the captured commutator window must not change under padding
     fam = ProjectionFamily.canonical()
     for spec in _BUILTINS:
-        w = ops.commutator_window(spec, fam, n)
+        w = _commutator_window(spec, fam, n)
         padded = np.zeros((w.dim + 7, w.dim + 7), dtype=complex)
         padded[:w.dim, :w.dim] = w.entries
         for mode in ("u", "s1", "s2"):
@@ -248,10 +248,10 @@ def test_commutator_matches_dense_formula(n):
     # [T, P_n] assembled from supports == T R - R T computed densely
     fam = ProjectionFamily.canonical()
     for spec in _BUILTINS:
-        w = ops.commutator_window(spec, fam, n)
+        w = _commutator_window(spec, fam, n)
         m = w.dim
         t = ops.compress(spec, m).entries
-        r = ops.projection_window(fam, n, m).entries
+        r = _projection_window(fam, n, m)
         assert np.max(np.abs(w.entries - (t @ r - r @ t))) < 1e-12
 
 
@@ -265,51 +265,20 @@ def test_triplets_need_a_coordinate_family():
 
 def test_commutator_window_examples():
     fam = ProjectionFamily.canonical()
-    w = ops.commutator_window(OperatorSpec.weighted_shift("linear"), fam, 4)
+    w = _commutator_window(OperatorSpec.weighted_shift("linear"), fam, 4)
     assert w.dim == 5
     want = np.zeros((5, 5))
     want[4, 3] = 4.0
     assert np.max(np.abs(w.entries - want)) == 0.0
 
-    z = ops.commutator_window(OperatorSpec.diagonal("sqrt"), fam, 12)
+    z = _commutator_window(OperatorSpec.diagonal("sqrt"), fam, 12)
     assert np.all(z.entries == 0)
 
-    h = ops.commutator_window(OperatorSpec.hermite_q(), fam, 3)
+    h = _commutator_window(OperatorSpec.hermite_q(), fam, 3)
     v = math.sqrt(3 / 2)
     assert h.entries[3, 2] == pytest.approx(v)
     assert h.entries[2, 3] == pytest.approx(-v)
     assert np.count_nonzero(h.entries) == 2
-
-
-def test_projection_window_examples():
-    assert np.allclose(
-        ops.projection_window(ProjectionFamily.canonical(), 2, 3).entries,
-        np.diag([1, 1, 0]))
-    sp = ProjectionFamily.sparse(lambda n: 2 ** n)
-    assert np.allclose(ops.projection_window(sp, 2, 5).entries,
-                       np.diag([0, 1, 0, 1, 0]))
-    bl = decomp.sparse_family([0, 3, 5])
-    assert np.allclose(ops.projection_window(bl, 2, 6).entries,
-                       np.diag([1, 1, 1, 1, 1, 0]))
-
-
-def test_projection_window_too_small():
-    sp = ProjectionFamily.sparse(lambda n: 2 ** n)
-    with pytest.raises(WindowTooSmall):
-        ops.projection_window(sp, 3, 7)
-
-
-def test_projection_window_idempotent_hermitian():
-    fams = [
-        (ProjectionFamily.canonical(), 4, 9),
-        (ProjectionFamily.sparse([3, 5, 11]), 2, 11),
-        (decomp.sparse_family([0, 2, 7]), 2, 8),
-    ]
-    for fam, n, N in fams:
-        w = ops.projection_window(fam, n, N).entries
-        assert np.max(np.abs(w @ w - w)) < 1e-14
-        assert np.max(np.abs(w - w.conj().T)) == 0.0
-
 
 def test_sparse_family_must_increase():
     with pytest.raises(InvalidSpec):
@@ -368,7 +337,7 @@ def test_single_child_product_and_sum():
 def test_dilation_commutator_structure():
     # [S_+, P_n] keeps exactly the columns n/2 < j <= n, at rows 2j
     n = 10
-    w = ops.commutator_window(OperatorSpec.dilation_shift(), ProjectionFamily.canonical(), n)
+    w = _commutator_window(OperatorSpec.dilation_shift(), ProjectionFamily.canonical(), n)
     nz = {(i + 1, j + 1): v for (i, j), v in np.ndenumerate(w.entries) if v != 0}
     want = {(2 * j, j): math.sqrt(j) for j in range(6, 11)}
     assert set(nz) == set(want)
@@ -382,10 +351,7 @@ _OVER = math.isqrt(ops.DENSE_CELLS) + 1      # smallest square window over the b
 @pytest.mark.parametrize("build", [
     lambda n: ops.compress(OperatorSpec.hermite_q(), n),
     lambda n: ops.to_window(ops._entries(np.arange(1, n + 1), np.arange(1, n + 1), np.ones(n)), n),
-    lambda n: ops.projection_window(ProjectionFamily.canonical(), 1, n),
-    lambda n: ops.commutator_window(OperatorSpec.weighted_shift("inverse"),
-                                    ProjectionFamily.sparse([n - 1]), 1),
-], ids=["compress", "to_window", "projection_window", "commutator_window"])
+], ids=["compress", "to_window"])
 def test_dense_budget_refuses_before_allocating(build):
     tracemalloc.start()
     try:

@@ -49,7 +49,6 @@ def test_symbol_moments_mixed():
     # sum |c_d|^2 = 1 + 1 + 0.25 + 0.25
     assert szego.symbol_moment(s, 2) == pytest.approx(2.5, abs=1e-15)
     assert s.is_hermitian()
-    assert s.sup_bound() == pytest.approx(3.0)
 
 
 def test_second_moment_gap_is_exactly_two_over_n():
