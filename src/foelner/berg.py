@@ -12,12 +12,16 @@ and every other cell keeps its columns.  Sorted by cell, the cells that give
 a piece are grouped by size, and each size takes one stacked QR, eigh and
 product (a one-column cell gives its piece and drops out).  The boundary
 terms between the swept part and its complement form a perturbation K whose
-operator norm is summed by the cell widths, staying below eps.  Both are read
-off the swept basis W (the step bases side by side, unitary once the sweep
-exhausts the window): with B = W*AW and e_n the rank after step n,
-||[A, P_n]|| is the largest singular value of the block B[e_n:, :e_n], and K
-is the part of B off its diagonal blocks, Hermitian, so ||K|| is its largest
-|eigenvalue|.
+operator norm is summed by the cell widths, staying below eps.  Both norms are
+read off coordinates over the first eigh's basis, A = E0 diag(lam0) E0*: E is
+carried as E0 X, and X mixes only the columns of one cell, so it is exactly
+block-sparse and each piece is E0 v with v sparse.  B = V* diag(lam0) V (the v
+side by side) is 0 between pieces that share no coordinate, and K is B without
+its same-step blocks, built per connected component.  With e_n the rank after
+step n, ||[A, P_n]|| is the top singular value of K[e_n:, :e_n] and ||K|| that
+of K, from one small SVD per component (norms._triplet_svals).  B differs from
+W*AW (W = E0 V, the step bases side by side) by W*RW, with R = A - E0 diag(lam0)
+E0* eigh's backward error: the order of the rounding of W*AW itself.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import ops
+from . import norms, ops
 from .errors import NotHermitian, NumericalFailure, RankStall
 
 _HERMITIAN_TOL = 1e-12
@@ -65,13 +69,6 @@ class BergResult:
     step_bases: tuple[np.ndarray, ...]         # orthonormal basis of each increment
 
 
-def _as_array(A: ops.Window | np.ndarray) -> np.ndarray:
-    a = A.entries if isinstance(A, ops.Window) else np.asarray(A, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValueError("expected a non-empty square window")
-    return a
-
-
 def random_hermitian(dim: int, seed: int, spectrum_radius: float = 1.0) -> np.ndarray:
     """Seeded complex Hermitian matrix rescaled so max |eigenvalue| = radius."""
     if dim < 1:
@@ -95,7 +92,9 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
     input, RankStall if a full cycle adds no rank before exhaustion and
     NumericalFailure for entries too large for the spectral cells.
     """
-    a = _as_array(A)
+    a = A.entries if isinstance(A, ops.Window) else np.asarray(A, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValueError("expected a non-empty square window")
     N = a.shape[0]
     # 2M <= 2 N max|a_ij| and cells are at least _MIN_CELL wide: the cell count stays finite
     if not math.isfinite(2 * N * float(np.max(np.abs(a), initial=0.0)) / _MIN_CELL):
@@ -109,11 +108,11 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
 
     M = float(np.max(np.abs(np.linalg.eigvalsh(a)))) or 1.0
 
-    lam, E = np.linalg.eigh(a)          # A compressed to the unexplored complement, diagonalized
-    step_bases: list[np.ndarray] = []
-    rank = 0
-    stall = 0
-    step = 0
+    lam0, E = np.linalg.eigh(a)         # A compressed to the unexplored complement, diagonalized
+    del a                               # the norms read only lam0 and coordinates over E0
+    lam, X = lam0.copy(), np.eye(N, dtype=complex)      # E = E0 X, X mixing within cells
+    step_bases, coords = [], []         # each step's pieces, and their v: pieces = E0 v
+    rank = stall = step = 0
     while rank < N:
         step += 1
         if stall >= N:
@@ -126,12 +125,13 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
 
         width, count = _cells(epsilon, M, step)
         cell = _cell_index(lam, M, width, count)
-        perm = np.argsort(cell, kind="stable")      # columns by cell, each cell in its old order
+        # columns by cell, each cell in its old order: a view, written in place, if already so
+        perm = slice(None) if np.all(cell[1:] >= cell[:-1]) else np.argsort(cell, kind="stable")
         cell, c = cell[perm], c[perm]
         first = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
         size = np.diff(np.r_[first, len(lam)])
         nrm = np.empty(len(first))
-        for s in np.unique(size):                   # np.linalg.norm's sums: one dot per part
+        for s in sorted(set(size.tolist())):        # np.linalg.norm's sums: one dot per part
             x = c[first[size == s][:, None] + np.arange(s)]
             nrm[size == s] = np.sqrt(x.real[:, None] @ x.real[..., None]
                                      + x.imag[:, None] @ x.imag[..., None])[:, 0, 0]
@@ -140,40 +140,47 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
             stall += 1
             continue
         stall = 0
-        E, lam = E[:, perm], lam[perm]
+        E, lam, X = E[:, perm], lam[perm], X[:, perm]
         pieces = np.empty((N, int(gives.sum())), dtype=complex)
+        v = np.empty_like(pieces)
         slot = np.cumsum(gives) - 1                 # piece column of each cell that gives one
         keep = np.ones(len(lam), dtype=bool)
-        for s in np.unique(size[gives]):            # the cells of one size, stacked
+        for s in sorted(set(size[gives].tolist())): # the cells of one size, stacked
             pick = gives & (size == s)
             cols = first[pick][:, None] + np.arange(s)
-            Ec = E[:, cols].transpose(1, 0, 2)
+            Ec, Xc = E[:, cols].transpose(1, 0, 2), X[:, cols].transpose(1, 0, 2)
             u = c[cols] / nrm[pick][:, None]
-            pieces[:, slot[pick]] = (Ec @ u[:, :, None])[:, :, 0].T
+            pieces[:, slot[pick]], v[:, slot[pick]] = ((Y @ u[..., None])[..., 0].T
+                                                       for Y in (Ec, Xc))
             keep[cols[:, -1]] = False               # a cell that gives a piece loses one column
             # F spans u's complement in the cell (none in one column), where A is F* diag(lam) F
             F = np.linalg.qr(u[:, :, None], mode="complete")[0][:, :, 1:]
             lam[cols[:, :-1]], G = np.linalg.eigh(
                 F.conj().transpose(0, 2, 1) @ (lam[cols][:, :, None] * F))
-            E[:, cols[:, :-1]] = (Ec @ (F @ G)).transpose(1, 0, 2)
+            E[:, cols[:, :-1]], X[:, cols[:, :-1]] = ((Y @ (F @ G)).transpose(1, 0, 2)
+                                                      for Y in (Ec, Xc))
         step_bases.append(pieces)
+        coords.append(v)
         rank += pieces.shape[1]
-        E, lam = E[:, keep], lam[keep]
+        E, lam, X = E[:, keep], lam[keep], X[:, keep]
 
     ranks = tuple(Z.shape[1] for Z in step_bases)
-    ends = np.cumsum(ranks)
-    W = np.hstack(step_bases)
-    K = W.conj().T @ a @ W              # B = W*AW, then its diagonal blocks zeroed
-    for s, e in zip(ends - ranks, ends):
-        K[s:e, s:e] = 0
-    # [A, P_n] is the off-diagonal block pair K[e_n:, :e_n] and its adjoint
-    comm_norms = tuple(float(np.linalg.svd(K[e:, :e], compute_uv=False)[0]) if e < N else 0.0
-                       for e in ends)
-    return BergResult(
-        dim=N,
-        block_ranks=ranks,
-        commutator_norms=comm_norms,
-        perturbation_norm=float(np.max(np.abs(np.linalg.eigvalsh(K)))),
-        step_bases=tuple(step_bases),
-    )
-
+    V, step_of = np.hstack(coords), np.repeat(np.arange(len(ranks)), ranks)
+    # every row and column of the unitary V has a nonzero: the dense ids are its indices
+    _, _, rc, pc, _ = norms._components(*np.nonzero(V))
+    rn, pn, K = np.bincount(rc), np.bincount(pc), []       # rows and pieces per component
+    ro, po = np.argsort(rc, kind="stable"), np.argsort(pc, kind="stable")
+    for r, p in sorted(set(zip(rn.tolist(), pn.tolist()))):     # components of one shape, stacked
+        at = np.flatnonzero((rn == r) & (pn == p))
+        R = ro[(np.cumsum(rn) - rn)[at][:, None] + np.arange(r)]    # rows over E0, in order
+        P = po[(np.cumsum(pn) - pn)[at][:, None] + np.arange(p)]    # pieces, in order
+        Vc = V[R[:, :, None], P[:, None, :]]
+        B = Vc.conj().transpose(0, 2, 1) @ (lam0[R][:, :, None] * Vc)
+        B[step_of[P][:, :, None] == step_of[P][:, None, :]] = 0     # K: B off its step blocks
+        t, i, j = np.nonzero(B)
+        K.append(ops._entries(P[t, i], P[t, j], B[t, i, j]))
+    K = np.concatenate(K)
+    top = [float(np.max(norms._triplet_svals(k), initial=0.0))
+           for k in [K] + [K[(K["i"] >= e) & (K["j"] < e)] for e in np.cumsum(ranks)]]
+    return BergResult(dim=N, block_ranks=ranks, commutator_norms=tuple(top[1:]),
+                      perturbation_norm=top[0], step_bases=tuple(step_bases))

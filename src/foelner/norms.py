@@ -66,16 +66,16 @@ def _distinct(x: np.ndarray) -> bool:
     return not np.count_nonzero(xs[1:] == xs[:-1])
 
 
-def _blocks(e: np.ndarray) -> Iterator[np.ndarray]:
-    """The dense block of each connected component of the entries' row/column graph.
+def _components(i: np.ndarray,
+                j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Components of the bipartite row/column graph with an edge (i_t, j_t) per entry: the
+    dense ids of i and j, the component of each distinct row and column, and their count.
 
-    Rows and columns are the two sides of a bipartite graph with one edge per
-    entry.  Each row takes the least label of the rows it shares a column with,
-    each label the least of its rows', then every row the label of its label,
-    until no label moves.  A block has its rows and columns in index order.
+    Each row takes the least label of the rows it shares a column with, each label the
+    least of its rows', then every row the label of its label, until no label moves.
     """
-    ri, nr = _dense_ids(e["i"])
-    ci, nc = _dense_ids(e["j"])
+    ri, nr = _dense_ids(i)
+    ci, nc = _dense_ids(j)
     label, old = np.arange(nr), None
     while old is None or not np.array_equal(label, old):
         low = np.full(nc, nr)
@@ -85,7 +85,12 @@ def _blocks(e: np.ndarray) -> Iterator[np.ndarray]:
         np.minimum.at(label, old, label)    # else a long chain takes a round per row
         label = label[label]
     comp, k = _dense_ids(label)
-    ccomp = comp[low]       # a label is a row of its component, and low holds labels
+    return ri, ci, comp, comp[low], k       # a label is a row of its component, low holds labels
+
+
+def _blocks(e: np.ndarray) -> Iterator[np.ndarray]:
+    """The dense block of each component of the entries (_components), in index order."""
+    ri, ci, comp, ccomp, k = _components(e["i"], e["j"])
     rows, cols = np.bincount(comp, minlength=k), np.bincount(ccomp, minlength=k)
     # a row's (column's) position among its component's: its rank by component, less theirs
     rpos = np.argsort(np.argsort(comp, kind="stable")) - (np.cumsum(rows) - rows)[comp]

@@ -463,6 +463,24 @@ def test_weyl_represent_feeds_berg(tmp_path, capsys):
     assert doc["final_rank"] == 16
 
 
+def test_berg_sweeps_a_diagonal_window_one_step_per_column(tmp_path, capsys):
+    # p^2 + q^2 is diagonal on the Hermite basis, with the distinct values 2n - 1, so the
+    # sweep takes the many-step path: one piece and one step per column, with nothing
+    # left between the pieces
+    code, out, _ = run(["weyl-represent", "--element", "p^2+q^2", "--window", "128",
+                        "--no-timestamp"], capsys)
+    assert code == 0
+    mat = tmp_path / "mat.txt"
+    mat.write_text(out)
+    code, out, _ = run(["berg", "--matrix", mat, "--no-timestamp"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["steps"] == 128 and doc["final_rank"] == 128
+    assert doc["block_ranks"] == [1] * 128
+    assert doc["perturbation_norm"] == 0.0
+    assert doc["commutator_norms"] == [0.0] * 128
+
+
 def test_berg_rejects_non_hermitian_matrix(tmp_path, capsys):
     mat = tmp_path / "m.txt"
     mat.write_text("2\n0 1\n0 0\n")
