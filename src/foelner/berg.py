@@ -3,31 +3,29 @@
 The sweep refines a uniform partition of the spectral interval: at step n it
 projects the next cyclic basis vector onto the unexplored complement, splits
 that vector along spectral cells of width eps/2^n, and adjoins one normalized
-piece per occupied cell.  The complement is carried as E, an orthonormal
-eigenbasis (N-vectors) of A compressed to it, so a cell's part of e_omega is
-E_c E_c* e_omega.  Each piece lies in its own cell's eigenspace, so removing
-it leaves the compression block-diagonal over cells: a cell with a piece
-re-diagonalizes A on the piece's complement within the cell (a small eigh),
-and every other cell keeps its columns.  Sorted by cell, the cells that give
-a piece are grouped by size, and each size takes one stacked QR, eigh and
-product (a one-column cell gives its piece and drops out).  The boundary
-terms between the swept part and its complement form a perturbation K whose
-operator norm is summed by the cell widths, staying below eps.  Both norms are
-read off coordinates over the first eigh's basis, A = E0 diag(lam0) E0*: E is
-carried as E0 X, and X mixes only the columns of one cell, so it is exactly
-block-sparse and each piece is E0 v with v sparse.  B = V* diag(lam0) V (the v
-side by side) is 0 between pieces that share no coordinate, and K is B without
-its same-step blocks, built per connected component.  With e_n the rank after
-step n, ||[A, P_n]|| is the top singular value of K[e_n:, :e_n] and ||K|| that
-of K, from one small SVD per component (norms._triplet_svals).  B differs from
-W*AW (W = E0 V, the step bases side by side) by W*RW, with R = A - E0 diag(lam0)
-E0* eigh's backward error: the order of the rounding of W*AW itself.
-"""
+piece per occupied cell.  It works in coordinates over one eigh, A = E0
+diag(lam0) E0*: the complement is E0 X[:, live], with eigenvalues lam.  A piece
+lies in its own cell's eigenspace, so the compression stays block-diagonal
+over cells: a cell with a piece re-diagonalizes A on the piece's complement in
+the cell (a small eigh), the others keep their columns.  The cells that give a
+piece are grouped by size, one stacked QR, eigh and product per size.  lam0 is
+ascending and X mixes only columns of one cell, so X[:, j] is 0 outside one row
+range lo[j]:hi[j] (at first {j}, then the hull over its cell): E0* e_omega and
+each cell update are computed on those rows alone, which changes an entry only
+by the order in which BLAS sums the same terms.  A piece is E0 v, v = X_c u, V
+holds the v side by side, and the step bases E0 V are built only when read.
+The boundary terms between the swept part and its complement form a
+perturbation K, of norm below eps: B = V* diag(lam0) V is 0 between pieces that
+share no coordinate, and K is B off its same-step blocks, built per connected
+component.  ||[A, P_n]|| (e_n the rank after step n) is the top singular value
+of K[e_n:, :e_n], ||K|| that of K (norms._triplet_svals).  B differs from W*AW
+(W = E0 V) by W*RW, R = A - E0 diag(lam0) E0* being eigh's backward error: the
+order of the rounding of W*AW itself."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +46,12 @@ def _cell_index(lam: np.ndarray, M: float, width: float, count: int) -> np.ndarr
     return np.clip(c, 0, count - 1)
 
 
+def _rows(lo: np.ndarray, hi: np.ndarray, N: int) -> np.ndarray:
+    """Row windows holding the ranges lo:hi, all as wide as the widest and kept in [0, N)."""
+    w = int(np.max(hi - lo, initial=0))
+    return np.minimum(lo, N - w)[:, None] + np.arange(w)
+
+
 def _cells(epsilon: float, M: float, step: int) -> tuple[float, int]:
     """Width and count of the uniform cells of [-M, M] at a step: eps/2^step wide, at least
     _MIN_CELL, then widened so that count cells span 2M exactly.  ldexp underflows toward 0
@@ -66,7 +70,13 @@ class BergResult:
     block_ranks: tuple[int, ...]               # rank added per step
     commutator_norms: tuple[float, ...]        # ||[A, P_n]||_u per step
     perturbation_norm: float                   # ||sum_n Q_n A P_n^perp + h.c.||_u
-    step_bases: tuple[np.ndarray, ...]         # orthonormal basis of each increment
+    basis: np.ndarray = field(compare=False, repr=False)    # E0: A = E0 diag(lam0) E0*
+    coords: np.ndarray = field(compare=False, repr=False)   # V: the pieces over E0, in order
+
+    @property
+    def step_bases(self) -> tuple[np.ndarray, ...]:
+        """Orthonormal basis of each increment: E0 V, split by block_ranks."""
+        return tuple(np.split(self.basis @ self.coords, np.cumsum(self.block_ranks)[:-1], axis=1))
 
 
 def random_hermitian(dim: int, seed: int, spectrum_radius: float = 1.0) -> np.ndarray:
@@ -108,17 +118,19 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
 
     M = float(np.max(np.abs(np.linalg.eigvalsh(a)))) or 1.0
 
-    lam0, E = np.linalg.eigh(a)         # A compressed to the unexplored complement, diagonalized
+    lam0, E0 = np.linalg.eigh(a)        # A = E0 diag(lam0) E0*; the sweep works over E0
     del a                               # the norms read only lam0 and coordinates over E0
-    lam, X = lam0.copy(), np.eye(N, dtype=complex)      # E = E0 X, X mixing within cells
-    step_bases, coords = [], []         # each step's pieces, and their v: pieces = E0 v
-    rank = stall = step = 0
-    while rank < N:
+    X, V = np.eye(N, dtype=complex), np.zeros((N, N), dtype=complex)    # V: the pieces' v
+    lo, hi = np.arange(N), np.arange(1, N + 1)      # X[:, j] is 0 outside rows lo[j]:hi[j]
+    lam, live = lam0.copy(), np.arange(N)           # the complement is E0 X[:, live]
+    ranks, stall, step = [], 0, 0
+    while len(live):                    # each piece takes one column of the complement
         step += 1
         if stall >= N:
-            raise RankStall(f"no rank progress over a full cycle at rank {rank} < {N}")
+            raise RankStall(f"no rank progress over a full cycle at rank {N - len(live)} < {N}")
         omega = order[(step - 1) % N]
-        c = E[omega - 1].conj()         # E* e_omega: the complement's part of e_omega
+        R = _rows(lo[live], hi[live], N)            # rows that hold the live columns
+        c = np.einsum("ij,ij->i", E0[omega - 1, R], X[R, live[:, None]]).conj()    # E* e_omega
         if np.linalg.norm(c) <= _DROP_TOL:
             stall += 1
             continue
@@ -140,41 +152,30 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
             stall += 1
             continue
         stall = 0
-        E, lam, X = E[:, perm], lam[perm], X[:, perm]
-        pieces = np.empty((N, int(gives.sum())), dtype=complex)
-        v = np.empty_like(pieces)
-        slot = np.cumsum(gives) - 1                 # piece column of each cell that gives one
+        lam, live = lam[perm], live[perm]
+        slot = N - len(live) + np.cumsum(gives) - 1 # V column of each cell's piece
         keep = np.ones(len(lam), dtype=bool)
         for s in sorted(set(size[gives].tolist())): # the cells of one size, stacked
             pick = gives & (size == s)
-            cols = first[pick][:, None] + np.arange(s)
-            Ec, Xc = E[:, cols].transpose(1, 0, 2), X[:, cols].transpose(1, 0, 2)
-            u = c[cols] / nrm[pick][:, None]
-            pieces[:, slot[pick]], v[:, slot[pick]] = ((Y @ u[..., None])[..., 0].T
-                                                       for Y in (Ec, Xc))
-            keep[cols[:, -1]] = False               # a cell that gives a piece loses one column
+            at = first[pick][:, None] + np.arange(s)
+            cols = live[at]                         # X columns of each cell
+            lo[cols], hi[cols] = lo[cols].min(1, keepdims=True), hi[cols].max(1, keepdims=True)
+            R = _rows(lo[cols[:, 0]], hi[cols[:, 0]], N)[:, :, None]
+            Xc = X[R, cols[:, None, :]]
+            u = c[at] / nrm[pick][:, None]
+            V[R[..., 0], slot[pick][:, None]] = (Xc @ u[..., None])[..., 0]
+            keep[at[:, -1]] = False                 # a cell that gives a piece loses one column
             # F spans u's complement in the cell (none in one column), where A is F* diag(lam) F
             F = np.linalg.qr(u[:, :, None], mode="complete")[0][:, :, 1:]
-            lam[cols[:, :-1]], G = np.linalg.eigh(
-                F.conj().transpose(0, 2, 1) @ (lam[cols][:, :, None] * F))
-            E[:, cols[:, :-1]], X[:, cols[:, :-1]] = ((Y @ (F @ G)).transpose(1, 0, 2)
-                                                      for Y in (Ec, Xc))
-        step_bases.append(pieces)
-        coords.append(v)
-        rank += pieces.shape[1]
-        E, lam, X = E[:, keep], lam[keep], X[:, keep]
+            lam[at[:, :-1]], G = np.linalg.eigh(
+                F.conj().transpose(0, 2, 1) @ (lam[at][:, :, None] * F))
+            X[R, cols[:, None, :-1]] = Xc @ (F @ G)
+        ranks.append(int(gives.sum()))
+        lam, live = lam[keep], live[keep]
 
-    ranks = tuple(Z.shape[1] for Z in step_bases)
-    V, step_of = np.hstack(coords), np.repeat(np.arange(len(ranks)), ranks)
+    step_of, K = np.repeat(np.arange(len(ranks)), ranks), []
     # every row and column of the unitary V has a nonzero: the dense ids are its indices
-    _, _, rc, pc, _ = norms._components(*np.nonzero(V))
-    rn, pn, K = np.bincount(rc), np.bincount(pc), []       # rows and pieces per component
-    ro, po = np.argsort(rc, kind="stable"), np.argsort(pc, kind="stable")
-    for r, p in sorted(set(zip(rn.tolist(), pn.tolist()))):     # components of one shape, stacked
-        at = np.flatnonzero((rn == r) & (pn == p))
-        R = ro[(np.cumsum(rn) - rn)[at][:, None] + np.arange(r)]    # rows over E0, in order
-        P = po[(np.cumsum(pn) - pn)[at][:, None] + np.arange(p)]    # pieces, in order
-        Vc = V[R[:, :, None], P[:, None, :]]
+    for R, P, Vc in norms._stacks(*np.nonzero(V), V[V != 0]):   # rows over E0, pieces, in order
         B = Vc.conj().transpose(0, 2, 1) @ (lam0[R][:, :, None] * Vc)
         B[step_of[P][:, :, None] == step_of[P][:, None, :]] = 0     # K: B off its step blocks
         t, i, j = np.nonzero(B)
@@ -182,5 +183,5 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
     K = np.concatenate(K)
     top = [float(np.max(norms._triplet_svals(k), initial=0.0))
            for k in [K] + [K[(K["i"] >= e) & (K["j"] < e)] for e in np.cumsum(ranks)]]
-    return BergResult(dim=N, block_ranks=ranks, commutator_norms=tuple(top[1:]),
-                      perturbation_norm=top[0], step_bases=tuple(step_bases))
+    return BergResult(dim=N, block_ranks=tuple(ranks), commutator_norms=tuple(top[1:]),
+                      perturbation_norm=top[0], basis=E0, coords=V)

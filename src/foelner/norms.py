@@ -88,36 +88,42 @@ def _components(i: np.ndarray,
     return ri, ci, comp, comp[low], k       # a label is a row of its component, low holds labels
 
 
-def _blocks(e: np.ndarray) -> Iterator[np.ndarray]:
-    """The dense block of each component of the entries (_components), in index order."""
-    ri, ci, comp, ccomp, k = _components(e["i"], e["j"])
+def _stacks(i: np.ndarray, j: np.ndarray, v: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The components of the entries (_components) stacked by shape, in index order: per
+    shape, the dense ids of their rows (m, r) and columns (m, c), and their blocks (m, r, c)."""
+    ri, ci, comp, ccomp, k = _components(i, j)
     rows, cols = np.bincount(comp, minlength=k), np.bincount(ccomp, minlength=k)
-    # a row's (column's) position among its component's: its rank by component, less theirs
-    rpos = np.argsort(np.argsort(comp, kind="stable")) - (np.cumsum(rows) - rows)[comp]
-    cpos = np.argsort(np.argsort(ccomp, kind="stable")) - (np.cumsum(cols) - cols)[ccomp]
-    ec = comp[ri]
-    parts = np.split(np.argsort(ec, kind="stable"), np.cumsum(np.bincount(ec))[:-1])
-    for t, at in enumerate(parts):
-        a = np.zeros((rows[t], cols[t]), dtype=complex)
-        a[rpos[ri[at]], cpos[ci[at]]] = e["v"][at]
-        yield a
+    shape, _ = _dense_ids(rows * (int(cols.max()) + 1) + cols)     # in (rows, cols) order
+    ro, co, es = np.argsort(comp, kind="stable"), np.argsort(ccomp, kind="stable"), shape[comp[ri]]
+    rpos, cpos = np.empty(len(comp), np.intp), np.empty(len(ccomp), np.intp)
+    for g, at in enumerate(np.split(np.argsort(es, kind="stable"), np.cumsum(np.bincount(es))[:-1])):
+        t = np.flatnonzero(shape == g)
+        R = ro[(np.cumsum(rows) - rows)[t][:, None] + np.arange(rows[t[0]])]
+        C = co[(np.cumsum(cols) - cols)[t][:, None] + np.arange(cols[t[0]])]
+        rpos[R], cpos[C] = np.arange(R.size).reshape(R.shape), np.arange(C.shape[1])
+        a = np.zeros(R.shape + C.shape[1:], dtype=complex)
+        a.reshape(R.size, -1)[rpos[ri[at]], cpos[ci[at]]] = v[at]      # rpos counts stacked rows
+        yield R, C, a
 
 
 def _triplet_svals(entries) -> np.ndarray:
     """Singular values of the sparse matrix given by merged entries, descending.
 
-    entries is an _ENTRY array (or a list of (i, j, v) tuples).  A direct sum
-    has the union of its summands' singular values, so each connected
-    component of the row/column graph gets its own small SVD.  When every
-    component is a single entry (a scaled partial permutation) the singular
-    values are the entry moduli, found without the graph.
+    entries is an _ENTRY array (or a list of (i, j, v) tuples).  A direct sum has the
+    union of its summands' singular values, so each connected component of the row/column
+    graph gets its own small SVD (one stacked call per shape and real/complex choice, with
+    the bits of a call per block).  When every component is a single entry (a scaled
+    partial permutation) the singular values are the entry moduli, found without the graph.
     """
     e = entries if isinstance(entries, np.ndarray) else np.asarray(entries, dtype=ops._ENTRY)
     if not len(e):
         return np.zeros(0)
     if _distinct(e["i"]) and _distinct(e["j"]):
         return np.sort(np.abs(e["v"]))[::-1]
-    parts = [_svdvals(a) for a in _blocks(e)]
+    parts = []
+    for _, _, a in _stacks(e["i"], e["j"], e["v"]):
+        real = np.all(a.imag == 0, axis=(1, 2))
+        parts += [_svdvals(b).ravel() for b in (a[real].real, a[~real]) if len(b)]
     return np.sort(np.concatenate(parts))[::-1]
 
 

@@ -549,9 +549,12 @@ class Window:
 
 def hermitian_part(a: np.ndarray, tol: float, error: type[Exception],
                    message: str) -> np.ndarray:
-    """(a + a*)/2; raises error(message) if max|a - a*| > tol * max(1, max|a_ij|)."""
+    """(a + a*)/2, or a itself if a - a* is exactly 0 (they then differ only in signs of
+    zero); raises error(message) if max|a - a*| > tol * max(1, max|a_ij|)."""
+    if not (d := a - a.conj().T).any():
+        return a
     scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
-    if float(np.max(np.abs(a - a.conj().T), initial=0.0)) > tol * scale:
+    if float(np.max(np.abs(d), initial=0.0)) > tol * scale:
         raise error(message)
     return (a + a.conj().T) / 2
 

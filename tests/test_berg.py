@@ -49,6 +49,13 @@ def test_sweep_projections_reconstruct_a_block_version():
     assert gap <= r.perturbation_norm + 1e-10
 
 
+def test_sweeps_of_one_window_compare_equal_and_hash_alike():
+    a = berg.random_hermitian(16, 4)
+    r, s = (berg.berg_sequence(a, range(1, 17), 0.2) for _ in range(2))
+    assert r == s and hash(r) == hash(s)
+    assert r != berg.berg_sequence(a, range(16, 0, -1), 0.2)
+
+
 def test_sweep_rejects_bad_input():
     with pytest.raises(NotHermitian):
         berg.berg_sequence(np.array([[0.0, 1.0], [0.0, 0.0]]), [1, 2], 0.1)
@@ -172,6 +179,10 @@ def _close(x, y):
 _ORACLE_CASES = [pytest.param(berg.random_hermitian(dim, dim), eps, False,
                               id=f"random-{dim}-eps{eps}")
                  for dim in (8, 33, 64, 128) for eps in (0.05, 0.2)]
+# at eps 0.3, 2M 2^n / eps = 20 2^n / 3 is no integer, so the cells of one step do not nest in
+# those of the step before, and one cell can mix columns of different earlier cells
+_ORACLE_CASES += [pytest.param(berg.random_hermitian(dim, dim), 0.3, False,
+                               id=f"random-{dim}-eps0.3") for dim in (64, 128)]
 _ORACLE_CASES.append(pytest.param(np.diag(np.linspace(-1, 1, 24)).astype(complex), 0.2, False,
                                   id="diagonal-24"))
 

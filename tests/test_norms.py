@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from foelner import norms, ops
+from foelner.berg import berg_sequence, random_hermitian
 from foelner.errors import FoelnerError, TooFewSamples, WeightUndefined
 from foelner.norms import classify, report, report_sequence, seminorm
 from foelner.ops import OperatorSpec, ProjectionFamily
@@ -238,7 +240,7 @@ def test_triplet_svals_match_dense_svd(shapes, complex_values):
     for _ in range(5):
         trips = _block_triplets(rng, shapes, complex_values)
         e = np.asarray(trips, dtype=ops._ENTRY)
-        assert len(list(norms._blocks(e))) == len(shapes)
+        assert sum(len(a) for _, _, a in norms._stacks(e["i"], e["j"], e["v"])) == len(shapes)
         got = norms._triplet_svals(trips)
         # the whole matrix with its empty rows and columns removed
         (rows, ri), (cols, ci) = (np.unique(x, return_inverse=True) for x in (e["i"], e["j"]))
@@ -303,7 +305,50 @@ def test_blocks_partition_matches_scipy_components(e):
     def key(blocks):
         return sorted((a.shape, a.tobytes()) for a in blocks)
 
-    assert key(norms._blocks(e)) == key(_scipy_blocks(e))
+    stacks = norms._stacks(e["i"], e["j"], e["v"])
+    assert key(a for _, _, s in stacks for a in s) == key(_scipy_blocks(e))
+
+
+def _mixed_corpus():
+    """Real and complex components of the same shapes on disjoint indices, seeded."""
+    rng = np.random.default_rng(53)
+    menu = [(1, 1), (2, 2), (3, 2), (2, 3), (4, 4), (1, 3), (6, 5)]
+    corpus = []
+    for _ in range(12):
+        shapes = [menu[k] for k in rng.integers(len(menu), size=rng.integers(2, 9))]
+        real, cplx = (_block_triplets(rng, shapes, c) for c in (False, True))
+        corpus.append(real + [(i + 10 ** 6, j + 10 ** 6, v) for i, j, v in cplx])
+    return corpus
+
+
+def _berg_perturbations():
+    """The K entries that berg_sequence hands to _triplet_svals on a few seeded windows."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "_triplet_svals", lambda e, f=norms._triplet_svals: seen.append(e) or f(e))
+        for dim, eps in ((33, 0.5), (64, 0.05), (64, 0.3), (128, 0.2)):
+            berg_sequence(random_hermitian(dim, dim + 1), range(1, dim + 1), eps)
+    return [e for e in seen if not (norms._distinct(e["i"]) and norms._distinct(e["j"]))]
+
+
+def test_stacked_triplet_svals_are_the_per_component_svds():
+    # oracle 1: one np.linalg.svd per component, each on its real part when the block is
+    # real, must give the same bits; oracle 2: scipy's dense svdvals of the whole matrix
+    corpus = [np.asarray(t, dtype=ops._ENTRY) for t in _mixed_corpus()]
+    captured = _berg_perturbations()
+    assert len(captured) >= 8
+    for e in corpus + captured:
+        got = norms._triplet_svals(e)
+        blocks = _scipy_blocks(e)
+        want = np.concatenate([np.linalg.svd(b.real if np.all(b.imag == 0) else b,
+                                             compute_uv=False) for b in blocks])
+        assert np.array_equal(got, np.sort(want)[::-1])
+        (rows, ri), (cols, ci) = (np.unique(x, return_inverse=True) for x in (e["i"], e["j"]))
+        compact = np.zeros((len(rows), len(cols)), complex)
+        compact[ri, ci] = e["v"]
+        dense = scipy.linalg.svdvals(compact)
+        padded = np.concatenate([got, np.zeros(dense.size - got.size)])
+        np.testing.assert_allclose(padded, dense, rtol=1e-12, atol=1e-12 * dense[0])
 
 
 def test_triplet_svals_partial_permutation_is_moduli():
