@@ -165,11 +165,11 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
             u = c[at] / nrm[pick][:, None]
             V[R[..., 0], slot[pick][:, None]] = (Xc @ u[..., None])[..., 0]
             keep[at[:, -1]] = False                 # a cell that gives a piece loses one column
-            # F spans u's complement in the cell (none in one column), where A is F* diag(lam) F
-            F = np.linalg.qr(u[:, :, None], mode="complete")[0][:, :, 1:]
-            lam[at[:, :-1]], G = np.linalg.eigh(
-                F.conj().transpose(0, 2, 1) @ (lam[at][:, :, None] * F))
-            X[R, cols[:, None, :-1]] = Xc @ (F @ G)
+            if s > 1:   # F spans u's complement in the cell, where A is F* diag(lam) F
+                F = np.linalg.qr(u[:, :, None], mode="complete")[0][:, :, 1:]
+                lam[at[:, :-1]], G = np.linalg.eigh(
+                    F.conj().transpose(0, 2, 1) @ (lam[at][:, :, None] * F))
+                X[R, cols[:, None, :-1]] = Xc @ (F @ G)
         ranks.append(int(gives.sum()))
         lam, live = lam[keep], live[keep]
 

@@ -570,30 +570,38 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The CLI parser; when argv[0] names a subcommand, only its subparser gets arguments.
+def _with_flags(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    p.add_argument("spec", nargs="?", help="JSON spec file")
+    p.add_argument("-o", "--output", help="write the report here instead of stdout")
+    p.add_argument("--no-timestamp", action="store_true",
+                   help="omit the timestamp header for byte-stable output")
+    for flag, kwargs in _SUBCOMMANDS[name][2]:
+        p.add_argument(flag, **kwargs)
+    return p
 
-    Every subcommand is still listed, so the top-level help and errors are
-    those of the full parser, and the named one parses as it would there.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full CLI parser: the top level and every subcommand with its flags."""
     p = argparse.ArgumentParser(
         prog="foelner",
         description="Commutator seminorms, block decompositions, and exact "
                     "growth certificates for band-structured operators.")
     p.add_argument("--version", action="version", version=f"foelner {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    for name, (_, help_line, flags) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_line)
-        if named not in (None, name):
-            continue
-        sp.add_argument("spec", nargs="?", help="JSON spec file")
-        sp.add_argument("-o", "--output", help="write the report here instead of stdout")
-        sp.add_argument("--no-timestamp", action="store_true",
-                        help="omit the timestamp header for byte-stable output")
-        for flag, kwargs in flags:
-            sp.add_argument(flag, **kwargs)
+    for name, (_, help_line, _) in _SUBCOMMANDS.items():
+        _with_flags(sub.add_parser(name, help=help_line), name)
     return p
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """argv as build_parser() parses it; a call that names a subcommand and leaves no
+    argument over is parsed by that subcommand's parser alone, with the same prog and flags."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = _with_flags(argparse.ArgumentParser(prog=f"foelner {argv[0]}"), argv[0])
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _write_atomic(target: Path, text: str) -> None:
@@ -609,12 +617,9 @@ def _write_atomic(target: Path, text: str) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = parse_args(argv)
     try:
-        if args.spec is not None:
-            doc, spec_hash = load_spec_file(args.spec)
-        else:
-            doc, spec_hash = {}, None
+        doc, spec_hash = load_spec_file(args.spec) if args.spec is not None else ({}, None)
         text = _SUBCOMMANDS[args.command][0](args, doc, spec_hash)
     except InvalidSpec as exc:
         print(f"InvalidSpec: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import os
@@ -550,35 +551,75 @@ def _load_workloads():
     return module
 
 
-def test_a_subparser_alone_parses_as_the_full_parser(tmp_path):
+def _benchmark_argvs(tmp_path):
     workloads = _load_workloads()
     argvs = [list(case.argv) for w in workloads.WORKLOADS
              for case in workloads.build(w, 1, tmp_path / w)]
-    argvs += [["halmos", "--epsilon", "1/10"], ["weyl-amenability", "--elements", "p,q"]]
     assert {a[0] for a in argvs} == set(cli._SUBCOMMANDS)
+    return argvs
+
+
+def test_a_subparser_alone_parses_as_the_full_parser(tmp_path):
+    argvs = _benchmark_argvs(tmp_path)
+    argvs += [["halmos", "--epsilon", "1/10"], ["weyl-amenability", "--elements", "p,q"]]
     for argv in argvs:
-        assert cli.build_parser(argv).parse_args(argv) == cli.build_parser().parse_args(argv)
+        assert cli.parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+def _printed(parse, argv, capsys):
+    """The exit code, stdout and stderr of a parse that ends the program."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, capsys.readouterr()
 
 
 def test_a_subparser_alone_keeps_every_help_and_usage_error(capsys):
-    def printed(parser, argv):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
-        return exc.value.code, capsys.readouterr()
-
     full = cli.build_parser()
     for argv in [["--help"], ["nope"], []]:
-        expected = printed(full, argv)
+        expected = _printed(full.parse_args, argv, capsys)
         assert expected[0] in (0, 2) and "".join(expected[1])
-        for name in cli._SUBCOMMANDS:
-            assert printed(cli.build_parser([name]), argv) == expected
-        with pytest.raises(SystemExit):
-            cli.main(argv)
-        assert capsys.readouterr() == expected[1]
+        assert _printed(cli.parse_args, argv, capsys) == expected
+        assert _printed(cli.main, argv, capsys) == expected
     for name in cli._SUBCOMMANDS:
-        with pytest.raises(SystemExit):
-            cli.main([name, "--help"])
-        assert capsys.readouterr() == printed(full, [name, "--help"])[1]
+        for argv in [[name, "--help"], [name, "-h"]]:
+            expected = _printed(full.parse_args, argv, capsys)
+            assert expected[0] == 0 and expected[1].out.startswith(f"usage: foelner {name} ")
+            assert _printed(cli.parse_args, argv, capsys) == expected
+            assert _printed(cli.main, argv, capsys) == expected
+
+
+# per subcommand, a flag whose value its type refuses (weyl-amenability's flags take
+# any text, so there the flag lacks its value)
+_MALFORMED = {"norms": ["--n-start", "x"], "classify": ["--n-geometric", "q"],
+              "halmos": ["--window", "x"], "sparse": ["--n-end", "1.5"], "berg": ["--dim", "x"],
+              "szego": ["--ns", "1,a"], "weyl-amenability": ["--elements"],
+              "weyl-represent": ["--window", "x"]}
+
+
+@pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
+def test_a_refused_subcommand_call_errs_as_the_full_parser(name, capsys):
+    assert _MALFORMED.keys() == cli._SUBCOMMANDS.keys()
+    for argv in [[name, "--bogus"], [name, "a.json", "b.json"], [name, "--version"],
+                 [name, *_MALFORMED[name]], [name, "--bogus", *_MALFORMED[name]]]:
+        expected = _printed(cli.build_parser().parse_args, argv, capsys)
+        assert expected[0] == 2 and expected[1].out == "" and "error: " in expected[1].err
+        assert _printed(cli.main, argv, capsys) == expected
+
+
+def test_a_well_formed_call_builds_one_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw))
+    cli.build_parser()
+    assert len(built) == 1 + len(cli._SUBCOMMANDS)
+    for argv in _benchmark_argvs(tmp_path):
+        built.clear()
+        cli.parse_args(argv)
+        assert built == [f"foelner {argv[0]}"]
+    built.clear()
+    assert cli.main(["weyl-amenability", "--elements", "p", "--no-timestamp"]) == 0
+    assert built == ["foelner weyl-amenability"] and capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
