@@ -16,30 +16,27 @@ document loads no jsonschema.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import json
 import os
 import re
 import sys
-import uuid
-from datetime import datetime, timezone
+import time
 from fractions import Fraction
-from importlib import resources
-from pathlib import Path
 
 from . import __version__, weyl
-from .errors import FoelnerError, InvalidSpec, ResourceLimit
+from .errors import FoelnerError, InvalidSpec, NotQuasidiagonalAlongFamily, ResourceLimit
 
-_SCHEMA: dict | None = None
 _VALIDATOR = None
 
 
+@functools.cache
 def spec_schema() -> dict:
-    global _SCHEMA
-    if _SCHEMA is None:
-        raw = resources.files("foelner").joinpath("schema.json").read_text()
-        _SCHEMA = json.loads(raw)
-    return _SCHEMA
+    """The spec schema, read once from the schema.json beside this module."""
+    with open(os.path.join(os.path.dirname(__file__), "schema.json"), "rb") as fh:
+        return json.load(fh)
 
 
 # draft 2020-12 types: 1.0 is an integer, a bool is neither a number nor an integer
@@ -125,7 +122,8 @@ def validate_document(doc) -> None:
 def load_spec_file(path: str) -> tuple[dict, str]:
     """Parse + validate a spec file; returns (document, sha256 of the bytes)."""
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise InvalidSpec(f"cannot read spec file: {exc}") from None
     try:
@@ -206,6 +204,11 @@ def _num(x) -> str:
     return str(x) if isinstance(x, int) else repr(float(x))
 
 
+def _stamp() -> str:
+    """The UTC time to the second, as datetime.now(timezone.utc).isoformat(timespec="seconds")."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
+
+
 def _meta_lines(args, spec_hash: str | None, extra: dict | None = None) -> list[str]:
     lines = [f"# foelner {__version__}"]
     if spec_hash:
@@ -213,8 +216,7 @@ def _meta_lines(args, spec_hash: str | None, extra: dict | None = None) -> list[
     for k, v in sorted((extra or {}).items()):
         lines.append(f"# {k} {v}")
     if not args.no_timestamp:
-        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        lines.append(f"# generated {stamp}")
+        lines.append(f"# generated {_stamp()}")
     return lines
 
 
@@ -223,7 +225,7 @@ def _meta_obj(args, spec_hash: str | None) -> dict:
     if spec_hash:
         meta["spec_sha256"] = spec_hash
     if not args.no_timestamp:
-        meta["generated"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        meta["generated"] = _stamp()
     return meta
 
 
@@ -316,7 +318,8 @@ def _fmt_entry(z: complex) -> str:
 def read_matrix(path: str) -> np.ndarray:
     import numpy as np
     try:
-        text = Path(path).read_text()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise InvalidSpec(f"cannot read matrix file: {exc}") from None
     body = [ln for ln in text.splitlines() if not ln.lstrip().startswith("#")]
@@ -392,7 +395,14 @@ def cmd_halmos(args, doc: dict, spec_hash: str | None) -> str:
     eps = _epsilon(exp.get("epsilon", 0.1))
     N = int(exp.get("window", 2048))
     limit = int(exp.get("search_limit", 10_000))
-    picks = decomp.select_subsequence(spec, fam, eps, search_limit=limit)
+    # the split drops boundaries at or past the window: scan the members ranked below N (with
+    # no selector a block's rank is its end), and on to the limit only to word a refusal
+    below = N - 1 if fam.size is None else sum(hi < N for _, hi in fam.blocks)
+    picks = None
+    if 0 < below < limit:
+        with contextlib.suppress(NotQuasidiagonalAlongFamily):
+            picks = decomp.select_subsequence(spec, fam, eps, search_limit=below)
+    picks = picks or decomp.select_subsequence(spec, fam, eps, search_limit=limit)
     d = decomp.halmos_decompose(spec, [fam.rank(n) for n in picks], N, eps)
     # B + K - W per (i, j), in that order (np.add.at adds in index order)
     B, K, W = d.sparse_block_diagonal, d.sparse_perturbation, d.sparse_window
@@ -604,15 +614,17 @@ def parse_args(argv) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _write_atomic(target: Path, text: str) -> None:
+def _write_atomic(target: str, text: str) -> None:
     """Write text to target in one step: a temp file beside it, then a rename."""
-    tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.urandom(16).hex()}.tmp")
     try:
         with open(tmp, "x") as fh:
             fh.write(text)
         os.replace(tmp, target)
     finally:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 def main(argv=None) -> int:
@@ -629,7 +641,7 @@ def main(argv=None) -> int:
         return 3
     if args.output:
         try:
-            _write_atomic(Path(args.output), text)
+            _write_atomic(args.output, text)
         except OSError as exc:
             print(f"cannot write the report to {args.output}: {exc.strerror or exc}",
                   file=sys.stderr)

@@ -22,21 +22,36 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import FoelnerError, InvalidSpec, WeightUndefined
 
 Monomial = tuple[int, int]   # (k, l) <-> p^k q^l
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number a + b i with rational a, b."""
+    """Exact complex number a + b i with rational a, b; immutable, equal by value."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return isinstance(other, GaussianRational) and self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     @classmethod
     def of(cls, value) -> "GaussianRational":
@@ -289,8 +304,7 @@ def degree_monomials(n: int) -> list[Monomial]:
     return [(k, l) for d in range(n + 1) for k in range(d, -1, -1) for l in (d - k,)]
 
 
-@dataclass(frozen=True)
-class MonomialSubspace:
+class MonomialSubspace(NamedTuple):
     """Span of a monomial set, optionally extended by arbitrary elements.
 
     The dimension is |monomials| plus the exact rank of the extension
@@ -367,8 +381,7 @@ def foelner_ratio(a: WeylElement, n: int) -> Fraction:
     return Fraction(dim_vn + _excess(a.degree() or 0, n), dim_vn)
 
 
-@dataclass(frozen=True)
-class AmenabilityWitness:
+class AmenabilityWitness(NamedTuple):
     """Certificate that every listed element has small growth at level n."""
 
     n: int

@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 import types
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foelner import cli, ops
+from foelner import cli, decomp, ops
 from foelner.errors import InvalidSpec
 
 REPO = Path(__file__).resolve().parents[1]
@@ -183,6 +184,46 @@ def test_halmos_splits_a_blocks_family_at_its_ranks(tmp_path, capsys):
     spec.write_text(json.dumps(doc))
     code, out, err = run(["halmos", spec, "--no-timestamp"], capsys)
     assert (code, out) == (2, "") and err.startswith("InvalidSpec: halmos splits")
+
+
+def test_halmos_searches_below_the_window_as_the_full_search(tmp_path, capsys, monkeypatch):
+    # the split drops boundaries at or past the window, so the search scans the members
+    # ranked below it; report, refusal and exit code are those of the search to the limit
+    blocks = tmp_path / "blocks.json"
+    blocks.write_text(json.dumps({
+        "operator": {"kind": "weighted_shift", "weight": "inverse"},
+        "projection": {"kind": "blocks", "boundaries": [0, 5, 10, 20, 40, 60]},
+        "experiment": {"epsilon": 0.5}}))
+    scan, limits = decomp.select_subsequence, []
+
+    def counted(*args, search_limit):
+        limits.append(search_limit)
+        return scan(*args, search_limit=search_limit)
+
+    seen = set()
+    for spec in (REPO / "specs" / "halmos_inverse.json", blocks):
+        for window in (1, 30, 64, 1024, 2048, 20_000):
+            for limit in (5, 10_000):
+                argv = ["halmos", spec, "--window", window, "--search-limit", limit,
+                        "--no-timestamp"]
+                limits.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(decomp, "select_subsequence", counted)
+                    got = run(argv, capsys)
+                    m.setattr(decomp, "select_subsequence",
+                              lambda *args, search_limit: scan(*args, search_limit=limit))
+                    assert got == run(argv, capsys)
+                seen.add(got[0] if got[0] == 0 else got[2].split(":")[0])
+                if spec != blocks:
+                    # the first scan stops below the window; a refusal scans on to the limit
+                    assert limits[0] == (min(window - 1, limit) or limit)
+    assert seen == {0, "WindowTooSmall", "NotQuasidiagonalAlongFamily"}
+    window_too_small = run(["halmos", REPO / "specs" / "halmos_inverse.json", "--window", 30],
+                           capsys)
+    assert window_too_small[2].startswith("WindowTooSmall:")
+    refused = run(["halmos", REPO / "specs" / "halmos_inverse.json", "--window", 30,
+                   "--search-limit", 20], capsys)
+    assert refused[0] == 3 and refused[2].startswith("NotQuasidiagonalAlongFamily:")
 
 
 def test_sparse_table(tmp_path, capsys):
@@ -368,8 +409,13 @@ import foelner.cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert foelner.cli.main(sys.argv[1:]) == 0
-print(" ".join(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy", "jsonschema"})))
+print(" ".join(sorted(sys.modules)))
 """
+
+# what the CLI and the exact Weyl core need not load: numpy, and the standard modules
+# dataclasses (with inspect), uuid (with platform), datetime, importlib.resources, pathlib
+_STARTUP_FREE = {"numpy", "dataclasses", "inspect", "uuid", "datetime", "platform",
+                 "importlib.resources", "pathlib"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -385,14 +431,15 @@ def test_subcommand_loads_only_what_it_needs(argv):
     sources = sorted((REPO / "src" / "foelner").glob("*.py"))
     assert sources
     assert not [p.name for p in sources if "scipy.linalg" in p.read_text()]
-    # no window path loads scipy; the CLI itself and the exact Weyl core load no numpy;
-    # a valid document loads no jsonschema
+    # no window path loads scipy; the CLI itself and the exact Weyl core load none of
+    # _STARTUP_FREE, run under -S so that no site hook loads them first; a valid document
+    # loads no jsonschema
+    bare = argv[:1] in ((), ("weyl-amenability",))
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-c", _LOAD_SCRIPT, *argv], cwd=REPO, env=env,
-                         capture_output=True, text=True, check=True)
-    forbidden = {"scipy", "jsonschema"} | ({"numpy"} if argv[:1] in ((), ("weyl-amenability",))
-                                          else set())
-    assert not set(res.stdout.split()) & forbidden
+    res = subprocess.run([sys.executable, *(["-S"] if bare else []), "-c", _LOAD_SCRIPT, *argv],
+                         cwd=REPO, env=env, capture_output=True, text=True, check=True)
+    loaded = {name for m in res.stdout.split() for name in (m, m.split(".")[0])}
+    assert loaded & ({"scipy", "jsonschema"} | (_STARTUP_FREE if bare else set())) == set()
 
 
 _NAMESPACE_SCRIPT = """
@@ -664,7 +711,7 @@ def test_dense_window_over_budget_exits_3_without_allocating(tmp_path, capsys, a
     assert not out_file.exists()
 
 
-def test_output_is_written_whole_and_leaves_no_temp_file(tmp_path, capsys):
+def test_output_is_written_whole_and_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
     argv = ["szego", REPO / "specs" / "szego_cos.json", "--no-timestamp"]
     code, expected, _ = run(argv, capsys)
     assert code == 0
@@ -674,6 +721,32 @@ def test_output_is_written_whole_and_leaves_no_temp_file(tmp_path, capsys):
     assert code == 0 and out == ""
     assert target.read_text() == expected
     assert list(tmp_path.iterdir()) == [target]
+    # a bare name lands in the working directory, its temp file beside it
+    target.unlink()
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["-o", "report.csv"], capsys) == (0, "", "")
+    assert target.read_text() == expected
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_reports_are_stamped_with_the_utc_time(capsys):
+    spec = REPO / "specs" / "weyl_growth.json"
+    code, csv, _ = run(["weyl-amenability", spec], capsys)
+    assert code == 0
+    code, report, _ = run(["halmos", REPO / "specs" / "halmos_inverse.json", "--window", 64],
+                          capsys)
+    assert code == 0
+    stamps = [line.removeprefix("# generated ") for line in csv.splitlines()
+              if line.startswith("# generated ")] + [json.loads(report)["meta"]["generated"]]
+    assert len(stamps) == 2
+    for stamp in stamps:
+        when = datetime.fromisoformat(stamp)
+        assert when.utcoffset() == timedelta(0)
+        assert abs(datetime.now(timezone.utc) - when) < timedelta(seconds=5)
+    # the stamp is the string datetime writes for the time
+    before, stamp = datetime.now(timezone.utc), cli._stamp()
+    after = datetime.now(timezone.utc)
+    assert stamp in {t.isoformat(timespec="seconds") for t in (before, after)}
 
 
 def test_output_into_missing_directory_exits_2(tmp_path, capsys):

@@ -43,6 +43,31 @@ def test_gaussian_rational_str():
     assert str(GaussianRational.of(Fraction(-5, 3))) == "-5/3"
 
 
+def test_records_are_immutable_values():
+    g = GaussianRational(Fraction(1), Fraction(2))
+    assert repr(g) == "GaussianRational(re=Fraction(1, 1), im=Fraction(2, 1))"
+    assert repr(GaussianRational()) == "GaussianRational(re=Fraction(0, 1), im=Fraction(0, 1))"
+    space = weyl.MonomialSubspace.total_degree(2).extended([P * Q])
+    witness = weyl.amenability_witness([P, Q], Fraction(1, 10))
+    twins = [(g, GaussianRational(Fraction(2, 2), Fraction(4, 2)), "re"),
+             (space, weyl.MonomialSubspace.total_degree(2).extended([P * Q]), "monomials"),
+             (witness, weyl.amenability_witness([Q, P], Fraction(1, 10)), "n")]
+    for a, b, field in twins:
+        assert a == b and hash(a) == hash(b) and a is not b
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(a, field))
+        with pytest.raises(AttributeError):
+            a.other = 1
+    assert g != GaussianRational(Fraction(1), Fraction(3)) and g != (Fraction(1), Fraction(2))
+    assert space != weyl.MonomialSubspace.total_degree(2)
+    assert witness != weyl.amenability_witness([P * Q], Fraction(1, 10))
+    with pytest.raises(AttributeError):
+        del g.re
+    for bad in (lambda: 2 * g, lambda: (1, 0) + g):
+        with pytest.raises(TypeError):
+            bad()
+
+
 # ---------------------------------------------------------------- algebra
 
 def test_canonical_commutation():
