@@ -19,9 +19,8 @@ _EXPORTS = {
               "u_norm", "u_sequence"),
     "decomp": ("Decomposition", "halmos_decompose", "select_subsequence", "sparse_family"),
     "berg": ("BergResult", "berg_sequence", "random_hermitian"),
-    "szego": ("EmpiricalSpectralMeasure", "SymbolPolynomial", "SzegoComparison", "SzegoRow",
-              "empirical_spectrum", "fitted_gap_constant", "moment", "symbol_moment",
-              "szego_compare"),
+    "szego": ("SymbolPolynomial", "SzegoComparison", "SzegoRow", "fitted_gap_constant",
+              "symbol_moment", "szego_compare"),
     "weyl": ("AmenabilityWitness", "GaussianRational", "MonomialSubspace", "WeylElement",
              "amenability_witness", "degree_monomials", "foelner_ratio", "multiply",
              "parse_element", "represent", "to_text"),

@@ -561,8 +561,8 @@ def hermitian_part(a: np.ndarray, tol: float, error: type[Exception],
 
 # Budget for every dense array of windows: 2^24 complex cells (256 MiB), a
 # 4096 x 4096 window.  Dense paths check it before they allocate and raise
-# ResourceLimit past it; sparse paths (halmos, szego, triplet norms) never
-# allocate a dense window and are not bound by it.
+# ResourceLimit past it; sparse paths (halmos, triplet norms) never allocate a
+# dense window and are not bound by it; szego checks its O(n) trace diagonal.
 DENSE_CELLS = 1 << 24
 
 # Matrix entries (row i, column j, value v) as one record array; indices past

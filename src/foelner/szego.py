@@ -2,9 +2,11 @@
 
 The empirical eigenvalue measure of the n-th compression of a banded
 Hermitian Toeplitz operator converges weakly to the distribution of its
-symbol f(theta) = sum_d c_d e^{i d theta}.  Moments of the symbol measure are
-constant Fourier coefficients of powers of f, computed here by exact
-coefficient convolution, so the comparison table needs no quadrature.
+symbol f(theta) = sum_d c_d e^{i d theta}.  The measure's moments are the
+traces (1/n) tr(T_n^p), taken from the rows of the powers of the window, so
+no eigenvalue is computed.  Moments of the symbol measure are constant Fourier
+coefficients of powers of f, computed here by exact coefficient convolution,
+so the comparison table needs no quadrature.
 """
 
 from __future__ import annotations
@@ -17,39 +19,6 @@ import numpy as np
 
 from . import ops
 from .errors import InvalidSpec, NonHermitianCompression, NumericalFailure
-
-_HERM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EmpiricalSpectralMeasure:
-    """Uniform measure on the eigenvalues of one Hermitian compression."""
-
-    n: int
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        ev = np.sort(np.asarray(self.eigenvalues, dtype=float))
-        if ev.shape != (self.n,):
-            raise ValueError("need exactly n real eigenvalues")
-        object.__setattr__(self, "eigenvalues", ev)
-
-
-def empirical_spectrum(spec: ops.OperatorSpec, n: int) -> EmpiricalSpectralMeasure:
-    """Eigenvalues of the n-th canonical compression (must be Hermitian)."""
-    h = ops.hermitian_part(ops.compress(spec, n).entries, _HERM_TOL,
-                           NonHermitianCompression, f"compression at n={n} is not Hermitian")
-    if np.all(h.imag == 0):
-        h = h.real
-    return EmpiricalSpectralMeasure(n=n, eigenvalues=np.linalg.eigvalsh(h))
-
-
-def moment(measure: EmpiricalSpectralMeasure, p: int) -> float:
-    """p-th moment: average of eigenvalue p-th powers."""
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    return float(np.mean(measure.eigenvalues ** p))
-
 
 @dataclass(frozen=True)
 class SymbolPolynomial:
@@ -106,93 +75,72 @@ class SzegoComparison:
 def _trace_moments(spec: ops.OperatorSpec, n: int, ps: Sequence[int]) -> dict[int, float]:
     """Empirical moments via traces of banded powers: (1/n) tr(T_n^p), T Toeplitz.
 
-    Equal to the eigenvalue average but free of eigensolver noise, so
-    moments that vanish by symmetry come out exactly zero.  The powers are
-    those of the CSR matrix of the window, bit for bit (_times).  A row of
-    a power depends only on the same row of the one before, and the rows at
-    least h = max(ps) * (band reach) from both edges read only full rows of
-    T, so they are alike: the powers run on the edge rows and one inner row.
+    Free of eigensolver noise, so moments that vanish by symmetry come out
+    exactly zero.  Row r of T^e is row r of T^(e-1) times T, formed as the
+    classic CSR SpGEMM loop forms it, so every trace has the bits of the
+    CSR powers: each stored entry meets T's row in ascending column order,
+    an entry sums its terms from 0 in arrival order (complex products by
+    parts, as ops._cmul takes them), exact zeros are dropped, and a row is
+    stored in reverse order of first arrival.  The rows at least
+    h = max(ps) * (band reach) from both edges read only full rows of T, so
+    they are alike: the powers run on the edge rows and one inner row.
     """
     top = max(ps, default=0)
-    # no band inside the window is the zero band: every product drops it
-    coeffs = SymbolPolynomial.from_spec(spec).coeffs
-    bands = sorted((-off, c) for off, c in coeffs if abs(off) < n) or [(0, 0j)]
-    d = np.array([b for b, _ in bands])                  # column - row, ascending
-    t = np.array([c for _, c in bands])
-    t = t if t.imag.any() else t.real
-    h = top * int(np.abs(d).max())
-    rows = np.arange(n) if n <= 2 * h + 1 else np.r_[0:h + 1, n - h:n]
-    # band form: offset d[0] + r in row r of the values, over `rows`; a key
-    # orders the entries of a row as stored (T: ascending), inf where none
-    vals = np.zeros((d[-1] - d[0] + 1, len(rows)), t.dtype)
-    keys = np.full(vals.shape, np.inf)
-    for q, dq in enumerate(d):
-        inside = (rows + dq >= 0) & (rows + dq < n)
-        vals[dq - d[0], inside], keys[dq - d[0], inside] = t[q], q
-    power, out = (int(d[0]), vals, keys), {}
-    for e in range(1, top + 1):
-        power = _times(power, d, t, rows, n) if e > 1 else power
-        if e in ps:
-            lo, vals, _ = power
-            diagonal = vals[-lo] if 0 <= -lo < len(vals) else np.zeros(len(rows), t.dtype)
-            if len(rows) < n:      # the inner row stands for the n - 2h middle rows
-                diagonal = np.concatenate((diagonal[:h], np.full(n - 2 * h, diagonal[h]),
-                                           diagonal[h + 1:]))
-            tr = float(diagonal.sum().real)
-            if math.isfinite(tr):
-                out[e] = tr / n
-            else:
-                # the trace overflows though the mean may not: sum the diagonal
-                # scaled by 2^-k (exact), then scale the mean back
-                k = n.bit_length()
-                out[e] = float(np.ldexp(diagonal.real, -k).sum() / n * 2.0 ** k)
+    bands = [(-off, c) for off, c in reversed(SymbolPolynomial.from_spec(spec).coeffs)
+             if abs(off) < n]                       # column - row, ascending
+    real = not any(c.imag for _, c in bands)
+    t = [(d, c.real if real else c) for d, c in bands]
+    zero = 0.0 if real else 0j
+    h = top * max((abs(d) for d, _ in t), default=0)
+    rows = range(n) if n <= 2 * h + 1 else [*range(h + 1), *range(n - h, n)]
+    diagonals: dict[int, list] = {e: [] for e in sorted(ps) if e > 0}
+    for r in rows:
+        row = {r + d: c for d, c in t if 0 <= r + d < n}
+        for e in range(1, top + 1):
+            if e > 1:
+                acc: dict[int, complex] = {}
+                for j, v in row.items():
+                    for d, c in t:
+                        if 0 <= j + d < n:
+                            term = v * c if real else complex(v.real * c.real - v.imag * c.imag,
+                                                              v.real * c.imag + v.imag * c.real)
+                            acc[j + d] = acc.get(j + d, zero) + term
+                row = {k: s for k, s in reversed(acc.items()) if s != 0}
+            if e in diagonals:
+                diagonals[e].append(row.get(r, zero))
+    out = {}
+    for e, values in diagonals.items():
+        diagonal = np.array(values, float if real else complex)
+        if len(rows) < n:          # the inner row stands for the n - 2h middle rows
+            diagonal = np.concatenate((diagonal[:h], np.full(n - 2 * h, diagonal[h]),
+                                       diagonal[h + 1:]))
+        tr = float(diagonal.sum().real)
+        if math.isfinite(tr):
+            out[e] = tr / n
+        else:
+            # the trace overflows though the mean may not: sum the diagonal
+            # scaled by 2^-k (exact), then scale the mean back
+            k = n.bit_length()
+            out[e] = float(np.ldexp(diagonal.real, -k).sum() / n * 2.0 ** k)
     if 0 in ps:
         out[0] = 1.0
     return out
-
-
-def _times(power, d: np.ndarray, t: np.ndarray, rows: np.ndarray, n: int):
-    """power @ T in band form, rounded, summed and ordered as CSR SpGEMM does it.
-
-    As in the classic csr_matmat loop, entry (i, k) of the power meets row k
-    of T (column offsets d, values t) column by column, in the order row i
-    stores them; an entry of the product sums its terms in that arrival
-    order from 0, exact zeros are dropped, and a row stores its entries in
-    reverse order of first arrival.  The key of a term, (key of its power
-    entry) * m + (position in T's row), is its arrival order in the row.
-    """
-    lo, V, K = power
-    m, na = len(d), len(V)
-    width = na + d[-1] - d[0]
-    keys = np.full((m, width, len(rows)), np.inf)
-    vals = np.zeros((m, width, len(rows)), V.dtype)
-    for q in range(m):
-        keys[q, d[q] - d[0]:d[q] - d[0] + na] = K * m + q
-        vals[q, d[q] - d[0]:d[q] - d[0] + na] = ops._cmul(t[q], V)
-    c = lo + d[0] + np.arange(width)
-    keys[:, (rows + c[:, None] < 0) | (rows + c[:, None] >= n)] = np.inf
-    vals[keys == np.inf] = 0       # a term that does not exist adds exactly 0, never 0 * inf
-    acc = np.zeros((width, len(rows)), V.dtype)
-    for v in np.take_along_axis(vals, np.argsort(keys, axis=0), axis=0):
-        acc += v
-    first = keys.min(axis=0)
-    stored = (first < np.inf) & (acc != 0)
-    rank = np.argsort(np.argsort(np.where(stored, -first, np.inf), axis=0), axis=0)
-    keep = np.abs(c) < n           # offsets past the window hold nothing
-    return int(c[keep][0]) if keep.any() else 0, acc[keep], np.where(stored, rank, np.inf)[keep]
 
 
 def szego_compare(spec: ops.OperatorSpec, ns: Sequence[int],
                   ps: Sequence[int]) -> SzegoComparison:
     """Moment table: empirical vs exact symbol moments with per-power trends.
 
-    Raises NumericalFailure when a moment, gap or n * gap (the fitted C) is not finite.
+    Raises ResourceLimit before any work when the diagonal of the largest n
+    is over ops.DENSE_CELLS, and NumericalFailure when a moment, gap or
+    n * gap (the fitted C) is not finite.
     """
     symbol = SymbolPolynomial.from_spec(spec)
     if not symbol.is_hermitian():
         raise NonHermitianCompression("symbol is not Hermitian (c_{-d} != conj(c_d))")
     ns = sorted({int(n) for n in ns})
     ps = sorted({int(p) for p in ps})
+    ops.check_dense(max(ns, default=0), "the trace diagonal")
     refs = {p: symbol_moment(symbol, p) for p in ps}
     rows: list[SzegoRow] = []
     gaps: dict[int, list[float]] = {p: [] for p in ps}

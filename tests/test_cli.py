@@ -457,13 +457,13 @@ print(" ".join(sorted(set(namespace) - {"__builtins__"})))
 
 # what `from foelner import *` binds, as when the package imported every module eagerly
 _STAR_NAMES = """
-AmenabilityWitness BergResult Decomposition EmpiricalSpectralMeasure
+AmenabilityWitness BergResult Decomposition
 FoelnerError GaussianRational InvalidSpec MonomialSubspace NonHermitianCompression NormReport
 NotHermitian NotQuasidiagonalAlongFamily NumericalFailure OperatorSpec ProjectionFamily
 RankStall ResourceLimit SelectorOutOfRange SymbolPolynomial SzegoComparison SzegoRow
 TooFewSamples Verdict WeightUndefined WeylElement Window WindowTooSmall amenability_witness
-berg berg_sequence classify col_support compress decomp degree_monomials empirical_spectrum
-entry errors fitted_gap_constant foelner_ratio halmos_decompose moment multiply norms ops
+berg berg_sequence classify col_support compress decomp degree_monomials
+entry errors fitted_gap_constant foelner_ratio halmos_decompose multiply norms ops
 parse_element propagation random_hermitian report report_sequence represent row_support
 select_subsequence seminorm sparse_family symbol_moment szego szego_compare to_text u_norm
 u_sequence weyl
@@ -694,7 +694,8 @@ def test_flag_overrides_spec_experiment(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["weyl-represent", REPO / "specs" / "weyl_window.json", "--window", "100000"],
     ["berg", "--dim", "100000"],
-], ids=["weyl-represent", "berg"])
+    ["szego", REPO / "specs" / "szego_cos.json", "--ns", "1000000000"],
+], ids=["weyl-represent", "berg", "szego"])
 def test_dense_window_over_budget_exits_3_without_allocating(tmp_path, capsys, argv):
     out_file = tmp_path / "r.txt"
     start = time.perf_counter()
@@ -880,6 +881,19 @@ def test_schema_valid_edge_documents_exit_cleanly(tmp_path, capsys, command, doc
     assert got == code and err in stderr and "Traceback" not in stderr
     if command == "halmos" and code == 0:
         assert json.loads(out)["epsilon"] == 0.1
+
+
+def test_szego_on_a_sparse_wide_symbol(tmp_path, capsys):
+    # bands at +-100000: every row is an edge row at p = 2, but each holds at most two entries
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"operator": {"kind": "toeplitz",
+                                             "bands": {"-100000": 1, "100000": 1}},
+                                "experiment": {"ns": [300000], "ps": [1, 2]}}))
+    code, out, err = run(["szego", spec, "--no-timestamp"], capsys)
+    assert code == 0 and err == ""
+    rows = [l.split(",")[:3] for l in out.splitlines() if l and not l.startswith("#")][1:]
+    # tr(T_n^2) counts the 2 (n - 10^5) entries of the two bands
+    assert rows == [["300000", "1", "0.0"], ["300000", "2", "1.3333333333333333"]]
 
 
 @pytest.mark.parametrize("kind", ["creation", "hermite_q", "example_A"])

@@ -389,6 +389,9 @@ def _hermitian_toeplitz(draw):
 # entries, which reorders the rows of T^3 and moves the bits of tr(T^5)
 @example(OperatorSpec.toeplitz({1: 2, -1: 2, 2: 0.5824992988419392, -2: 0.5824992988419392,
                                 3: -1, -3: -1}), 19, {5})
+# h = 5 * 3 = 15: at n = 31 every row is an edge row, at n = 32 row 15 stands for 15 and 16
+@example(OperatorSpec.toeplitz({0: 0.25, 1: 1.5, -1: 1.5, 3: -0.5, -3: -0.5}), 31, {5})
+@example(OperatorSpec.toeplitz({0: 0.25, 1: 1.5, -1: 1.5, 3: -0.5, -3: -0.5}), 32, {5})
 def test_trace_moments_match_csr_powers(spec, n, ps):
     ps = sorted(ps)
     got, want = szego._trace_moments(spec, n, ps), csr_trace_moments(spec, n, ps)

@@ -2,29 +2,16 @@ import numpy as np
 import pytest
 
 from foelner import ops, szego
-from foelner.errors import InvalidSpec, NonHermitianCompression
+from foelner.errors import InvalidSpec, NonHermitianCompression, ResourceLimit
 
 TWO_COS = ops.OperatorSpec.toeplitz({1: 1.0, -1: 1.0})
 MIXED = ops.OperatorSpec.toeplitz({1: 1.0, -1: 1.0, 2: 0.5, -2: 0.5})
 
 
-def test_empirical_eigenvalues_closed_form():
-    m = szego.empirical_spectrum(TWO_COS, 5)
+def test_compression_eigenvalues_closed_form():
+    ev = np.linalg.eigvalsh(ops.compress(TWO_COS, 5).entries)
     want = np.sort(2 * np.cos(np.arange(1, 6) * np.pi / 6))
-    assert np.allclose(m.eigenvalues, want, atol=1e-12)
-
-
-def test_empirical_rejects_non_hermitian():
-    with pytest.raises(NonHermitianCompression):
-        szego.empirical_spectrum(ops.OperatorSpec.weighted_shift("const:1"), 5)
-
-
-def test_moment_basics():
-    m = szego.empirical_spectrum(TWO_COS, 7)
-    assert szego.moment(m, 0) == 1.0
-    assert szego.moment(m, 1) == pytest.approx(float(np.mean(m.eigenvalues)), abs=1e-15)
-    with pytest.raises(ValueError):
-        szego.moment(m, -1)
+    assert np.allclose(ev, want, atol=1e-12)
 
 
 def test_symbol_from_spec_requires_toeplitz():
@@ -54,8 +41,7 @@ def test_symbol_moments_mixed():
 def test_second_moment_gap_is_exactly_two_over_n():
     # trace of T_n^2 misses exactly the two band entries cut at the corner
     for n in (10, 100, 1000):
-        m = szego.empirical_spectrum(TWO_COS, n)
-        assert abs(szego.moment(m, 2) - 2.0) == pytest.approx(2 / n, abs=1e-12)
+        assert abs(szego._trace_moments(TWO_COS, n, [2])[2] - 2.0) == pytest.approx(2 / n, abs=1e-12)
 
 
 def test_compare_table_and_monotone_trend():
@@ -87,6 +73,11 @@ def test_odd_moment_gaps_vanish_exactly():
 def test_compare_rejects_non_hermitian_symbol():
     with pytest.raises(NonHermitianCompression):
         szego.szego_compare(ops.OperatorSpec.toeplitz({1: 1.0}), ns=[8], ps=[2])
+
+
+def test_compare_refuses_a_diagonal_over_the_dense_budget():
+    with pytest.raises(ResourceLimit):
+        szego.szego_compare(TWO_COS, ns=[50, ops.DENSE_CELLS + 1], ps=[2])
 
 
 def test_mixed_symbol_moments_converge():
