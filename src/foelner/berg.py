@@ -18,9 +18,10 @@ The boundary terms between the swept part and its complement form a
 perturbation K, of norm below eps: B = V* diag(lam0) V is 0 between pieces that
 share no coordinate, and K is B off its same-step blocks, built per connected
 component.  ||[A, P_n]|| (e_n the rank after step n) is the top singular value
-of K[e_n:, :e_n], ||K|| that of K (norms._triplet_svals).  B differs from W*AW
-(W = E0 V) by W*RW, R = A - E0 diag(lam0) E0* being eigh's backward error: the
-order of the rounding of W*AW itself."""
+of the corner K[e_n:, :e_n], which holds the entries (i, j) with step(j) <= n <
+step(i) (norms._segments takes every corner at once), ||K|| that of K.  B differs
+from W*AW (W = E0 V) by W*RW, R = A - E0 diag(lam0) E0* being eigh's backward
+error: the order of the rounding of W*AW itself."""
 
 from __future__ import annotations
 
@@ -179,9 +180,9 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
         B = Vc.conj().transpose(0, 2, 1) @ (lam0[R][:, :, None] * Vc)
         B[step_of[P][:, :, None] == step_of[P][:, None, :]] = 0     # K: B off its step blocks
         t, i, j = np.nonzero(B)
-        K.append(ops._entries(P[t, i], P[t, j], B[t, i, j]))
-    K = np.concatenate(K)
-    top = [float(np.max(norms._triplet_svals(k), initial=0.0))
-           for k in [K] + [K[(K["i"] >= e) & (K["j"] < e)] for e in np.cumsum(ranks)]]
-    return BergResult(dim=N, block_ranks=tuple(ranks), commutator_norms=tuple(top[1:]),
-                      perturbation_norm=top[0], basis=E0, coords=V)
+        K.append((P[t, i], P[t, j], B[t, i, j]))
+    i, j, v = (np.concatenate(x) for x in zip(*K))
+    top = norms._segments(i, j, v, step_of[j], step_of[i], 0, len(ranks), False)[0]
+    return BergResult(dim=N, block_ranks=tuple(ranks), commutator_norms=tuple(top.tolist()),
+                      perturbation_norm=float(norms._triplet_svals(i, j, v).max(initial=0.0)),
+                      basis=E0, coords=V)

@@ -121,8 +121,7 @@ def halmos_decompose(spec: ops.OperatorSpec, boundaries: Sequence[int], N: int,
     linked = crossing(B)
     resid = float(np.max(np.abs(B["v"][linked]))) if linked.any() else 0.0
 
-    sv = norms._triplet_svals(K)
-    k_norm = float(sv[0]) if sv.size else 0.0
+    k_norm = float(norms._triplet_svals(K["i"], K["j"], K["v"]).max(initial=0.0))
     return Decomposition(
         boundaries=tuple(bs),
         dim=N,

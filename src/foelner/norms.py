@@ -17,10 +17,13 @@ nonzero entries occupy pairwise distinct rows and columns (every shift
 against every coordinate projection) have singular values equal to the entry
 moduli; that exact path avoids the SVD entirely.  From triplets, s2 is the
 square root of the correctly rounded sum (math.fsum) of the squared real and
-imaginary parts of the entries, so it does not depend on their order.
-A grid of n takes one pass for all its commutators (_grid) over the entries
-that ops._commutator_entries assigns to each n; a single n is a one-point
-grid, with the same bits as any grid that holds it.
+imaginary parts of the entries, so it does not depend on their order (inf
+where that sum leaves the float range).  Along a nested sequence of
+projections each entry lies in the commutators of a range of its members, so
+one routine (_segments) takes the seminorms of them all from the entries and
+their ranges: a grid of n (_grid, over ops._commutator_entries; a single n is
+a one-point grid, with the same bits as any grid that holds it) and the step
+corners of berg's perturbation.
 """
 
 from __future__ import annotations
@@ -106,58 +109,49 @@ def _stacks(i: np.ndarray, j: np.ndarray, v: np.ndarray) -> Iterator[tuple[np.nd
         yield R, C, a
 
 
-def _triplet_svals(entries) -> np.ndarray:
-    """Singular values of the sparse matrix given by merged entries, descending.
+def _triplet_svals(i: np.ndarray, j: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Singular values of the sparse matrix with merged entries (i, j, v), descending.
 
-    entries is an _ENTRY array (or a list of (i, j, v) tuples).  A direct sum has the
-    union of its summands' singular values, so each connected component of the row/column
-    graph gets its own small SVD (one stacked call per shape and real/complex choice, with
-    the bits of a call per block).  When every component is a single entry (a scaled
-    partial permutation) the singular values are the entry moduli, found without the graph.
+    A direct sum has the union of its summands' singular values, so each connected
+    component of the row/column graph gets its own small SVD (one stacked call per shape
+    and real/complex choice, with the bits of a call per block).  When every component is
+    a single entry (a scaled partial permutation) the singular values are the entry
+    moduli, found without the graph.
     """
-    e = entries if isinstance(entries, np.ndarray) else np.asarray(entries, dtype=ops._ENTRY)
-    if not len(e):
+    if not len(v):
         return np.zeros(0)
-    if _distinct(e["i"]) and _distinct(e["j"]):
-        return np.sort(np.abs(e["v"]))[::-1]
+    if _distinct(i) and _distinct(j):
+        return np.sort(np.abs(v))[::-1]
     parts = []
-    for _, _, a in _stacks(e["i"], e["j"], e["v"]):
+    for _, _, a in _stacks(i, j, v):
         real = np.all(a.imag == 0, axis=(1, 2))
         parts += [_svdvals(b).ravel() for b in (a[real].real, a[~real]) if len(b)]
     return np.sort(np.concatenate(parts))[::-1]
 
 
-def _frobenius(v: np.ndarray) -> float:
-    """sqrt of the correctly rounded sum of the squared parts of v; inf on overflow."""
-    squares = v.real * v.real
-    if v.dtype.kind == "c" and v.imag.any():
-        squares = np.concatenate((squares, v.imag * v.imag))
-    try:
-        return math.sqrt(_exact_sum(squares))
-    except OverflowError:
-        return math.inf
-
-
 def _exact_sum(x: np.ndarray) -> float:
-    """The correctly rounded sum of the finite nonnegative floats x, as math.fsum gives it.
+    """The correctly rounded sum of the nonnegative floats x (math.fsum's), inf on overflow.
 
     Long arrays are summed exactly in integers: x = m 2^(e-53) with a 53-bit
     integer m (np.frexp), whose top 27 and low 26 bits are added per exponent
     by np.bincount, exactly while fewer than 2^26 of them are.
     """
-    if not 2048 <= len(x) < 1 << 26 or not np.isfinite(x).all():
-        return math.fsum(x.tolist())
-    frac, exp = np.frexp(x)
-    frac *= 2.0 ** 27
-    high = np.floor(frac)
-    frac -= high                      # the low 26 bits, as a fraction
-    frac *= 2.0 ** 26
-    base = int(exp.min())
-    k = exp - base
-    total = sum((int(h) << 26) + int(r) << s for s, (h, r) in enumerate(zip(
-        np.bincount(k, weights=high).tolist(), np.bincount(k, weights=frac).tolist())))
-    shift = 53 - base
-    return total / (1 << shift) if shift >= 0 else float(total << -shift)
+    try:
+        if not 2048 <= len(x) < 1 << 26 or not np.isfinite(x).all():
+            return math.fsum(x.tolist())
+        frac, exp = np.frexp(x)
+        frac *= 2.0 ** 27
+        high = np.floor(frac)
+        frac -= high                      # the low 26 bits, as a fraction
+        frac *= 2.0 ** 26
+        base = int(exp.min())
+        k = exp - base
+        total = sum((int(h) << 26) + int(r) << s for s, (h, r) in enumerate(zip(
+            np.bincount(k, weights=high).tolist(), np.bincount(k, weights=frac).tolist())))
+        shift = 53 - base
+        return total / (1 << shift) if shift >= 0 else float(total << -shift)
+    except OverflowError:
+        return math.inf
 
 
 def seminorm(w: ops.Window | np.ndarray, mode: str) -> float:
@@ -265,10 +259,9 @@ def _grid(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int],
           full: bool) -> tuple[list[float], list[float], list[float]]:
     """u, s1, s2 of [T, R_n] for every n of the ascending grid ns (s1, s2 only if full).
 
-    Each entry of ops._commutator_entries is expanded into one (entry, grid
-    point) pair per grid point of its range, chunk by chunk of grid points
-    (_chunks), and the pairs of one grid point form its segment; _segments
-    evaluates them.  Seminorms past the float range come out as inf, without
+    Each entry of ops._commutator_entries lies in the segments of the grid
+    points of its range; _segments measures them, chunk by chunk of grid
+    points (_chunks).  Seminorms past the float range come out as inf, without
     a warning; report raises NumericalFailure for them.
     """
     u, s1, s2 = np.zeros(len(ns)), np.zeros(len(ns)), np.zeros(len(ns))
@@ -283,18 +276,8 @@ def _group(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int], ful
     u, s1, s2 = np.zeros(G), np.zeros(G), np.zeros(G)
     i, j, v, lo, hi = ops._commutator_entries(spec, fam, ns)
     for ga, gb, cand in _chunks(lo, hi, G):
-        i_, j_, v_ = i[cand], j[cand], v[cand]
-        if gb - ga == 1:
-            u[ga], s1[ga], s2[ga] = _segment_norms(i_, j_, v_, full)
-        elif len(v_):
-            a, b = np.maximum(lo[cand], ga), np.minimum(hi[cand], gb)
-            count = b - a
-            if count.max() == 1:
-                src, seg = None, a - ga
-            else:
-                src = np.repeat(np.arange(len(v_)), count)
-                seg = np.arange(len(src)) - np.repeat(np.cumsum(count) - count - (a - ga), count)
-            u[ga:gb], s1[ga:gb], s2[ga:gb] = _segments(i_, j_, v_, src, seg, gb - ga, full)
+        u[ga:gb], s1[ga:gb], s2[ga:gb] = _segments(i[cand], j[cand], v[cand], lo[cand],
+                                                   hi[cand], ga, gb, full)
     return u, s1, s2
 
 
@@ -344,73 +327,80 @@ def _chunks(lo: np.ndarray, hi: np.ndarray, G: int):
         ga = gb
 
 
-def _segment_norms(i: np.ndarray, j: np.ndarray, v: np.ndarray,
-                   full: bool) -> tuple[float, float, float]:
-    """u, s1, s2 of the sparse matrix with merged entries (i, j, v) (s1, s2 only if full)."""
-    if _distinct(i) and _distinct(j):
-        if not full:
-            return (float(np.abs(v).max()) if len(v) else 0.0), 0.0, 0.0
-        sv = np.sort(np.abs(v))[::-1]
-    else:
-        sv = _triplet_svals(ops._entries(i, j, v))
-    u = float(sv[0]) if sv.size else 0.0
-    if not full:
-        return u, 0.0, 0.0
-    s1, sv = float(sv.sum()), None      # sv freed before _frobenius's temporaries
-    return u, s1, _frobenius(v)
+def _segments(i, j, v, lo, hi, ga, gb, full):
+    """u, s1, s2 arrays of segments ga .. gb - 1 (s1, s2 only if full); entry k lies in
+    segments lo[k] .. hi[k] - 1 (in none if hi[k] <= lo[k]).
 
-
-def _segments(i, j, v, src, seg, S, full):
-    """u, s1, s2 arrays of S segments; pair k is entry src[k] (k if src is None) in segment seg[k].
-
-    Segments of 8 or more entries go through _segment_norms one by one.  The
-    smaller ones become rows of 7 zero-padded columns, all tested and summed
-    at once: sorting a row of row (column) indices shows whether they are
-    distinct, and np.sum adds fewer than 8 terms one by one from 0.0, which
-    the column-by-column sum of the sorted moduli repeats.
+    A lone segment and those of 8 or more entries are measured one by one (_triplet_svals;
+    s1 sums the singular values in descending order, s2 is the root of the correctly
+    rounded sum of the squared parts).  The smaller ones become rows of 7 zero-padded
+    columns, all tested and summed at once: sorting a row of row (column) indices shows
+    whether they are distinct (else the row is measured on its own), and np.sum adds
+    fewer than 8 terms one by one from 0.0, which the column-by-column sum of the sorted
+    moduli repeats.
     """
-    if np.any(seg[1:] < seg[:-1]):
-        # a stable sort of 16-bit keys is a radix sort
-        order = np.argsort(seg.astype(np.uint16) if S <= 1 << 16 else seg, kind="stable")
-        src, seg = (order if src is None else src[order]), seg[order]
-    count = np.bincount(seg, minlength=S)
-    end = np.cumsum(count)
-    start = end - count
+    S = gb - ga
     u, s1, s2 = np.zeros(S), np.zeros(S), np.zeros(S)
-    small = count < 8
-    rows = np.flatnonzero(small)
-    if rows.size:
-        at = small[seg]
-        e, g = (np.flatnonzero(at) if src is None else src[at]), seg[at]
-        cell = ((np.cumsum(small) - 1)[g], np.flatnonzero(at) - start[g])
+    if S == 1 or not len(v):    # no ranges to expand, sort or count
+        inside = (lo <= ga) & (hi > ga)
+        src = None if inside.all() else np.flatnonzero(inside)
+        start, end, alone = [0], [np.count_nonzero(inside)], [0]
+    else:
+        lo, hi = np.maximum(lo - ga, 0), np.minimum(hi - ga, S)
+        count = np.maximum(hi - lo, 0)
+        if np.all(count == 1):
+            src, seg = None, lo
+        else:       # pair k is entry src[k] in segment seg[k]
+            src = np.repeat(np.arange(len(v)), count)
+            seg = np.arange(len(src)) - np.repeat(np.cumsum(count) - count - lo, count)
+        count = np.bincount(seg, minlength=S)
+        if np.any(seg[1:] < seg[:-1]):
+            # a stable sort of 16-bit keys is a radix sort; seg is freed, then rebuilt from count
+            order = np.argsort(seg.astype(np.uint16) if S <= 1 << 16 else seg, kind="stable")
+            src, seg = (order if src is None else src[order]), None
+            seg = np.repeat(np.arange(S), count)
+        end = np.cumsum(count)
+        start = end - count
+        small = count < 8
+        rows = np.flatnonzero(small)
+        if rows.size:
+            at = small[seg]
+            e, g = (np.flatnonzero(at) if src is None else src[at]), seg[at]
+            cell = ((np.cumsum(small) - 1)[g], np.flatnonzero(at) - start[g])
 
-        def table(x, pad):
-            t = np.tile(pad, (len(rows), 1))
-            t[cell] = x
-            return t
+            def table(x, pad):
+                t = np.tile(pad, (len(rows), 1))
+                t[cell] = x
+                return t
 
-        solo = np.ones(len(rows), bool)
-        for x in (i, j):
-            ids = _dense_ids(x[e])[0] if x.dtype == object else x[e]
-            t = np.sort(table(ids, -1 - np.arange(7)), axis=1)
-            solo &= ~(t[:, 1:] == t[:, :-1]).any(axis=1)
-        mods = np.sort(table(np.abs(v[e]), np.zeros(7)), axis=1)[:, ::-1]
-        u[rows] = mods[:, 0]
-        if full:
-            acc = mods[:, 0].copy()
-            for c in range(1, 7):
-                acc += mods[:, c]
-            s1[rows] = acc
-            squares = np.hstack([table(x[e] * x[e], np.zeros(7)) for x in (v.real, v.imag)])
-            # a sum with at most two nonzero terms rounds once, as math.fsum does
-            total = squares.sum(axis=1)
-            many = np.count_nonzero(squares, axis=1) > 2
-            total[many] = [math.fsum(r) for r in squares[many].tolist()]
-            s2[rows] = np.sqrt(total)
-        rows = rows[~solo]
-    for k in np.concatenate((np.flatnonzero(~small), rows)).tolist():
+            solo = np.ones(len(rows), bool)
+            for x in (i, j):
+                ids = _dense_ids(x[e])[0] if x.dtype == object else x[e]
+                t = np.sort(table(ids, -1 - np.arange(7)), axis=1)
+                solo &= ~(t[:, 1:] == t[:, :-1]).any(axis=1)
+            mods = np.sort(table(np.abs(v[e]), np.zeros(7)), axis=1)[:, ::-1]
+            u[rows] = mods[:, 0]
+            if full:
+                s1[rows] = sum(mods.T[1:], mods[:, 0])      # column by column
+                squares = np.hstack([table(x[e] * x[e], np.zeros(7)) for x in (v.real, v.imag)])
+                # a sum with at most two nonzero terms rounds once, as math.fsum does
+                total = squares.sum(axis=1)
+                many = np.count_nonzero(squares, axis=1) > 2
+                total[many] = [_exact_sum(r) for r in squares[many]]
+                s2[rows] = np.sqrt(total)
+            rows = rows[~solo]
+        alone = np.concatenate((np.flatnonzero(~small), rows)).tolist()
+    for k in alone:
         at = slice(start[k], end[k]) if src is None else src[start[k]:end[k]]
-        u[k], s1[k], s2[k] = _segment_norms(i[at], j[at], v[at], full)
+        w = v[at]
+        sv = _triplet_svals(i[at], j[at], w)
+        u[k] = sv[0] if len(sv) else 0.0
+        if full:
+            s1[k], sv = sv.sum(), None      # sv freed before the squares are formed
+            squares = w.real * w.real
+            if w.dtype.kind == "c" and w.imag.any():
+                squares = np.concatenate((squares, w.imag * w.imag))
+            s2[k] = math.sqrt(_exact_sum(squares))
     return u, s1, s2
 
 

@@ -450,13 +450,8 @@ def _merge(pos: np.ndarray, idx: np.ndarray,
         first[1:] = (ps[1:] != ps[:-1]) | (xs[1:] != xs[:-1])
         if np.count_nonzero(first) < len(first):
             starts = np.flatnonzero(first)
-            group = np.cumsum(first) - 1
-            rank = np.arange(len(ps)) - starts[group]
-            vs = vals[order]
-            acc = np.zeros(len(starts), vs.dtype)
-            for r in range(int(rank.max()) + 1):
-                at = rank == r
-                acc[group[at]] += vs[at]
+            acc = np.zeros(len(starts), vals.dtype)
+            np.add.at(acc, np.cumsum(first) - 1, vals[order])     # in index order, from 0
             back = np.argsort(order[starts])
             pos, idx, vals = ps[starts][back], xs[starts][back], acc[back]
     return _nonzero(pos, idx, vals)
@@ -564,6 +559,8 @@ def hermitian_part(a: np.ndarray, tol: float, error: type[Exception],
 # ResourceLimit past it; sparse paths (halmos, triplet norms) never allocate a
 # dense window and are not bound by it; szego checks its O(n) trace diagonal.
 DENSE_CELLS = 1 << 24
+# Budget for the products of szego's trace row loop: 10^9, a couple of minutes of it.
+TRACE_TERMS = 10 ** 9
 
 # Matrix entries (row i, column j, value v) as one record array; indices past
 # int64 are held as Python ints.

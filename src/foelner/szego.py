@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ops
-from .errors import InvalidSpec, NonHermitianCompression, NumericalFailure
+from .errors import InvalidSpec, NonHermitianCompression, NumericalFailure, ResourceLimit
 
 @dataclass(frozen=True)
 class SymbolPolynomial:
@@ -93,6 +93,16 @@ def _trace_moments(spec: ops.OperatorSpec, n: int, ps: Sequence[int]) -> dict[in
     zero = 0.0 if real else 0j
     h = top * max((abs(d) for d, _ in t), default=0)
     rows = range(n) if n <= 2 * h + 1 else [*range(h + 1), *range(n - h, n)]
+    # a row of T^e holds at most min(n, bands^e, e * span + 1) entries, each meeting every band
+    terms, width, span = 0, 1, t[-1][0] - t[0][0] if t else 0
+    for e in range(1, top):     # once the bound stops growing it holds for every later power
+        width, last = min(n, width * len(t), e * span + 1), width
+        terms += len(rows) * len(t) * width * (top - e if width == last else 1)
+        if width == last or terms > ops.TRACE_TERMS:
+            break
+    if terms > ops.TRACE_TERMS:
+        raise ResourceLimit(f"the traces at n={n} up to power {top} may take more than "
+                            f"the budget of {ops.TRACE_TERMS} products")
     diagonals: dict[int, list] = {e: [] for e in sorted(ps) if e > 0}
     for r in rows:
         row = {r + d: c for d, c in t if 0 <= r + d < n}
@@ -132,8 +142,9 @@ def szego_compare(spec: ops.OperatorSpec, ns: Sequence[int],
     """Moment table: empirical vs exact symbol moments with per-power trends.
 
     Raises ResourceLimit before any work when the diagonal of the largest n
-    is over ops.DENSE_CELLS, and NumericalFailure when a moment, gap or
-    n * gap (the fitted C) is not finite.
+    is over ops.DENSE_CELLS or its traces may take more than ops.TRACE_TERMS
+    products (its moments are taken first), and NumericalFailure when a
+    moment, gap or n * gap (the fitted C) is not finite.
     """
     symbol = SymbolPolynomial.from_spec(spec)
     if not symbol.is_hermitian():
@@ -141,13 +152,13 @@ def szego_compare(spec: ops.OperatorSpec, ns: Sequence[int],
     ns = sorted({int(n) for n in ns})
     ps = sorted({int(p) for p in ps})
     ops.check_dense(max(ns, default=0), "the trace diagonal")
+    moments = {n: _trace_moments(spec, n, ps) for n in reversed(ns)}     # the largest n binds
     refs = {p: symbol_moment(symbol, p) for p in ps}
     rows: list[SzegoRow] = []
     gaps: dict[int, list[float]] = {p: [] for p in ps}
     for n in ns:
-        emps = _trace_moments(spec, n, ps)
         for p in ps:
-            emp = emps[p]
+            emp = moments[n][p]
             gap = abs(emp - refs[p])
             if not math.isfinite(n * gap):
                 raise NumericalFailure(f"the moment gap for p={p} at n={n} leaves the "

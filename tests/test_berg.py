@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from foelner import berg, ops
+from foelner import berg, norms, ops, weyl
 from foelner.errors import NotHermitian
 
 
@@ -265,3 +265,52 @@ def test_sweep_order_is_a_relabelling():
     assert all(_close(x, y) for x, y in zip(r.commutator_norms, rp.commutator_norms))
     assert _close(r.perturbation_norm, rp.perturbation_norm)
     assert all(np.max(np.abs(z[p] - zp)) <= 1e-12 for z, zp in zip(r.step_bases, rp.step_bases))
+
+
+def _corner_formula(i, j, v, ranks):
+    """||K|| and every ||[A, P_n]|| by the per-corner formula: _triplet_svals of K and of each
+    corner K[e_n:, :e_n], e_n the rank after step n, taken on its own."""
+    masks = [np.ones(len(v), bool)] + [(i >= e) & (j < e) for e in np.cumsum(ranks)]
+    return [float(np.max(norms._triplet_svals(i[m], j[m], v[m]), initial=0.0)) for m in masks]
+
+
+_PQ4 = weyl.represent(weyl.parse_element("p^2+q^4"), 256).entries
+_CORNER_CASES = [pytest.param(berg.random_hermitian(dim, dim + 1), eps, id=f"random-{dim}-eps{eps}")
+                 for dim, eps in ((8, 0.5), (16, 0.2), (20, 0.5), (33, 0.3), (48, 0.2), (128, 0.2),
+                                  (384, 0.05))]
+# 126 steps each; at eps 0.05 K is 0, at eps 1000 seven corners hold 8 or more entries
+_CORNER_CASES += [pytest.param(_PQ4, eps, id=f"p2+q4-256-eps{eps}") for eps in (0.05, 1000.0)]
+
+
+def _sweep_with_k(a, eps):
+    """A natural-order sweep of a, and the entries (i, j, v) of K that it hands to _segments."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "_segments", lambda i, j, v, *rest, f=norms._segments:
+                   seen.append((i, j, v)) or f(i, j, v, *rest))
+        r = berg.berg_sequence(a, range(1, a.shape[0] + 1), eps)
+    (k,) = seen
+    return (r, *k)
+
+
+@pytest.mark.parametrize("a, eps", _CORNER_CASES)
+def test_corner_norms_are_the_per_corner_formula(a, eps):
+    # all corners come from one _segments call over K; the formula it replaced is the
+    # oracle, bit for bit, on the K that the sweep built
+    r, i, j, v = _sweep_with_k(a, eps)
+    want = _corner_formula(i, j, v, r.block_ranks)
+    assert r.perturbation_norm == want[0]
+    assert r.commutator_norms == tuple(want[1:])
+
+
+def test_corner_cases_reach_every_segment_branch():
+    # corners of 8 or more entries, of fewer that are or are not a scaled partial
+    # permutation, and empty ones
+    kinds = set()
+    for case in _CORNER_CASES:
+        r, i, j, v = _sweep_with_k(*case.values)
+        for e in np.cumsum(r.block_ranks):
+            m = (i >= e) & (j < e)
+            kinds.add("empty" if not m.any() else "large" if m.sum() >= 8 else
+                      "permutation" if norms._distinct(i[m]) and norms._distinct(j[m]) else "small")
+    assert kinds == {"empty", "large", "permutation", "small"}

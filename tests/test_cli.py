@@ -771,6 +771,29 @@ def test_overflowing_seminorms_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_overflowing_s2_of_small_segments_exits_3(tmp_path, capsys):
+    # the grid's table of small segments gives s2 = inf, as the one-point report does
+    spec = tmp_path / "dilation.json"
+    spec.write_text(json.dumps({"operator": {"kind": "dilation_shift", "weight": "const:1e154"}}))
+    code, out, err = run(["norms", spec, "--n-start", "6", "--n-end", "7", "--n-step", "1"],
+                         capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("NumericalFailure: seminorms of [T, R_6] are not finite")
+    assert "Traceback" not in err
+
+
+def test_szego_past_the_trace_budget_exits_3_at_once(tmp_path, capsys):
+    # reach 1000 at n = 10^4 bounds the row loop at about 2 10^11 products, hours of work
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"operator": {"kind": "toeplitz", "bands": {
+        str(d): 1 for d in range(-1000, 1001)}}, "experiment": {"ns": [10, 10000]}}))
+    start = time.perf_counter()
+    code, out, err = run(["szego", spec, "--ps", "1,2,3,4"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("ResourceLimit: the traces at n=10000 up to power 4 ")
+
+
 def test_failed_rename_keeps_old_output_and_no_temp_file(tmp_path, capsys, monkeypatch):
     target = tmp_path / "report.csv"
     target.write_text("old report\n")

@@ -408,7 +408,7 @@ def test_trace_moments_match_csr_powers(spec, n, ps):
 def ref_norms(spec, fam, n):
     """(rank, u, s1, s2) of [T, R_n] from its triplets alone, as report built them per n."""
     e = ops.commutator_triplets(spec, fam, n)
-    sv = norms._triplet_svals(e)
+    sv = norms._triplet_svals(e["i"], e["j"], e["v"])
     v = e["v"]
     s2 = math.sqrt(math.fsum((v.real * v.real).tolist() + (v.imag * v.imag).tolist()))
     return fam.rank(n), float(sv[0]) if sv.size else 0.0, float(sv.sum()), s2

@@ -241,7 +241,7 @@ def test_triplet_svals_match_dense_svd(shapes, complex_values):
         trips = _block_triplets(rng, shapes, complex_values)
         e = np.asarray(trips, dtype=ops._ENTRY)
         assert sum(len(a) for _, _, a in norms._stacks(e["i"], e["j"], e["v"])) == len(shapes)
-        got = norms._triplet_svals(trips)
+        got = norms._triplet_svals(e["i"], e["j"], e["v"])
         # the whole matrix with its empty rows and columns removed
         (rows, ri), (cols, ci) = (np.unique(x, return_inverse=True) for x in (e["i"], e["j"]))
         compact = np.zeros((len(rows), len(cols)), complex)
@@ -322,10 +322,12 @@ def _mixed_corpus():
 
 
 def _berg_perturbations():
-    """The K entries that berg_sequence hands to _triplet_svals on a few seeded windows."""
+    """The entries that berg_sequence hands to _triplet_svals on a few seeded windows: the whole
+    of K, and each corner K[e_n:, :e_n] that _segments measures on its own."""
     seen = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(norms, "_triplet_svals", lambda e, f=norms._triplet_svals: seen.append(e) or f(e))
+        mp.setattr(norms, "_triplet_svals",
+                   lambda *e, f=norms._triplet_svals: seen.append(ops._entries(*e)) or f(*e))
         for dim, eps in ((33, 0.5), (64, 0.05), (64, 0.3), (128, 0.2)):
             berg_sequence(random_hermitian(dim, dim + 1), range(1, dim + 1), eps)
     return [e for e in seen if not (norms._distinct(e["i"]) and norms._distinct(e["j"]))]
@@ -338,7 +340,7 @@ def test_stacked_triplet_svals_are_the_per_component_svds():
     captured = _berg_perturbations()
     assert len(captured) >= 8
     for e in corpus + captured:
-        got = norms._triplet_svals(e)
+        got = norms._triplet_svals(e["i"], e["j"], e["v"])
         blocks = _scipy_blocks(e)
         want = np.concatenate([np.linalg.svd(b.real if np.all(b.imag == 0) else b,
                                              compute_uv=False) for b in blocks])
@@ -352,9 +354,9 @@ def test_stacked_triplet_svals_are_the_per_component_svds():
 
 
 def test_triplet_svals_partial_permutation_is_moduli():
-    trips = [(4, 9, 3 - 4j), (1, 2, -0.5), (9, 4, 2j), (2, 1, 1e-3)]
-    assert norms._triplet_svals(trips).tolist() == [5.0, 2.0, 0.5, 1e-3]
-    assert norms._triplet_svals([]).size == 0
+    i, j, v = np.array([4, 1, 9, 2]), np.array([9, 2, 4, 1]), np.array([3 - 4j, -0.5, 2j, 1e-3])
+    assert norms._triplet_svals(i, j, v).tolist() == [5.0, 2.0, 0.5, 1e-3]
+    assert norms._triplet_svals(i[:0], j[:0], v[:0]).size == 0
 
 
 _POW2 = ProjectionFamily.sparse(lambda t: 2 ** t)
@@ -395,6 +397,41 @@ def test_failing_grid_raises_what_its_first_failing_point_raises(spec, fam, ns):
     assert type(grid.value) is type(first) and str(grid.value) == str(first)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_segments_are_the_per_segment_formula(seed):
+    # oracle: each segment's entries (lo <= g < hi) measured on their own, bit for bit; a
+    # quarter of the cases are one segment, with entries outside it
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(0, 60))
+    cells = rng.choice(400, size=m, replace=False)
+    i, j = cells // 20 + 1, cells % 20 + 1
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m) * (seed % 2)
+    lo = rng.integers(-3, 12, m)
+    hi = lo + rng.integers(-2, 10, m)
+    ga = int(rng.integers(-2, 6))
+    gb = ga + (1 if seed % 4 == 0 else int(rng.integers(2, 10)))
+    u, s1, s2 = norms._segments(i, j, v, lo, hi, ga, gb, True)
+    assert np.array_equal(norms._segments(i, j, v, lo, hi, ga, gb, False)[0], u)
+    for g in range(ga, gb):
+        at = (lo <= g) & (g < hi)
+        sv, w = norms._triplet_svals(i[at], j[at], v[at]), v[at]
+        assert u[g - ga] == (sv[0] if len(sv) else 0.0)
+        assert s1[g - ga] == sv.sum()
+        assert s2[g - ga] == math.sqrt(math.fsum((w.real * w.real).tolist()
+                                                 + (w.imag * w.imag).tolist()))
+
+
+def test_small_segments_past_the_float_range_give_inf():
+    # three or four finite squares of 1e308 per segment: their exact sum overflows, which
+    # the table of small segments must give as inf, as a segment measured alone does
+    spec = OperatorSpec.dilation_shift("const:1e154")
+    u, s1, s2 = norms._grid(spec, CANON, [6, 7], True)
+    assert u == [1e154, 1e154] and s1 == [3e154, 4e154]
+    assert s2 == [math.inf, math.inf]
+    with pytest.raises(FoelnerError, match=r"seminorms of \[T, R_6\] are not finite"):
+        report_sequence(spec, CANON, [6, 7])
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_exact_sum_is_fsum(seed):
     rng = np.random.default_rng(seed)
@@ -406,5 +443,4 @@ def test_exact_sum_is_fsum(seed):
          np.full(n, 1.0 + 2.0 ** -52), np.zeros(n)][seed]
     x[rng.random(n) < 0.1] = 0.0
     assert norms._exact_sum(x) == math.fsum(x.tolist())
-    with pytest.raises(OverflowError):
-        norms._exact_sum(np.full(n, 1.7e308))
+    assert norms._exact_sum(np.full(n, 1.7e308)) == math.inf      # where math.fsum raises

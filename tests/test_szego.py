@@ -104,3 +104,12 @@ def test_trace_moments_match_dense_matrix_powers(bands):
         for p in ps:
             want = np.trace(np.linalg.matrix_power(T, p)).real / n
             assert got[p] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_trace_budget_bounds_the_row_loop():
+    # a dense reach-50 symbol at n = 1000 runs (reach 1000 at n = 10^4 is refused in
+    # test_cli.py); one band at a power of 10^12 is refused by its steps alone
+    dense = ops.OperatorSpec.toeplitz({d: 1.0 for d in range(-50, 51)})
+    assert szego._trace_moments(dense, 1000, [2])[2] == 98.45
+    with pytest.raises(ResourceLimit, match="n=10 up to power 1000000000000 "):
+        szego._trace_moments(ops.OperatorSpec.toeplitz({0: 1.0}), 10, [10 ** 12])
