@@ -235,15 +235,6 @@ def _norm_csv(rows) -> list[str]:
         f"{r.n},{r.rank},{r.u!r},{r.s1!r},{r.s2!r},{r.ratio1!r},{r.ratio2!r}" for r in rows]
 
 
-def _row_obj(r) -> dict:
-    return {"n": r.n, "rank": r.rank, "u": r.u, "s1": r.s1, "s2": r.s2,
-            "ratio1": r.ratio1, "ratio2": r.ratio2}
-
-
-def _verdict_obj(v: norms.Verdict) -> dict:
-    return {"kind": v.kind, "limit": v.limit, "evidence": v.evidence}
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -344,12 +335,14 @@ def read_matrix(path: str) -> np.ndarray:
 # subcommands
 # ---------------------------------------------------------------------------
 
-# the grid defaults (start, end, step, geometric) of the two table subcommands
-_TABLE_GRIDS = {"norms": (10, 1000, None, 10.0), "sparse": (1, 10, 1, None)}
+# the grid defaults (start, end, step, geometric) of the three table subcommands
+_TABLE_GRIDS = {"norms": (10, 1000, None, 10.0), "sparse": (1, 10, 1, None),
+                "classify": (16, 10_000, None, 2.0)}
 
 
 def cmd_table(args, doc: dict, spec_hash: str | None) -> str:
-    """norms and sparse: the ratio table over an n grid; sparse refuses a canonical projection."""
+    """norms, sparse and classify: the ratio table over an n grid, as JSON with a trend
+    verdict per ratio for classify; sparse refuses a canonical projection."""
     from . import norms
     spec = _need_operator(doc)
     exp = _experiment(args, doc)
@@ -357,27 +350,17 @@ def cmd_table(args, doc: dict, spec_hash: str | None) -> str:
         raise InvalidSpec("sparse needs a sparse or blocks projection in the spec file")
     fam = parse_projection(doc.get("projection"), exp.get("selector"))
     rows = norms.report_sequence(spec, fam, _grid_from(exp, *_TABLE_GRIDS[args.command]))
+    if args.command == "classify":
+        verdicts = {k: vars(norms.classify([getattr(r, k) for r in rows]))
+                    for k in ("ratio1", "ratio2")}
+        return _json_text({
+            "meta": _meta_obj(args, spec_hash),
+            "command": "classify",
+            "rows": [{**vars(r), "ratio1": r.ratio1, "ratio2": r.ratio2} for r in rows],
+            "verdicts": verdicts,
+        })
     lines = _meta_lines(args, spec_hash, {"command": args.command}) + _norm_csv(rows)
     return "\n".join(lines) + "\n"
-
-
-def cmd_classify(args, doc: dict, spec_hash: str | None) -> str:
-    from . import norms
-    spec = _need_operator(doc)
-    exp = _experiment(args, doc)
-    fam = parse_projection(doc.get("projection"), exp.get("selector"))
-    ns = _grid_from(exp, start=16, end=10_000, geometric=2.0)
-    rows = norms.report_sequence(spec, fam, ns)
-    report = {
-        "meta": _meta_obj(args, spec_hash),
-        "command": "classify",
-        "rows": [_row_obj(r) for r in rows],
-        "verdicts": {
-            "ratio1": _verdict_obj(norms.classify([r.ratio1 for r in rows])),
-            "ratio2": _verdict_obj(norms.classify([r.ratio2 for r in rows])),
-        },
-    }
-    return _json_text(report)
 
 
 def cmd_halmos(args, doc: dict, spec_hash: str | None) -> str:
@@ -556,7 +539,7 @@ _GRID_FLAGS = (("--n-start", {"type": int}), ("--n-end", {"type": int}),
 # subcommand -> (its function, help line, its flags past the spec file, -o and --no-timestamp)
 _SUBCOMMANDS = {
     "norms": (cmd_table, "seminorm and ratio table over an n grid", _GRID_FLAGS),
-    "classify": (cmd_classify, "norms plus a trend verdict per ratio", _GRID_FLAGS),
+    "classify": (cmd_table, "norms plus a trend verdict per ratio", _GRID_FLAGS),
     "halmos": (cmd_halmos, "block diagonal + small perturbation split", (
         ("--epsilon", {"type": float_or_text}),
         ("--window", {"type": int, "metavar": "N"}),

@@ -1,6 +1,6 @@
 """Commutator seminorms and Foelner-ratio diagnostics.
 
-Three seminorms are computed on captured commutator windows:
+Three seminorms are computed on the commutators [T, R_n] along a family R_n:
 
   u  -- operator norm (largest singular value)
   s1 -- trace norm (sum of singular values)
@@ -241,17 +241,20 @@ _GATHER = 1 << 17
 
 def _per_grid(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int],
               full: bool) -> Iterator[tuple[float, float, float]]:
-    """(u, s1, s2) for each n of ns: _grid, or one point at a time if the pass raises.
+    """(u, s1, s2) for each n of ns: _grid, or the rows of its two halves if the pass raises.
 
-    The one-point passes run as they are consumed, so the first n that fails
-    raises what a report of that n alone raises.
+    A grid's bits do not depend on the other points it holds, so the halves give
+    the whole pass's rows; they run as they are consumed, so the first n that
+    fails raises what a report of that n alone raises.  They are taken outside
+    the except block, which would keep every failed pass's traceback alive.
     """
     try:
         return zip(*_grid(spec, fam, ns, full))
     except Exception:
         if len(ns) < 2:
             raise
-        return (next(zip(*_grid(spec, fam, [n], full))) for n in ns)
+    h = len(ns) // 2
+    return (row for half in (ns[:h], ns[h:]) for row in _per_grid(spec, fam, half, full))
 
 
 @np.errstate(over="ignore")

@@ -71,6 +71,19 @@ class SzegoComparison:
     monotone: dict[int, bool]     # per power: gaps non-increasing in n (10% slack)
 
 
+def _products(bands: int, span: int, top: int, width_cap: float = math.inf) -> int:
+    """Most products that form the coefficient row of f^top from f^0 = 1 (or a row of T^top),
+    one power at a time: the row of the e-th power holds at most min(width_cap, bands^e,
+    e * span + 1) entries, each meeting every band.  Counting stops past ops.TRACE_TERMS."""
+    terms, width = min(top, 1) * bands, 1
+    for e in range(1, top):     # once the bound stops growing it holds for every later power
+        width, last = min(width_cap, width * bands, e * span + 1), width
+        terms += bands * width * (top - e if width == last else 1)
+        if width == last or terms > ops.TRACE_TERMS:
+            break
+    return terms
+
+
 @np.errstate(over="ignore", invalid="ignore")   # szego_compare checks the moments
 def _trace_moments(spec: ops.OperatorSpec, n: int, ps: Sequence[int]) -> dict[int, float]:
     """Empirical moments via traces of banded powers: (1/n) tr(T_n^p), T Toeplitz.
@@ -93,14 +106,7 @@ def _trace_moments(spec: ops.OperatorSpec, n: int, ps: Sequence[int]) -> dict[in
     zero = 0.0 if real else 0j
     h = top * max((abs(d) for d, _ in t), default=0)
     rows = range(n) if n <= 2 * h + 1 else [*range(h + 1), *range(n - h, n)]
-    # a row of T^e holds at most min(n, bands^e, e * span + 1) entries, each meeting every band
-    terms, width, span = 0, 1, t[-1][0] - t[0][0] if t else 0
-    for e in range(1, top):     # once the bound stops growing it holds for every later power
-        width, last = min(n, width * len(t), e * span + 1), width
-        terms += len(rows) * len(t) * width * (top - e if width == last else 1)
-        if width == last or terms > ops.TRACE_TERMS:
-            break
-    if terms > ops.TRACE_TERMS:
+    if len(rows) * _products(len(t), t[-1][0] - t[0][0] if t else 0, top, n) > ops.TRACE_TERMS:
         raise ResourceLimit(f"the traces at n={n} up to power {top} may take more than "
                             f"the budget of {ops.TRACE_TERMS} products")
     diagonals: dict[int, list] = {e: [] for e in sorted(ps) if e > 0}
@@ -142,9 +148,10 @@ def szego_compare(spec: ops.OperatorSpec, ns: Sequence[int],
     """Moment table: empirical vs exact symbol moments with per-power trends.
 
     Raises ResourceLimit before any work when the diagonal of the largest n
-    is over ops.DENSE_CELLS or its traces may take more than ops.TRACE_TERMS
-    products (its moments are taken first), and NumericalFailure when a
-    moment, gap or n * gap (the fitted C) is not finite.
+    is over ops.DENSE_CELLS, or when the symbol moments or the traces of the
+    largest n (its moments are taken first) may take more than ops.TRACE_TERMS
+    products, and NumericalFailure when a moment, gap or n * gap (the fitted
+    C) is not finite.
     """
     symbol = SymbolPolynomial.from_spec(spec)
     if not symbol.is_hermitian():
@@ -152,6 +159,10 @@ def szego_compare(spec: ops.OperatorSpec, ns: Sequence[int],
     ns = sorted({int(n) for n in ns})
     ps = sorted({int(p) for p in ps})
     ops.check_dense(max(ns, default=0), "the trace diagonal")
+    offs = [d for d, _ in symbol.coeffs] or [0]
+    if sum(_products(len(symbol.coeffs), max(offs) - min(offs), p) for p in ps) > ops.TRACE_TERMS:
+        raise ResourceLimit(f"the symbol moments up to power {max(ps)} may take more than "
+                            f"the budget of {ops.TRACE_TERMS} products")
     moments = {n: _trace_moments(spec, n, ps) for n in reversed(ns)}     # the largest n binds
     refs = {p: symbol_moment(symbol, p) for p in ps}
     rows: list[SzegoRow] = []

@@ -373,6 +373,10 @@ def test_weights_past_float_range_raise_weight_undefined(spec):
         norms.u_norm(spec, _POW2, 1100)
 
 
+_LATE = OperatorSpec.product(OperatorSpec.weighted_shift("pow:84"),
+                             OperatorSpec.diagonal("pow:-83.9"))
+
+
 def _first_failure(spec, fam, ns):
     for n in ns:
         try:
@@ -388,13 +392,28 @@ def _first_failure(spec, fam, ns):
     (OperatorSpec.creation(), _POW2, range(1020, 1030)),
     (OperatorSpec.example_a(), _POW2, range(500, 520)),
     (OperatorSpec.toeplitz({0: 1e308, 1: 1e308, -1: 1e308}), CANON, [2, 3, 4]),
-], ids=["creation", "creation_s2_first", "example_A", "toeplitz"])
+    # the weight overflows from n = 4675 on, while u stays near n^0.1
+    (_LATE, CANON, range(1, 20001)),
+], ids=["creation", "creation_s2_first", "example_A", "toeplitz", "late_product"])
 def test_failing_grid_raises_what_its_first_failing_point_raises(spec, fam, ns):
     n, first = _first_failure(spec, fam, ns)
     assert n is not None
     with pytest.raises(FoelnerError) as grid:
         report_sequence(spec, fam, ns)
     assert type(grid.value) is type(first) and str(grid.value) == str(first)
+
+
+@pytest.mark.parametrize("ns", [range(1, 4676), range(1, 20001), range(4600, 4676),
+                                range(4675, 4676), range(1, 100_001, 3)])
+def test_failing_grid_takes_logarithmically_many_passes(monkeypatch, ns):
+    # a failing pass is measured by halves: at most two passes a level, down to the
+    # first failing point (n = 4675), not one pass per point
+    calls = []
+    monkeypatch.setattr(norms, "_grid", lambda *a, f=norms._grid: calls.append(a) or f(*a))
+    with pytest.raises(WeightUndefined, match="at index 4675$"):
+        report_sequence(_LATE, CANON, ns)
+    assert len(calls) <= 2 * math.ceil(math.log2(len(ns))) + 1
+    assert calls[-1][2] == [4675]
 
 
 @pytest.mark.parametrize("seed", range(40))

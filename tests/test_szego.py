@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -113,3 +115,16 @@ def test_trace_budget_bounds_the_row_loop():
     assert szego._trace_moments(dense, 1000, [2])[2] == 98.45
     with pytest.raises(ResourceLimit, match="n=10 up to power 1000000000000 "):
         szego._trace_moments(ops.OperatorSpec.toeplitz({0: 1.0}), 10, [10 ** 12])
+
+
+def test_symbol_moment_budget_refuses_before_any_loop(monkeypatch):
+    # all ones at reach 10^4: the convolutions of ps 1-4 make about 4 10^9 products, so the
+    # comparison is refused at once; reach 1000 (about 4 10^7) is admitted
+    wide = ops.OperatorSpec.toeplitz({d: 1.0 for d in range(-10 ** 4, 10 ** 4 + 1)})
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="symbol moments up to power 4 "):
+        szego.szego_compare(wide, ns=[100], ps=[1, 2, 3, 4])
+    assert time.perf_counter() - start < 1
+    monkeypatch.setattr(szego, "symbol_moment", lambda symbol, p: 0.0)
+    reach1000 = ops.OperatorSpec.toeplitz({d: 1.0 for d in range(-1000, 1001)})
+    assert len(szego.szego_compare(reach1000, ns=[100], ps=[1, 2, 3, 4]).rows) == 4
