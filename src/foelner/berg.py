@@ -47,6 +47,17 @@ def _cell_index(lam: np.ndarray, M: float, width: float, count: int) -> np.ndarr
     return np.clip(c, 0, count - 1)
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a*)/2, or a itself if a - a* is exactly 0 (they then differ only in signs of
+    zero); raises NotHermitian if max|a - a*| > _HERMITIAN_TOL * max(1, max|a_ij|)."""
+    if not (d := a - a.conj().T).any():
+        return a
+    scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
+    if float(np.max(np.abs(d), initial=0.0)) > _HERMITIAN_TOL * scale:
+        raise NotHermitian("window is not Hermitian within 1e-12")
+    return (a + a.conj().T) / 2
+
+
 def _rows(lo: np.ndarray, hi: np.ndarray, N: int) -> np.ndarray:
     """Row windows holding the ranges lo:hi, all as wide as the widest and kept in [0, N)."""
     w = int(np.max(hi - lo, initial=0))
@@ -110,7 +121,7 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
     # 2M <= 2 N max|a_ij| and cells are at least _MIN_CELL wide: the cell count stays finite
     if not math.isfinite(2 * N * float(np.max(np.abs(a), initial=0.0)) / _MIN_CELL):
         raise NumericalFailure("window entries too large (or not finite) for the spectral cells")
-    a = ops.hermitian_part(a, _HERMITIAN_TOL, NotHermitian, "window is not Hermitian within 1e-12")
+    a = _hermitian_part(a)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     order = [int(t) for t in basis_order]

@@ -21,9 +21,9 @@ imaginary parts of the entries, so it does not depend on their order (inf
 where that sum leaves the float range).  Along a nested sequence of
 projections each entry lies in the commutators of a range of its members, so
 one routine (_segments) takes the seminorms of them all from the entries and
-their ranges: a grid of n (_grid, over ops._commutator_entries; a single n is
-a one-point grid, with the same bits as any grid that holds it) and the step
-corners of berg's perturbation.
+their ranges: a grid of n (_per_grid, group by group over
+ops._commutator_entries; a single n is a one-point grid, with the same bits as
+any grid that holds it) and the step corners of berg's perturbation.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def report_sequence(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
 
     s2 is the square root of the correctly rounded sum of the squared real
     and imaginary parts of the commutator's entries.  One grid pass serves
-    all of ns (see _grid).  Raises NumericalFailure when u, s1 or s2 is not
+    all of ns (see _per_grid).  Raises NumericalFailure when u, s1 or s2 is not
     finite.
     """
     ns = list(ns)
@@ -241,40 +241,45 @@ _GATHER = 1 << 17
 
 def _per_grid(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int],
               full: bool) -> Iterator[tuple[float, float, float]]:
-    """(u, s1, s2) for each n of ns: _grid, or the rows of its two halves if the pass raises.
+    """(u, s1, s2) for each n of ns, one group of consecutive points at a time (_group).
 
-    A grid's bits do not depend on the other points it holds, so the halves give
-    the whole pass's rows; they run as they are consumed, so the first n that
-    fails raises what a report of that n alone raises.  They are taken outside
-    the except block, which would keep every failed pass's traceback alive.
+    A canonical group's boundary ranges [_first_past(n), n] start at or after
+    its first point's, so it ends before t + _GATHER, t that point's least
+    start; sparse and blocks families are one group.  A group whose pass
+    raises gives the rows of its two halves, each halved again if it raises,
+    down to a single point that re-raises.  A grid's bits do not depend on
+    the other points it holds, so the first n that fails raises what a report
+    of that n alone raises, after the rows before it.  The halves run outside
+    the except block, which would keep the failed pass's traceback alive.
     """
-    try:
-        return zip(*_grid(spec, fam, ns, full))
-    except Exception:
-        if len(ns) < 2:
-            raise
-    h = len(ns) // 2
-    return (row for half in (ns[:h], ns[h:]) for row in _per_grid(spec, fam, half, full))
+    g = 0
+    while g < len(ns):
+        h = len(ns)
+        if fam.kind == "canonical":
+            starts = [t for t in (ops._first_past(spec, ns[g], col) for col in (True, False))
+                      if t is not None]
+            h = bisect.bisect_right(ns, min(starts, default=ns[g]) + _GATHER - 1, g + 1)
+        try:
+            rows = zip(*(x.tolist() for x in _group(spec, fam, ns[g:h], full)))
+        except Exception:
+            if h - g < 2:
+                raise
+            k = (g + h) // 2
+            rows = (row for half in (ns[g:k], ns[k:h]) for row in _per_grid(spec, fam, half, full))
+        yield from rows
+        g = h
 
 
 @np.errstate(over="ignore")
-def _grid(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int],
-          full: bool) -> tuple[list[float], list[float], list[float]]:
-    """u, s1, s2 of [T, R_n] for every n of the ascending grid ns (s1, s2 only if full).
+def _group(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int], full: bool):
+    """u, s1, s2 arrays of [T, R_n] for every n of the ascending group ns (s1, s2 only if
+    full); its entries are freed on return.
 
     Each entry of ops._commutator_entries lies in the segments of the grid
     points of its range; _segments measures them, chunk by chunk of grid
     points (_chunks).  Seminorms past the float range come out as inf, without
     a warning; report raises NumericalFailure for them.
     """
-    u, s1, s2 = np.zeros(len(ns)), np.zeros(len(ns)), np.zeros(len(ns))
-    for group in _groups(spec, fam, ns):
-        u[group], s1[group], s2[group] = _group(spec, fam, ns[group], full)
-    return u.tolist(), s1.tolist(), s2.tolist()
-
-
-def _group(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int], full: bool):
-    """u, s1, s2 arrays of one group of _grid; its entries are freed on return."""
     G = len(ns)
     u, s1, s2 = np.zeros(G), np.zeros(G), np.zeros(G)
     i, j, v, lo, hi = ops._commutator_entries(spec, fam, ns)
@@ -282,25 +287,6 @@ def _group(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int], ful
         u[ga:gb], s1[ga:gb], s2[ga:gb] = _segments(i[cand], j[cand], v[cand], lo[cand],
                                                    hi[cand], ga, gb, full)
     return u, s1, s2
-
-
-def _groups(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int]) -> list[slice]:
-    """Groups of consecutive grid points whose boundary ranges fit in _GATHER indices.
-
-    Every range [_first_past(n), n] of a group starts at or after the first
-    point's, so a group ends before t + _GATHER, t the first point's least
-    start.  Sparse and blocks families are one group.
-    """
-    if fam.kind != "canonical":
-        return [slice(0, len(ns))] if ns else []
-    groups, g = [], 0
-    while g < len(ns):
-        starts = [t for t in (ops._first_past(spec, ns[g], col) for col in (True, False))
-                  if t is not None]
-        h = bisect.bisect_right(ns, min(starts, default=ns[g]) + _GATHER - 1, g + 1)
-        groups.append(slice(g, h))
-        g = h
-    return groups
 
 
 def _chunks(lo: np.ndarray, hi: np.ndarray, G: int):
@@ -354,8 +340,7 @@ def _segments(i, j, v, lo, hi, ga, gb, full):
         if np.all(count == 1):
             src, seg = None, lo
         else:       # pair k is entry src[k] in segment seg[k]
-            src = np.repeat(np.arange(len(v)), count)
-            seg = np.arange(len(src)) - np.repeat(np.cumsum(count) - count - lo, count)
+            seg, src = ops._ranges(lo, hi - 1)
         count = np.bincount(seg, minlength=S)
         if np.any(seg[1:] < seg[:-1]):
             # a stable sort of 16-bit keys is a radix sort; seg is freed, then rebuilt from count

@@ -29,6 +29,7 @@ whole ascending grid of n at once; commutator triplets are its one-point grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -542,18 +543,6 @@ class Window:
         object.__setattr__(self, "entries", a)
 
 
-def hermitian_part(a: np.ndarray, tol: float, error: type[Exception],
-                   message: str) -> np.ndarray:
-    """(a + a*)/2, or a itself if a - a* is exactly 0 (they then differ only in signs of
-    zero); raises error(message) if max|a - a*| > tol * max(1, max|a_ij|)."""
-    if not (d := a - a.conj().T).any():
-        return a
-    scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
-    if float(np.max(np.abs(d), initial=0.0)) > tol * scale:
-        raise error(message)
-    return (a + a.conj().T) / 2
-
-
 # Budget for every dense array of windows: 2^24 complex cells (256 MiB), a
 # 4096 x 4096 window.  Dense paths check it before they allocate and raise
 # ResourceLimit past it; sparse paths (halmos, triplet norms) never allocate a
@@ -635,8 +624,10 @@ class ProjectionFamily:
     def __post_init__(self):
         # the rule's values so far: a run over n = 1..N calls the rule N times
         object.__setattr__(self, "_prefix", [])
-        if self.kind == "blocks":
+        if self.kind == "blocks":     # _ranks[n]: the rank of the first n blocks
             object.__setattr__(self, "size", len(self.blocks))
+            object.__setattr__(self, "_ranks", list(itertools.accumulate(
+                (b - a for a, b in self.blocks), initial=0)))
 
     @classmethod
     def canonical(cls) -> "ProjectionFamily":
@@ -684,7 +675,7 @@ class ProjectionFamily:
         if self.kind == "blocks":
             if n > len(self.blocks):
                 raise SelectorOutOfRange(f"family has {len(self.blocks)} blocks, asked for {n}")
-            return sum(hi - lo for lo, hi in self.blocks[:n])
+            return self._ranks[n]
         return n
 
 

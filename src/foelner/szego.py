@@ -42,18 +42,25 @@ class SymbolPolynomial:
 
 def symbol_moment(symbol: SymbolPolynomial, p: int) -> float:
     """p-th moment of the symbol distribution: constant coefficient of f^p."""
-    if p < 0:
+    return _symbol_moments(symbol, [p])[p]
+
+
+def _symbol_moments(symbol: SymbolPolynomial, ps: Sequence[int]) -> dict[int, float]:
+    """The moment of every p of ps, read off one chain of powers f^0 = 1, f^1, .. f^max(ps)."""
+    if min(ps, default=0) < 0:
         raise ValueError("p must be >= 0")
     base = symbol.as_dict()
     acc: dict[int, complex] = {0: 1.0}
-    for _ in range(p):
+    out = {0: 1.0}
+    for e in range(1, max(ps, default=0) + 1):
         nxt: dict[int, complex] = {}
         for d1, v1 in acc.items():
             for d2, v2 in base.items():
                 d = d1 + d2
                 nxt[d] = nxt.get(d, 0) + v1 * v2
         acc = nxt
-    return float(acc.get(0, 0.0).real)
+        out[e] = float(acc.get(0, 0.0).real)
+    return {p: out[p] for p in ps}
 
 
 @dataclass(frozen=True)
@@ -160,11 +167,12 @@ def szego_compare(spec: ops.OperatorSpec, ns: Sequence[int],
     ps = sorted({int(p) for p in ps})
     ops.check_dense(max(ns, default=0), "the trace diagonal")
     offs = [d for d, _ in symbol.coeffs] or [0]
-    if sum(_products(len(symbol.coeffs), max(offs) - min(offs), p) for p in ps) > ops.TRACE_TERMS:
-        raise ResourceLimit(f"the symbol moments up to power {max(ps)} may take more than "
+    top = max(ps, default=0)
+    if _products(len(symbol.coeffs), max(offs) - min(offs), top) > ops.TRACE_TERMS:
+        raise ResourceLimit(f"the symbol moments up to power {top} may take more than "
                             f"the budget of {ops.TRACE_TERMS} products")
     moments = {n: _trace_moments(spec, n, ps) for n in reversed(ns)}     # the largest n binds
-    refs = {p: symbol_moment(symbol, p) for p in ps}
+    refs = _symbol_moments(symbol, ps)
     rows: list[SzegoRow] = []
     gaps: dict[int, list[float]] = {p: [] for p in ps}
     for n in ns:

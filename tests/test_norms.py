@@ -409,11 +409,26 @@ def test_failing_grid_takes_logarithmically_many_passes(monkeypatch, ns):
     # a failing pass is measured by halves: at most two passes a level, down to the
     # first failing point (n = 4675), not one pass per point
     calls = []
-    monkeypatch.setattr(norms, "_grid", lambda *a, f=norms._grid: calls.append(a) or f(*a))
+    monkeypatch.setattr(norms, "_group", lambda *a, f=norms._group: calls.append(a) or f(*a))
     with pytest.raises(WeightUndefined, match="at index 4675$"):
         report_sequence(_LATE, CANON, ns)
     assert len(calls) <= 2 * math.ceil(math.log2(len(ns))) + 1
     assert calls[-1][2] == [4675]
+
+
+def test_failing_grid_measures_each_group_before_the_failure_once(monkeypatch):
+    # groups of 1000 points: the fifth holds the first failing point (n = 4675); the four
+    # before it are measured once each, and only the failing group is halved
+    with pytest.raises(WeightUndefined) as alone:
+        report(_LATE, CANON, 4675)
+    calls = []
+    monkeypatch.setattr(norms, "_GATHER", 1000)
+    monkeypatch.setattr(norms, "_group", lambda *a, f=norms._group: calls.append(a[2]) or f(*a))
+    with pytest.raises(WeightUndefined) as grid:
+        report_sequence(_LATE, CANON, range(1, 8001))
+    assert str(grid.value) == str(alone.value)
+    assert calls[:4] == [list(range(k, k + 1000)) for k in (1, 1001, 2001, 3001)]
+    assert all(ns[0] > 4000 for ns in calls[4:]) and calls[4] == list(range(4001, 5001))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -444,7 +459,7 @@ def test_small_segments_past_the_float_range_give_inf():
     # three or four finite squares of 1e308 per segment: their exact sum overflows, which
     # the table of small segments must give as inf, as a segment measured alone does
     spec = OperatorSpec.dilation_shift("const:1e154")
-    u, s1, s2 = norms._grid(spec, CANON, [6, 7], True)
+    u, s1, s2 = (x.tolist() for x in norms._group(spec, CANON, [6, 7], True))
     assert u == [1e154, 1e154] and s1 == [3e154, 4e154]
     assert s2 == [math.inf, math.inf]
     with pytest.raises(FoelnerError, match=r"seminorms of \[T, R_6\] are not finite"):

@@ -1,5 +1,6 @@
 import math
 import pickle
+import time
 import tracemalloc
 
 import numpy as np
@@ -301,6 +302,22 @@ def test_blocks_validation():
     assert fam.rank(1) == 2
     with pytest.raises(SelectorOutOfRange):
         fam.indices(3)
+
+
+def test_blocks_rank_is_read_off_once_built_sums():
+    # 40000 blocks of widths 1-3: rank(n) is the sum of the first n widths, and answering
+    # every n does not sum them again each time
+    cuts = [0]
+    for k in range(40000):
+        cuts.append(cuts[-1] + k % 3 + 1)
+    fam = decomp.sparse_family(cuts)
+    for n in (1, 2, 3, 17, 39999, 40000):
+        assert fam.rank(n) == sum(hi - lo for lo, hi in fam.blocks[:n])
+    start = time.perf_counter()
+    assert [fam.rank(n) for n in range(1, 40001)] == cuts[1:]
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(SelectorOutOfRange):
+        fam.rank(40001)
 
 
 def test_window_validation():

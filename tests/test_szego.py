@@ -30,6 +30,8 @@ def test_symbol_moments_two_cos():
     assert szego.symbol_moment(s, 3) == 0.0
     assert szego.symbol_moment(s, 4) == 6.0
     assert szego.symbol_moment(s, 6) == 20.0
+    # one chain of powers gives every p it passes
+    assert szego._symbol_moments(s, [0, 3, 4, 6]) == {0: 1.0, 3: 0.0, 4: 6.0, 6: 20.0}
 
 
 def test_symbol_moments_mixed():
@@ -118,13 +120,13 @@ def test_trace_budget_bounds_the_row_loop():
 
 
 def test_symbol_moment_budget_refuses_before_any_loop(monkeypatch):
-    # all ones at reach 10^4: the convolutions of ps 1-4 make about 4 10^9 products, so the
-    # comparison is refused at once; reach 1000 (about 4 10^7) is admitted
+    # all ones at reach 10^4: the chain of convolutions up to p = 4 makes about 1.2 10^9
+    # products, so the comparison is refused at once; reach 1000 (about 2.4 10^7) is admitted
     wide = ops.OperatorSpec.toeplitz({d: 1.0 for d in range(-10 ** 4, 10 ** 4 + 1)})
     start = time.perf_counter()
     with pytest.raises(ResourceLimit, match="symbol moments up to power 4 "):
         szego.szego_compare(wide, ns=[100], ps=[1, 2, 3, 4])
     assert time.perf_counter() - start < 1
-    monkeypatch.setattr(szego, "symbol_moment", lambda symbol, p: 0.0)
+    monkeypatch.setattr(szego, "_symbol_moments", lambda symbol, ps: dict.fromkeys(ps, 0.0))
     reach1000 = ops.OperatorSpec.toeplitz({d: 1.0 for d in range(-1000, 1001)})
     assert len(szego.szego_compare(reach1000, ns=[100], ps=[1, 2, 3, 4]).rows) == 4
