@@ -229,12 +229,6 @@ def _meta_obj(args, spec_hash: str | None) -> dict:
     return meta
 
 
-def _norm_csv(rows) -> list[str]:
-    # the fields are Python ints and floats, so this is _num of each
-    return ["n,rank,u,s1,s2,ratio1,ratio2"] + [
-        f"{r.n},{r.rank},{r.u!r},{r.s1!r},{r.s2!r},{r.ratio1!r},{r.ratio2!r}" for r in rows]
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -253,15 +247,11 @@ def n_grid(start: int, end: int, step: int | None, geometric: float | None) -> l
     n = start
     while n <= end:
         out.append(n)
-        n = max(n + 1, int(round(n * base)))
+        try:
+            n = max(n + 1, int(round(n * base)))
+        except OverflowError:       # n * base is past the float range: the grid ends
+            break
     return out
-
-
-def _grid_from(exp: dict, start: int, end: int,
-               step: int | None = None, geometric: float | None = None) -> list[int]:
-    spacing = (exp.get("n_step"), exp.get("n_geometric"))
-    sp, ge = spacing if spacing != (None, None) else (step, geometric)
-    return n_grid(int(exp.get("n_start", start)), int(exp.get("n_end", end)), sp, ge)
 
 
 def _experiment(args, doc: dict) -> dict:
@@ -338,6 +328,7 @@ def read_matrix(path: str) -> np.ndarray:
 # the grid defaults (start, end, step, geometric) of the three table subcommands
 _TABLE_GRIDS = {"norms": (10, 1000, None, 10.0), "sparse": (1, 10, 1, None),
                 "classify": (16, 10_000, None, 2.0)}
+_NORM_FIELDS = ("n", "rank", "u", "s1", "s2", "ratio1", "ratio2")
 
 
 def cmd_table(args, doc: dict, spec_hash: str | None) -> str:
@@ -349,17 +340,20 @@ def cmd_table(args, doc: dict, spec_hash: str | None) -> str:
     if args.command == "sparse" and doc.get("projection", {}).get("kind", "canonical") == "canonical":
         raise InvalidSpec("sparse needs a sparse or blocks projection in the spec file")
     fam = parse_projection(doc.get("projection"), exp.get("selector"))
-    rows = norms.report_sequence(spec, fam, _grid_from(exp, *_TABLE_GRIDS[args.command]))
+    start, end, step, geometric = _TABLE_GRIDS[args.command]
+    if exp.keys() & {"n_step", "n_geometric"}:      # the spec's spacing replaces the default
+        step, geometric = exp.get("n_step"), exp.get("n_geometric")
+    ns = n_grid(int(exp.get("n_start", start)), int(exp.get("n_end", end)), step, geometric)
+    groups = norms._columns(spec, fam, ns)
     if args.command == "classify":
-        verdicts = {k: vars(norms.classify([getattr(r, k) for r in rows]))
-                    for k in ("ratio1", "ratio2")}
-        return _json_text({
-            "meta": _meta_obj(args, spec_hash),
-            "command": "classify",
-            "rows": [{**vars(r), "ratio1": r.ratio1, "ratio2": r.ratio2} for r in rows],
-            "verdicts": verdicts,
-        })
-    lines = _meta_lines(args, spec_hash, {"command": args.command}) + _norm_csv(rows)
+        cols = [[x for c in col for x in c] for col in zip(*groups)]
+        verdicts = {k: vars(norms.classify(c)) for k, c in zip(_NORM_FIELDS[5:], cols[5:])}
+        return _json_text({"meta": _meta_obj(args, spec_hash), "command": "classify",
+                           "rows": [dict(zip(_NORM_FIELDS, row)) for row in zip(*cols)],
+                           "verdicts": verdicts})
+    lines = _meta_lines(args, spec_hash, {"command": args.command}) + [",".join(_NORM_FIELDS)]
+    # repr of a Python int is its str, so this is _num of each field; a group is joined once
+    lines += ("\n".join(map(",".join, zip(*(map(repr, c) for c in cols)))) for cols in groups)
     return "\n".join(lines) + "\n"
 
 

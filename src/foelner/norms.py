@@ -21,9 +21,10 @@ imaginary parts of the entries, so it does not depend on their order (inf
 where that sum leaves the float range).  Along a nested sequence of
 projections each entry lies in the commutators of a range of its members, so
 one routine (_segments) takes the seminorms of them all from the entries and
-their ranges: a grid of n (_per_grid, group by group over
-ops._commutator_entries; a single n is a one-point grid, with the same bits as
-any grid that holds it) and the step corners of berg's perturbation.
+their ranges: a grid of n (_per_grid, group by group over ops._commutator_entries;
+a single n is a one-point grid, with the same bits as any grid that holds it)
+and the step corners of berg's perturbation.  A grid is carried as columns
+(_columns) up to the report tables; NormReport is for library callers.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import ops
-from .errors import NumericalFailure, TooFewSamples
+from .errors import InvalidSpec, NumericalFailure, TooFewSamples
 
 _MODES = ("u", "s1", "s2")
 
@@ -169,57 +170,60 @@ def seminorm(w: ops.Window | np.ndarray, mode: str) -> float:
 
 @dataclass(frozen=True)
 class NormReport:
-    """Seminorm snapshot of one commutator [T, R_n]."""
+    """Seminorms and ratios of one commutator [T, R_n], for library callers."""
 
     n: int
     rank: int
     u: float
     s1: float
     s2: float
-
-    @property
-    def ratio1(self) -> float:
-        return self.s1 / self.rank
-
-    @property
-    def ratio2(self) -> float:
-        return self.s2 / math.sqrt(self.rank)
+    ratio1: float
+    ratio2: float
 
 
 def report(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, n: int) -> NormReport:
     """Exact seminorms of [T, R_n] against the given family (a one-point grid)."""
-    return _reports(spec, fam, [n])[0]
+    return report_sequence(spec, fam, [n])[0]
 
 
 def report_sequence(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
                     ns: Sequence[int]) -> list[NormReport]:
-    """Norm reports along increasing family indices.
-
-    s2 is the square root of the correctly rounded sum of the squared real
-    and imaginary parts of the commutator's entries.  One grid pass serves
-    all of ns (see _per_grid).  Raises NumericalFailure when u, s1 or s2 is not
-    finite.
-    """
+    """Norm reports along increasing family indices, one row of _columns each: s2 is the
+    square root of the correctly rounded sum of the squared real and imaginary parts of
+    the commutator's entries.  Raises NumericalFailure when u, s1 or s2 is not finite."""
     ns = list(ns)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n values must be strictly increasing")
-    return _reports(spec, fam, ns)
+    return [NormReport(*row) for cols in _columns(spec, fam, ns) for row in zip(*cols)]
 
 
-def _reports(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int]) -> list[NormReport]:
-    out = []
-    for n, (u, s1, s2) in zip(ns, _per_grid(spec, fam, ns, full=True)):
-        if not (math.isfinite(u) and math.isfinite(s1) and math.isfinite(s2)):
-            raise NumericalFailure(f"seminorms of [T, R_{n}] are not finite: "
-                                   f"u={u}, s1={s1}, s2={s2}")
-        out.append(NormReport(n=n, rank=fam.rank(n), u=u, s1=s1, s2=s2))
-    return out
+def _columns(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int]):
+    """The columns n, rank, u, s1, s2, ratio1, ratio2 of each group of the ascending grid
+    ns in turn, as lists of Python ints and floats (the ratios divided as arrays, with the
+    bits of Python's float division).  A group is checked before the next is measured:
+    NumericalFailure names the first n whose u, s1 or s2 is not finite, as its own report
+    does.  InvalidSpec for ranks past the float range, where the ratios are not defined."""
+    g = 0
+    for u, s1, s2 in _per_grid(spec, fam, ns, full=True):
+        part, g = ns[g:g + len(u)], g + len(u)
+        bad = ~np.isfinite([u, s1, s2]).all(axis=0)
+        if bad.any():
+            k = int(bad.argmax())
+            raise NumericalFailure(f"seminorms of [T, R_{part[k]}] are not finite: "
+                                   f"u={u[k].item()}, s1={s1[k].item()}, s2={s2[k].item()}")
+        ranks = [fam._ranks[n] for n in part] if fam.kind == "blocks" else part
+        try:
+            r = np.array(ranks, float)
+        except OverflowError:
+            raise InvalidSpec("the grid reaches ranks past the float range, "
+                              "where the ratios are not defined") from None
+        yield [part, ranks, *(x.tolist() for x in (u, s1, s2, s1 / r, s2 / np.sqrt(r)))]
 
 
 def u_sequence(spec: ops.OperatorSpec, fam: ops.ProjectionFamily,
                ns: Sequence[int]) -> list[float]:
     """Operator norms of [T, R_n] along increasing n of a coordinate family."""
-    return [u for u, _, _ in _per_grid(spec, fam, list(ns), full=False)]
+    return [x for u, _, _ in _per_grid(spec, fam, list(ns), full=False) for x in u.tolist()]
 
 
 def u_norm(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, n: int) -> float:
@@ -240,16 +244,16 @@ _GATHER = 1 << 17
 
 
 def _per_grid(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int],
-              full: bool) -> Iterator[tuple[float, float, float]]:
-    """(u, s1, s2) for each n of ns, one group of consecutive points at a time (_group).
+              full: bool) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """u, s1, s2 arrays of each group of consecutive points of ns in turn (_group).
 
     A canonical group's boundary ranges [_first_past(n), n] start at or after
     its first point's, so it ends before t + _GATHER, t that point's least
     start; sparse and blocks families are one group.  A group whose pass
-    raises gives the rows of its two halves, each halved again if it raises,
+    raises gives the arrays of its two halves, each halved again if it raises,
     down to a single point that re-raises.  A grid's bits do not depend on
     the other points it holds, so the first n that fails raises what a report
-    of that n alone raises, after the rows before it.  The halves run outside
+    of that n alone raises, after the groups before it.  The halves run outside
     the except block, which would keep the failed pass's traceback alive.
     """
     g = 0
@@ -260,13 +264,13 @@ def _per_grid(spec: ops.OperatorSpec, fam: ops.ProjectionFamily, ns: list[int],
                       if t is not None]
             h = bisect.bisect_right(ns, min(starts, default=ns[g]) + _GATHER - 1, g + 1)
         try:
-            rows = zip(*(x.tolist() for x in _group(spec, fam, ns[g:h], full)))
+            groups = [_group(spec, fam, ns[g:h], full)]
         except Exception:
             if h - g < 2:
                 raise
             k = (g + h) // 2
-            rows = (row for half in (ns[g:k], ns[k:h]) for row in _per_grid(spec, fam, half, full))
-        yield from rows
+            groups = (x for half in (ns[g:k], ns[k:h]) for x in _per_grid(spec, fam, half, full))
+        yield from groups
         g = h
 
 

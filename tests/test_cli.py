@@ -1,12 +1,12 @@
 import argparse
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
-import types
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foelner import cli, decomp, ops
-from foelner.errors import InvalidSpec
+from foelner import cli, decomp, norms, ops
+from foelner.errors import FoelnerError, InvalidSpec
 
 REPO = Path(__file__).resolve().parents[1]
 SPECS = sorted((REPO / "specs").glob("*.json"))
@@ -259,6 +259,18 @@ def _table(text):
     return [l for l in text.splitlines() if l and not l.startswith("#")]
 
 
+def _ratios(r):
+    """A report row (dict or NormReport) with its ratios by Python's per-row division."""
+    r = r if isinstance(r, dict) else vars(r)
+    return {**r, "ratio1": r["s1"] / r["rank"], "ratio2": r["s2"] / math.sqrt(r["rank"])}
+
+
+def _norm_csv(rows):
+    """The header and rows of a norms table, formatted one row at a time."""
+    keys = ("n", "rank", "u", "s1", "s2", "ratio1", "ratio2")
+    return [",".join(keys)] + [",".join(repr(r[k]) for k in keys) for r in map(_ratios, rows)]
+
+
 @pytest.mark.parametrize("command", ["norms", "classify"])
 def test_norms_and_classify_tabulate_the_selected_family(command, tmp_path, capsys):
     # ten of twenty unit blocks, so classify has its eight samples
@@ -271,12 +283,138 @@ def test_norms_and_classify_tabulate_the_selected_family(command, tmp_path, caps
     assert code == 0
     code, out, err = run([command, f, "--no-timestamp"], capsys)
     assert code == 0, err
-    got = _table(out) if command == "norms" else cli._norm_csv(
-        [types.SimpleNamespace(**r) for r in json.loads(out)["rows"]])
+    got = _table(out) if command == "norms" else _norm_csv(json.loads(out)["rows"])
     assert got == _table(want)
     del doc["experiment"]["selector"]
     f.write_text(json.dumps(doc))
     assert _table(run(["sparse", f, "--no-timestamp"], capsys)[1]) != got
+
+
+def _spec_doc(name, **experiment):
+    doc = json.loads((REPO / "specs" / f"{name}.json").read_text())
+    doc["experiment"] = experiment
+    return doc
+
+
+def _grid_of(doc):
+    exp = doc["experiment"]
+    return (cli.parse_operator(doc["operator"]),
+            cli.parse_projection(doc.get("projection"), exp.get("selector")),
+            cli.n_grid(exp["n_start"], exp["n_end"], exp.get("n_step"), exp.get("n_geometric")))
+
+
+_COLUMN_CASES = {
+    "canonical": _spec_doc("shift_sqrt_norms", n_start=1, n_end=3000, n_step=1),
+    "geometric": _spec_doc("hermite_classify", n_start=3, n_end=40000, n_geometric=1.7),
+    "pow2": _spec_doc("sparse_pow2", n_start=1, n_end=12, n_step=1),
+    "blocks": {"operator": {"kind": "example_A"},
+               "projection": {"kind": "blocks", "boundaries": list(range(0, 91, 3))},
+               "experiment": {"selector": list(range(1, 31, 3)), "n_start": 1, "n_end": 10,
+                              "n_step": 1}},
+    "composite": _spec_doc("composite_norms", n_start=1, n_end=700, n_step=3),
+}
+
+
+@pytest.mark.parametrize("gather", [None, 64])
+@pytest.mark.parametrize("case", _COLUMN_CASES)
+def test_tables_are_the_formatted_reports(case, gather, monkeypatch, tmp_path, capsys):
+    # oracle: the tables carried as columns equal report_sequence's rows, formatted here;
+    # a small _GATHER cuts a canonical grid into many groups
+    if gather:
+        monkeypatch.setattr(norms, "_GATHER", gather)
+    doc = _COLUMN_CASES[case]
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    rows = norms.report_sequence(*_grid_of(doc))
+    for command in ["norms", "sparse"] if case in ("pow2", "blocks") else ["norms"]:
+        code, out, err = run([command, f, "--no-timestamp"], capsys)
+        assert (code, err) == (0, "")
+        assert _table(out) == _norm_csv(rows)
+    code, out, err = run(["classify", f, "--no-timestamp"], capsys)
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    assert got["rows"] == [_ratios(r) for r in rows] == [vars(r) for r in rows]
+    assert got["verdicts"] == {k: json.loads(json.dumps(vars(norms.classify(
+        [getattr(r, k) for r in rows])))) for k in ("ratio1", "ratio2")}
+
+
+_LATE_DOC = {"operator": {"kind": "product", "children": [
+    {"kind": "weighted_shift", "weight": "pow:84"}, {"kind": "diagonal", "weight": "pow:-83.9"}]},
+    "experiment": {"n_start": 1, "n_end": 20000, "n_step": 1}}
+
+
+@pytest.mark.parametrize("doc", [
+    _LATE_DOC,
+    {**_LATE_DOC, "experiment": {"n_start": 4600, "n_end": 4700, "n_step": 1}},
+    {"operator": {"kind": "dilation_shift", "weight": "const:1e154"},
+     "experiment": {"n_start": 1, "n_end": 7, "n_step": 1}},
+    {"operator": {"kind": "creation"}, "projection": {"kind": "sparse", "rule": "pow2"},
+     "experiment": {"n_start": 1000, "n_end": 1100, "n_step": 7}},
+], ids=["late", "late_short", "dilation_1e154", "creation_pow2"])
+@pytest.mark.parametrize("command", ["norms", "sparse", "classify"])
+def test_failing_tables_print_what_report_sequence_raises(command, doc, tmp_path, capsys):
+    if command == "sparse" and "projection" not in doc:
+        doc = {**doc, "projection": {"kind": "blocks", "boundaries": list(range(0, 5001, 1))}}
+    with pytest.raises(FoelnerError) as want:
+        norms.report_sequence(*_grid_of(doc))
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    assert run([command, f, "--no-timestamp"], capsys) == (
+        3, "", f"{type(want.value).__name__}: {want.value}\n")
+
+
+@pytest.mark.parametrize("command, name", [
+    ("norms", "shift_sqrt_norms"), ("norms", "composite_norms"), ("sparse", "sparse_pow2"),
+    ("sparse", "blocks_selector"), ("classify", "hermite_classify")])
+def test_tables_build_no_norm_report(command, name, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table built a NormReport")
+
+    monkeypatch.setattr(norms, "NormReport", refuse)
+    code, out, err = run([command, REPO / "specs" / f"{name}.json", "--no-timestamp"], capsys)
+    assert (code, err) == (0, "") and _table(out)
+
+
+def test_tables_at_n_past_int64_keep_their_bytes(tmp_path, capsys):
+    doc = {"operator": {"kind": "weighted_shift", "weight": "const:1"},
+           "experiment": {"n_start": 9223372036854775000, "n_end": 9223372036854777000,
+                          "n_step": 500}}
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(["norms", f, "--no-timestamp"], capsys)
+    assert (code, err) == (0, "")
+    assert _table(out) == ["n,rank,u,s1,s2,ratio1,ratio2"] + [
+        f"{n},{n},1.0,1.0,1.0,{r1},{r2}" for n, r1, r2 in (
+            (9223372036854775000, "1.0842021724855047e-19", "3.2927225399135965e-10"),
+            (9223372036854775500, "1.0842021724855044e-19", "3.292722539913596e-10"),
+            (9223372036854776000, "1.0842021724855044e-19", "3.292722539913596e-10"),
+            (9223372036854776500, "1.0842021724855044e-19", "3.292722539913596e-10"),
+            (9223372036854777000, "1.0842021724855042e-19", "3.292722539913596e-10"))]
+
+
+def test_a_geometric_step_past_the_float_range_ends_the_grid(tmp_path, capsys):
+    assert cli.n_grid(1, 2 ** 1100, None, 1e300) == [1, int(1e300)]
+    assert cli.n_grid(2 ** 1030, 2 ** 1100, None, 2.0) == [2 ** 1030]
+    doc = {"operator": {"kind": "weighted_shift", "weight": "const:1"},
+           "experiment": {"n_start": 1, "n_end": 2 ** 1100, "n_geometric": 1e300}}
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(["norms", f, "--no-timestamp"], capsys)
+    assert (code, err) == (0, "")
+    assert _table(out)[1:] == ["1,1,1.0,1.0,1.0,1.0,1.0",
+                               f"{int(1e300)},{int(1e300)},1.0,1.0,1.0,1e-300,1e-150"]
+
+
+@pytest.mark.parametrize("command", ["norms", "classify"])
+def test_ranks_past_the_float_range_are_refused(command, tmp_path, capsys):
+    # the seminorms at n = 2^1030 are finite, but s1 / n is not a float division
+    doc = {"operator": {"kind": "weighted_shift", "weight": "const:1"},
+           "experiment": {"n_start": 2 ** 1030, "n_end": 2 ** 1030 + 2, "n_step": 1}}
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    assert run([command, f, "--no-timestamp"], capsys) == (
+        2, "", "InvalidSpec: the grid reaches ranks past the float range, "
+               "where the ratios are not defined\n")
 
 
 @pytest.mark.parametrize("command", ["norms", "classify", "halmos", "sparse"])

@@ -449,8 +449,8 @@ def test_grid_pass_matches_per_n_reports_bit_for_bit(spec, fam_ns, sizes):
     # small sizes make the pass cut the grid into many groups and chunks
     chunk, gather = sizes or (norms._CHUNK, norms._GATHER)
     with mock.patch.object(norms, "_CHUNK", chunk), mock.patch.object(norms, "_GATHER", gather):
-        u, s1, s2 = map(list, zip(*norms._per_grid(spec, fam, ns, True)))
-        assert [row[0] for row in norms._per_grid(spec, fam, ns, False)] == u
+        u, s1, s2 = (np.concatenate(x).tolist() for x in zip(*norms._per_grid(spec, fam, ns, True)))
+        assert np.concatenate([x[0] for x in norms._per_grid(spec, fam, ns, False)]).tolist() == u
         rows = norms.report_sequence(spec, fam, ns)
     # repr tells -0.0 from 0.0, as the reports do
     assert repr([(fam.rank(n), *x) for n, x in zip(ns, zip(u, s1, s2))]) == repr(want)
