@@ -128,9 +128,8 @@ def berg_sequence(A: ops.Window | np.ndarray, basis_order: Sequence[int],
     if sorted(order) != list(range(1, N + 1)):
         raise ValueError("basis_order must be a permutation of 1..N")
 
-    M = float(np.max(np.abs(np.linalg.eigvalsh(a)))) or 1.0
-
     lam0, E0 = np.linalg.eigh(a)        # A = E0 diag(lam0) E0*; the sweep works over E0
+    M = float(max(-lam0[0], lam0[-1])) or 1.0   # lam0 ascending: the cells cover every lam0
     del a                               # the norms read only lam0 and coordinates over E0
     X, V = np.eye(N, dtype=complex), np.zeros((N, N), dtype=complex)    # V: the pieces' v
     lo, hi = np.arange(N), np.arange(1, N + 1)      # X[:, j] is 0 outside rows lo[j]:hi[j]

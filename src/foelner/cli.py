@@ -239,7 +239,11 @@ def n_grid(start: int, end: int, step: int | None, geometric: float | None) -> l
     if start < 1 or end < start:
         raise InvalidSpec("need 1 <= n_start <= n_end")
     if step is not None:
-        return list(range(start, end + 1, step))
+        from . import ops
+        if len(grid := range(start, end + 1, step)) > ops.DENSE_CELLS:
+            raise ResourceLimit(f"an n grid of {len(grid)} points is over the budget of "
+                                f"{ops.DENSE_CELLS}")
+        return list(grid)
     base = 2.0 if geometric is None else float(geometric)
     if not 1.0 < base < float("inf"):
         raise InvalidSpec("n_geometric must be finite and > 1")

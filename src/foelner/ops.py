@@ -546,7 +546,8 @@ class Window:
 # Budget for every dense array of windows: 2^24 complex cells (256 MiB), a
 # 4096 x 4096 window.  Dense paths check it before they allocate and raise
 # ResourceLimit past it; sparse paths (halmos, triplet norms) never allocate a
-# dense window and are not bound by it; szego checks its O(n) trace diagonal.
+# dense window and are not bound by it; szego checks its O(n) trace diagonal, and
+# cli.n_grid the length of a stepped n grid.
 DENSE_CELLS = 1 << 24
 # Budget for the products of szego's trace row loop: 10^9, a couple of minutes of it.
 TRACE_TERMS = 10 ** 9

@@ -74,6 +74,26 @@ def test_sweep_refuses_an_empty_window():
     assert berg._hermitian_part(np.zeros((0, 0))).shape == (0, 0)
 
 
+def test_sweep_decomposes_the_window_once(monkeypatch):
+    # M comes from the sweep's own eigh; the stacked cell updates call eigh on 3-D stacks
+    a = berg.random_hermitian(64, 0)
+    eigh, windows = np.linalg.eigh, []
+
+    def counting(x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            windows.append(x.shape)
+        return eigh(x, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep called eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    r = berg.berg_sequence(a, range(1, 65), 0.05)
+    assert windows == [(64, 64)]
+    assert sum(r.block_ranks) == 64
+
+
 def test_random_hermitian_contract():
     A = berg.random_hermitian(40, 9)
     assert np.array_equal(A, A.conj().T)
@@ -119,7 +139,8 @@ def test_cells_past_step_1023_floor_at_the_least_width(eps):
 def _dense_sweep(a, epsilon):
     """The sweep in natural order, every reported number from N x N products."""
     N = a.shape[0]
-    M = float(np.max(np.abs(np.linalg.eigvalsh(a)))) or 1.0
+    lam0 = np.linalg.eigh(a)[0]         # M as the sweep takes it, from its one eigh
+    M = float(max(-lam0[0], lam0[-1])) or 1.0
     U_perp = np.eye(N, dtype=complex)
     P = np.zeros((N, N), dtype=complex)
     K = np.zeros((N, N), dtype=complex)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foelner import cli, decomp, norms, ops
-from foelner.errors import FoelnerError, InvalidSpec
+from foelner.errors import FoelnerError, InvalidSpec, ResourceLimit
 
 REPO = Path(__file__).resolve().parents[1]
 SPECS = sorted((REPO / "specs").glob("*.json"))
@@ -390,6 +390,27 @@ def test_tables_at_n_past_int64_keep_their_bytes(tmp_path, capsys):
             (9223372036854776000, "1.0842021724855044e-19", "3.292722539913596e-10"),
             (9223372036854776500, "1.0842021724855044e-19", "3.292722539913596e-10"),
             (9223372036854777000, "1.0842021724855042e-19", "3.292722539913596e-10"))]
+
+
+def test_a_stepped_grid_over_the_budget_exits_3_without_building_it(tmp_path, capsys,
+                                                                   monkeypatch):
+    # --n-start 2 stretches the five-point grid above to about 1.8 10^16 points
+    doc = {"operator": {"kind": "weighted_shift", "weight": "const:1"},
+           "experiment": {"n_start": 9223372036854775000, "n_end": 9223372036854777000,
+                          "n_step": 500}}
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(["norms", f, "--n-start", "2", "--no-timestamp"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("ResourceLimit: an n grid of 18446744073709554 points ")
+    with pytest.raises(ResourceLimit):
+        cli.n_grid(1, 500 * ops.DENSE_CELLS + 1, 500, None)
+    monkeypatch.setattr(ops, "DENSE_CELLS", 4)
+    assert cli.n_grid(3, 18, 5, None) == [3, 8, 13, 18]
+    with pytest.raises(ResourceLimit):
+        cli.n_grid(3, 23, 5, None)
 
 
 def test_a_geometric_step_past_the_float_range_ends_the_grid(tmp_path, capsys):
