@@ -9,13 +9,12 @@ computation failure (error class name on stderr).
 Reports are buffered and written only after the computation finishes, then
 renamed into place, so a failing run never leaves a partial file behind.
 Each subcommand imports the numeric modules it computes with, so loading
-this module (and running weyl-amenability) loads no numpy, and a valid
-document loads no jsonschema.
+this module (and running weyl-amenability) loads no numpy; a well-formed
+call loads no argparse, and a valid document no jsonschema.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import hashlib
@@ -24,6 +23,7 @@ import os
 import re
 import sys
 import time
+import types
 from fractions import Fraction
 
 from . import __version__, weyl
@@ -534,7 +534,13 @@ def float_or_text(text: str) -> float | str:
 _GRID_FLAGS = (("--n-start", {"type": int}), ("--n-end", {"type": int}),
                ("--n-step", {"type": int}), ("--n-geometric", {"type": float, "metavar": "BASE"}))
 
-# subcommand -> (its function, help line, its flags past the spec file, -o and --no-timestamp)
+# the flags every subcommand takes; a flag table entry is its names, then its add_argument keywords
+_COMMON_FLAGS = (("spec", {"nargs": "?", "help": "JSON spec file"}),
+                 ("-o", "--output", {"help": "write the report here instead of stdout"}),
+                 ("--no-timestamp", {"action": "store_true",
+                                     "help": "omit the timestamp header for byte-stable output"}))
+
+# subcommand -> (its function, help line, its flags past _COMMON_FLAGS)
 _SUBCOMMANDS = {
     "norms": (cmd_table, "seminorm and ratio table over an n grid", _GRID_FLAGS),
     "classify": (cmd_table, "norms plus a trend verdict per ratio", _GRID_FLAGS),
@@ -561,38 +567,52 @@ _SUBCOMMANDS = {
 }
 
 
-def _with_flags(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    p.add_argument("spec", nargs="?", help="JSON spec file")
-    p.add_argument("-o", "--output", help="write the report here instead of stdout")
-    p.add_argument("--no-timestamp", action="store_true",
-                   help="omit the timestamp header for byte-stable output")
-    for flag, kwargs in _SUBCOMMANDS[name][2]:
-        p.add_argument(flag, **kwargs)
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The full CLI parser: the top level and every subcommand with its flags."""
+    import argparse
     p = argparse.ArgumentParser(
         prog="foelner",
         description="Commutator seminorms, block decompositions, and exact "
                     "growth certificates for band-structured operators.")
     p.add_argument("--version", action="version", version=f"foelner {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-    for name, (_, help_line, _) in _SUBCOMMANDS.items():
-        _with_flags(sub.add_parser(name, help=help_line), name)
+    for name, (_, help_line, flags) in _SUBCOMMANDS.items():
+        parser = sub.add_parser(name, help=help_line)
+        for *names, kwargs in _COMMON_FLAGS + flags:
+            parser.add_argument(*names, **kwargs)
     return p
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """argv as build_parser() parses it; a call that names a subcommand and leaves no
-    argument over is parsed by that subcommand's parser alone, with the same prog and flags."""
-    if argv and argv[0] in _SUBCOMMANDS:
-        parser = _with_flags(argparse.ArgumentParser(prog=f"foelner {argv[0]}"), argv[0])
-        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
+def parse_args(argv) -> argparse.Namespace | types.SimpleNamespace:
+    """argv as build_parser() parses it.  A subcommand call that spells each flag in full, its
+    value the next word, and names at most one spec is read off the flag table; argparse
+    reads every other call, so it words every help text and usage error."""
+    if argv and argv[0] in _SUBCOMMANDS and (args := _read_call(argv)) is not None:
+        return args
     return build_parser().parse_args(argv)
+
+
+def _read_call(argv) -> types.SimpleNamespace | None:
+    """The attributes argparse would set for a well-formed subcommand call, else None."""
+    args, flags = {"command": argv[0]}, {}
+    for *names, kwargs in _COMMON_FLAGS + _SUBCOMMANDS[argv[0]][2]:
+        dest = names[-1].lstrip("-").replace("-", "_")
+        args[dest] = False if "action" in kwargs else None
+        flags.update((name, (dest, kwargs)) for name in names if name.startswith("-"))
+    words = iter(argv[1:])
+    for word in words:
+        dest, kwargs = flags.get(word, ("spec", {}))
+        if "action" in kwargs:
+            args[dest] = True
+            continue
+        value = next(words, "-") if word in flags else word
+        if value.startswith("-") or dest == "spec" and args["spec"] is not None:
+            return None
+        try:
+            args[dest] = kwargs.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+    return types.SimpleNamespace(**args)
 
 
 def _write_atomic(target: str, text: str) -> None:

@@ -545,9 +545,8 @@ class Window:
 
 # Budget for every dense array of windows: 2^24 complex cells (256 MiB), a
 # 4096 x 4096 window.  Dense paths check it before they allocate and raise
-# ResourceLimit past it; sparse paths (halmos, triplet norms) never allocate a
-# dense window and are not bound by it; szego checks its O(n) trace diagonal, and
-# cli.n_grid the length of a stepped n grid.
+# ResourceLimit past it; so do the O(N) arrays of sparse paths (sparse_window's
+# columns, szego's trace diagonal) and cli.n_grid's stepped n grid.
 DENSE_CELLS = 1 << 24
 # Budget for the products of szego's trace row loop: 10^9, a couple of minutes of it.
 TRACE_TERMS = 10 ** 9
@@ -580,6 +579,7 @@ def sparse_window(spec: OperatorSpec, N: int) -> np.ndarray:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    check_dense(N, "the sparse window's column array")
     cols = np.arange(1, N + 1)
     pos, rows, vals = _gather(spec, cols, N, True)
     keep = rows <= N

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -572,9 +574,10 @@ print(" ".join(sorted(sys.modules)))
 """
 
 # what the CLI and the exact Weyl core need not load: numpy, and the standard modules
-# dataclasses (with inspect), uuid (with platform), datetime, importlib.resources, pathlib
+# dataclasses (with inspect), uuid (with platform), datetime, importlib.resources, pathlib,
+# and argparse (with gettext and locale), which only words help and usage errors
 _STARTUP_FREE = {"numpy", "dataclasses", "inspect", "uuid", "datetime", "platform",
-                 "importlib.resources", "pathlib"}
+                 "importlib.resources", "pathlib", "argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -765,11 +768,11 @@ def _benchmark_argvs(tmp_path):
     return argvs
 
 
-def test_a_subparser_alone_parses_as_the_full_parser(tmp_path):
+def test_a_well_formed_call_parses_as_the_full_parser(tmp_path):
     argvs = _benchmark_argvs(tmp_path)
     argvs += [["halmos", "--epsilon", "1/10"], ["weyl-amenability", "--elements", "p,q"]]
     for argv in argvs:
-        assert cli.parse_args(argv) == cli.build_parser().parse_args(argv)
+        assert vars(cli.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
 
 
 def _printed(parse, argv, capsys):
@@ -812,20 +815,63 @@ def test_a_refused_subcommand_call_errs_as_the_full_parser(name, capsys):
         assert _printed(cli.main, argv, capsys) == expected
 
 
-def test_a_well_formed_call_builds_one_parser(tmp_path, monkeypatch, capsys):
+def test_a_well_formed_call_builds_no_parser(tmp_path, monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw))
     cli.build_parser()
     assert len(built) == 1 + len(cli._SUBCOMMANDS)
-    for argv in _benchmark_argvs(tmp_path):
-        built.clear()
-        cli.parse_args(argv)
-        assert built == [f"foelner {argv[0]}"]
     built.clear()
+    for argv in _benchmark_argvs(tmp_path):
+        cli.parse_args(argv)
     assert cli.main(["weyl-amenability", "--elements", "p", "--no-timestamp"]) == 0
-    assert built == ["foelner weyl-amenability"] and capsys.readouterr().out
+    assert built == [] and capsys.readouterr().out
+
+
+def _parsed(parse, argv):
+    """The attributes a parse sets, each as its repr (nan != nan), or the exit code,
+    stdout and stderr of a parse that ends the program."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parse(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+    return {name: repr(value) for name, value in vars(args).items()}
+
+
+_VALUES = ["3", "0", "1/10", "1e-3", "-1", "", "nan", "1,a", "1,2", "p*q", "a.json"]
+
+
+@st.composite
+def _subcommand_argvs(draw):
+    """A subcommand and words drawn from its flag table: flags in any order, repeated or
+    lacking a value, a spec file anywhere, and in half the calls forms that only argparse
+    reads (a value its flag's type refuses, --flag=value, a prefix, -oOUT, --)."""
+    name = draw(st.sampled_from(list(cli._SUBCOMMANDS)))
+    flags = [flag for *names, _ in cli._COMMON_FLAGS + cli._SUBCOMMANDS[name][2]
+             for flag in names if flag.startswith("-")]
+    flag, value = st.sampled_from(flags), st.sampled_from(_VALUES)
+    word = st.one_of(st.tuples(flag, st.sampled_from(["3", "12", "0"])),
+                     st.tuples(st.just("--no-timestamp")))
+    if draw(st.booleans()):
+        word = st.one_of(
+            word, st.tuples(flag, value), st.tuples(flag), st.tuples(value),
+            st.builds(lambda f, v: (f"{f}={v}",), flag, value),
+            st.builds(lambda f, k: (f[:max(3, len(f) - k)],), flag, st.integers(1, 8)),
+            st.builds(lambda v: ("-o" + v,), value), st.just(("--",)))
+    words = draw(st.lists(word, max_size=5))
+    spec = draw(st.one_of(st.none(), value))
+    if spec is not None:
+        words.insert(draw(st.integers(0, len(words))), (spec,))
+    return [name, *(w for ws in words for w in ws)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subcommand_argvs())
+def test_parse_args_reads_every_call_as_the_full_parser(argv):
+    assert _parsed(cli.parse_args, argv) == _parsed(cli.build_parser().parse_args, argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -869,6 +915,25 @@ def test_dense_window_over_budget_exits_3_without_allocating(tmp_path, capsys, a
     assert "ResourceLimit" in err
     assert peak < 20 * 2 ** 20
     assert not out_file.exists()
+
+
+_LIMITED_SCRIPT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+from foelner import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_halmos_window_over_budget_exits_3_before_its_column_array():
+    # 10^12 columns would be a 7.28 TiB np.arange; the child's address space is capped at
+    # 4 GiB, so a regression ends in MemoryError (exit 1), not in a stalled machine
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", _LIMITED_SCRIPT, "halmos",
+                          "specs/halmos_inverse.json", "--window", str(10 ** 12)],
+                         cwd=REPO, env=env, capture_output=True, text=True, timeout=10)
+    assert (res.returncode, res.stdout) == (3, "")
+    assert res.stderr.startswith("ResourceLimit: ")
 
 
 def test_output_is_written_whole_and_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
